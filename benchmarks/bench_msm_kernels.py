@@ -13,7 +13,11 @@ benchmark isolates exactly that kernel across its implementations:
 * ``msm_g2`` vs ``msm_g2_unsigned`` -- the signed-window G2 port,
 * ``ProcessBackend.msm_g1`` -- the same kernel chunked across workers,
 * numpy limb-vectorized bucket accumulation vs the shared-inversion
-  python rounds (the PR-10 ``numpy`` field backend), gated at n=4096.
+  python rounds (the PR-10 ``numpy`` field backend), gated at n=4096,
+* fixed-base ``FixedBaseTableG1/G2.mul_many`` (lockstep batched affine
+  additions, what Groth16 setup runs) vs the per-scalar Jacobian ``mul``
+  loop it replaced, gated at 1.3x, plus the window sweep behind the
+  table defaults.
 
 Every row lands in ``BENCH_msm_kernels.json`` together with the window
 sizes the heuristics picked, so regressions in either the kernels or the
@@ -45,6 +49,8 @@ import pytest
 from repro.curves.bn254 import P, R
 from repro.curves.g1 import G1Point, jac_add, jac_to_affine_many
 from repro.curves.msm import (
+    FixedBaseTableG1,
+    FixedBaseTableG2,
     msm_g1,
     msm_g1_unsigned,
     msm_g2,
@@ -306,6 +312,64 @@ def test_msm_g2_signed_vs_unsigned(bench_scale, bench_json):
         f"signed-window G2 MSM slower than the unsigned baseline at n={n}: "
         f"{t_signed:.3f}s vs {t_unsigned:.3f}s"
     )
+
+
+def test_fixed_base_lockstep_vs_loop(bench_json):
+    """Setup's kernel: lockstep ``mul_many`` vs the per-scalar ``mul`` loop.
+
+    The gate (>= 1.3x on both groups; measured ~1.7x on each) fails if
+    ``mul_many`` is ever routed back through per-scalar Jacobian chains.
+    The sweep records what the default windows were chosen from: per-mul
+    time falls with the window while the table build (paid once per
+    process, inside ``setup_s`` of a cold run) doubles per bit.  Measured
+    on the dev box: G1 7/8/9/10 = 113/106/97/92 us per mul for a
+    18/33/59/107 ms build, G2 5/6/7/8 = 713/568/477/409 us for
+    26/44/70/137 ms.  Hence G1 = 8 (9 buys 8% for +26 ms of build) and
+    G2 = 7 (16% under 6 for +26 ms; 8 would cost another +67 ms): a cold
+    process pays ~0.1 s for both tables.
+    """
+    from repro.curves.g2 import G2Point
+
+    rng = random.Random(15)
+    g1 = G1Point.generator()
+    groups = {
+        "g1": (
+            lambda **kw: FixedBaseTableG1((g1.x, g1.y), **kw), 2048, (7, 8, 9, 10)
+        ),
+        "g2": (
+            lambda **kw: FixedBaseTableG2(G2Point.generator(), **kw), 512, (5, 6, 7, 8)
+        ),
+    }
+    for group, (build, n, sweep) in groups.items():
+        scalars = [rng.randrange(R) for _ in range(n)]
+        table = build()
+        t_loop, r_loop = _best_of(lambda: [table.mul(s) for s in scalars])
+        t_many, r_many = _best_of(lambda: table.mul_many(scalars))
+        if group == "g1":
+            assert jac_to_affine_many(r_loop) == jac_to_affine_many(r_many)
+        else:
+            assert r_loop == r_many
+        windows = {}
+        for window in sweep:
+            t_build, swept = _best_of(lambda: build(window=window), repeats=1)
+            t_sweep, _ = _best_of(lambda: swept.mul_many(scalars[: n // 2]))
+            windows[str(window)] = {
+                "table_build_seconds": t_build,
+                "us_per_mul": t_sweep / (n // 2) * 1e6,
+            }
+        bench_json(
+            f"fixed-base-{group}-n{n}",
+            n=n,
+            default_window=table.window,
+            loop_us_per_mul=t_loop / n * 1e6,
+            mul_many_us_per_mul=t_many / n * 1e6,
+            speedup_mul_many_vs_loop=t_loop / t_many,
+            window_sweep=windows,
+        )
+        assert t_loop / t_many >= 1.3, (
+            f"{group} mul_many only {t_loop / t_many:.2f}x the per-scalar "
+            f"mul loop at n={n}: is the lockstep batch-affine path bypassed?"
+        )
 
 
 def test_msm_parallel_backend(bench_scale, bench_json):

@@ -5,7 +5,9 @@ Groth16 cost structure:
 * the trusted setup computes thousands of ``scalar * G`` products for a
   *fixed* base (the group generator) -- served by the comb-style
   :class:`FixedBaseTableG1` / :class:`FixedBaseTableG2`, whose tables are
-  built with batch-affine addition (one shared inversion per digit);
+  built with batch-affine addition (one shared inversion per digit) and
+  whose ``mul_many`` walks all scalars through the windows in lockstep,
+  again one shared inversion per batched affine addition;
 * the prover computes a handful of large *variable-base* MSMs
   ``sum_i  s_i * P_i`` -- served by :func:`msm_g1` / :func:`msm_g2`.
 
@@ -660,17 +662,18 @@ def _profiled_msm(group: str):
     Off (the default): one module-global read per MSM call -- an MSM is
     thousands of field operations, so the check is unmeasurable.  On
     (``ZKROWNN_PROFILE_KERNELS``): each call lands in the
-    ``zkrownn_msm_seconds`` histogram, bucketed by point count.
+    ``zkrownn_msm_seconds`` histogram, bucketed by scalar count (the
+    last argument, so ``mul_many`` methods are covered too).
     """
     def wrap(fn):
         @functools.wraps(fn)
-        def wrapper(points, scalars):
+        def wrapper(*args):
             if not _obs_metrics.kernel_profiling_enabled():
-                return fn(points, scalars)
+                return fn(*args)
             t0 = time.perf_counter()
-            out = fn(points, scalars)
+            out = fn(*args)
             _obs_metrics.observe_kernel(
-                "msm", len(scalars), time.perf_counter() - t0, group=group
+                "msm", len(args[-1]), time.perf_counter() - t0, group=group
             )
             return out
         return wrapper
@@ -1007,13 +1010,59 @@ def naive_msm_g2(points: Sequence[G2Point], scalars: Sequence[int]) -> G2Point:
     return total
 
 
+#: Scalars per lockstep pass of ``mul_many``: bounds the transient lane
+#: lists; one shared inversion per window per tile is already noise.
+_COMB_TILE = 1024
+
+
+def _lockstep_comb(
+    table: List[List], window: int, scalars: Sequence[int], batch_add: BatchAffineAdd
+) -> List:
+    """``s * base`` for every scalar off one comb table, all in lockstep.
+
+    Walks the windows once per tile of scalars; per window, the selected
+    table entry joins each scalar's *affine* accumulator through one
+    batched addition with a shared inversion (``batch_add``), ~6 modular
+    multiplications per add versus ~11 for the mixed Jacobian add of the
+    single-scalar ``mul``.  Zero digits and still-empty accumulators skip
+    the lane.  Returns affine points, ``None`` where ``s % R == 0``.
+    """
+    mask = (1 << window) - 1
+    out: List = []
+    idxs: List[int] = []
+    ps: List = []
+    qs: List = []
+    for lo in range(0, len(scalars), _COMB_TILE):
+        rem = [s % R for s in scalars[lo : lo + _COMB_TILE]]
+        accs: List = [None] * len(rem)
+        for row in table:
+            del idxs[:], ps[:], qs[:]
+            for i, s in enumerate(rem):
+                d = s & mask
+                if d:
+                    acc = accs[i]
+                    if acc is None:
+                        accs[i] = row[d]
+                    else:
+                        idxs.append(i)
+                        ps.append(acc)
+                        qs.append(row[d])
+            if ps:
+                for i, acc in zip(idxs, batch_add(ps, qs)):
+                    accs[i] = acc
+            rem = [s >> window for s in rem]
+        out.extend(accs)
+    return out
+
+
 class FixedBaseTableG1:
     """Comb-method fixed-base multiplier for G1.
 
     Precomputes ``digit * 2^(w*i) * base`` for every window ``i`` and digit,
-    so each subsequent scalar multiplication costs only ``ceil(254/w)`` mixed
-    additions.  Used by the trusted setup, which multiplies the generator by
-    thousands of evaluation scalars.
+    so each subsequent scalar multiplication costs only ``ceil(254/w)``
+    additions: mixed Jacobian ones in :meth:`mul`, batched affine ones
+    (:func:`_lockstep_comb`) in :meth:`mul_many`.  Used by the trusted
+    setup, which multiplies the generator by thousands of evaluation scalars.
 
     The table is built in affine coordinates: the per-window bases come from
     one Jacobian doubling chain batch-normalized at the end, and every
@@ -1059,8 +1108,15 @@ class FixedBaseTableG1:
                     acc = jac_add_mixed(acc, entry)
         return acc
 
+    @_profiled_msm("g1_fixed")
     def mul_many(self, scalars: Sequence[int]) -> List[JacobianPoint]:
-        return [self.mul(s) for s in scalars]
+        """``[mul(s) for s in scalars]``, already normalized (``z`` is 1 or 0)."""
+        return [
+            G1_INFINITY_JAC if aff is None else (aff[0], aff[1], 1)
+            for aff in _lockstep_comb(
+                self.table, self.window, scalars, _batch_affine_add
+            )
+        ]
 
 
 class FixedBaseTableG2:
@@ -1068,10 +1124,14 @@ class FixedBaseTableG2:
 
     Rows hold affine ``(x, y)`` Fp2 pairs built with batched affine
     additions (one Fp2 inversion per digit, shared across windows);
-    :meth:`mul` accumulates them with mixed Jacobian additions.
+    :meth:`mul` accumulates them with mixed Jacobian additions,
+    :meth:`mul_many` with lockstep batched affine ones.  Per-mul time
+    keeps falling with the window while the table build doubles per bit;
+    7 is where the next bit would add ~70 ms to every process's first
+    setup (``bench_msm_kernels`` records the sweep).
     """
 
-    def __init__(self, base: G2Point, window: int = 6):
+    def __init__(self, base: G2Point, window: int = 7):
         self.window = window
         self.windows = (SCALAR_BITS + window - 1) // window
         base = g2_wrap(base, get_field_ops(P))
@@ -1090,7 +1150,7 @@ class FixedBaseTableG2:
                 row.append(acc)
         self.table: List[List[Optional[tuple]]] = rows
 
-    def mul_jacobian(self, scalar: int) -> G2Jacobian:
+    def mul(self, scalar: int) -> G2Point:
         s = scalar % R
         acc = G2_INFINITY_JAC
         mask = (1 << self.window) - 1
@@ -1100,17 +1160,14 @@ class FixedBaseTableG2:
                 entry = self.table[i][digit]
                 if entry is not None:
                     acc = g2_jac_add_mixed(acc, entry)
-        return acc
+        return g2_from_jacobian(acc)
 
-    def mul(self, scalar: int) -> G2Point:
-        return g2_from_jacobian(self.mul_jacobian(scalar))
-
+    @_profiled_msm("g2_fixed")
     def mul_many(self, scalars: Sequence[int]) -> List[G2Point]:
-        """Batch scalar multiplication with one shared final normalization."""
-        jacs = [self.mul_jacobian(s) for s in scalars]
-        out: List[G2Point] = []
-        for aff in g2_jac_to_affine_many(jacs):
-            out.append(
-                G2Point.infinity() if aff is None else G2Point(aff[0], aff[1])
+        """``[mul(s) for s in scalars]`` through :func:`_lockstep_comb`."""
+        return [
+            G2Point.infinity() if aff is None else G2Point(aff[0], aff[1])
+            for aff in _lockstep_comb(
+                self.table, self.window, scalars, g2_batch_affine_add
             )
-        return out
+        ]

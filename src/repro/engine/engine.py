@@ -169,6 +169,7 @@ class ProvingEngine:
         self._audit_reports: Dict[str, AuditReport] = {}
         self._compiled: Dict[str, CompiledCircuit] = {}
         self._keypairs: Dict[str, Groth16Keypair] = {}
+        self._setup_flights: Dict[str, threading.Lock] = {}
         self._prepared_pk: Dict[str, PreparedProvingKey] = {}
         self._prepared_vk: Dict[str, PreparedVerifyingKey] = {}
         self._store = ArtifactStore(cache_dir) if cache_dir else None
@@ -347,31 +348,40 @@ class ProvingEngine:
     def setup(
         self, compiled: CompiledCircuit, *, seed: Optional[int] = None
     ) -> Groth16Keypair:
-        """Groth16 setup, once per structure digest (memory, then disk)."""
+        """Groth16 setup, once per structure digest (memory, then disk).
+
+        Single-flight: threads meeting the same new digest queue on that
+        digest's own lock, so exactly one runs the multi-second setup and
+        the rest leave with its keypair as cache hits -- a proof is never
+        served beside a different setup's verifying key.  The engine lock
+        is never held across the setup, and other digests do not wait.
+        """
         digest = compiled.digest
         with self._lock:
-            keypair = self._keypairs.get(digest)
-        if keypair is not None:
+            flight = self._setup_flights.setdefault(digest, threading.Lock())
+        with flight:
             with self._lock:
-                self.stats.setup_hits += 1
+                keypair = self._keypairs.get(digest)
+                if keypair is not None:
+                    self.stats.setup_hits += 1
+                    return keypair
+            if self._store is not None:
+                keypair = self._store.load_keypair(digest)
+                if keypair is not None:
+                    with self._lock:
+                        self.stats.setup_disk_hits += 1
+                        self._keypairs[digest] = keypair
+                    return keypair
+            t0 = time.perf_counter()
+            keypair = groth16_setup(compiled.cs, seed=seed)
+            _observe_stage("setup", time.perf_counter() - t0)
+            with self._lock:
+                self.stats.setup_misses += 1
+                self._keypairs[digest] = keypair
+            if self._store is not None:
+                self._store.save_keypair(digest, keypair)
+                self._store.save_constraint_system(digest, compiled.cs)
             return keypair
-        if self._store is not None:
-            keypair = self._store.load_keypair(digest)
-            if keypair is not None:
-                with self._lock:
-                    self.stats.setup_disk_hits += 1
-                    self._keypairs[digest] = keypair
-                return keypair
-        t0 = time.perf_counter()
-        keypair = groth16_setup(compiled.cs, seed=seed)
-        _observe_stage("setup", time.perf_counter() - t0)
-        with self._lock:
-            self.stats.setup_misses += 1
-            self._keypairs[digest] = keypair
-        if self._store is not None:
-            self._store.save_keypair(digest, keypair)
-            self._store.save_constraint_system(digest, compiled.cs)
-        return keypair
 
     # ----------------------------------------------------------------- prove --
 

@@ -168,52 +168,38 @@ def setup_with_trapdoor(
 
     table_g1, table_g2 = _generator_tables()
 
-    # All G1 products are accumulated in Jacobian form and normalized with a
-    # single batched inversion at the end -- thousands of points, one pow.
-    g1_mul = table_g1.mul
-
-    # Query vectors.
-    a_jac = [g1_mul(qap.u[j]) for j in range(m)]
-    b_g1_jac = [g1_mul(qap.v[j]) for j in range(m)]
-    b_g2_query = table_g2.mul_many([qap.v[j] for j in range(m)])
-
     # k_j = (beta*u_j + alpha*v_j + w_j) scaled by 1/gamma (public, in VK)
     # or 1/delta (private, in PK).
     def k_scalar(j: int) -> int:
         return (beta * qap.u[j] + alpha * qap.v[j] + qap.w[j]) % R
 
-    ic_jac = [g1_mul(k_scalar(j) * gamma_inv % R) for j in range(ell + 1)]
-    k_jac = [g1_mul(k_scalar(j) * delta_inv % R) for j in range(ell + 1, m)]
+    ic_scalars = [k_scalar(j) * gamma_inv % R for j in range(ell + 1)]
+    k_scalars = [k_scalar(j) * delta_inv % R for j in range(ell + 1, m)]
 
     # h_query[i] = [tau^i * t(tau) / delta]_1 for i < |H| - 1.
     rn = ops_r.modulus_native
     tau_native = ops_r.wrap(tau)
-    t_over_delta = qap.t_at_tau * delta_inv % rn
-    h_jac: List[JacobianPoint] = []
-    power = t_over_delta
+    h_scalars = []
+    power = qap.t_at_tau * delta_inv % rn
     for _ in range(qap.domain_size - 1):
-        h_jac.append(g1_mul(power))
+        h_scalars.append(power)
         power = power * tau_native % rn
 
-    all_points = _g1_points_from_jacs(
-        a_jac
-        + b_g1_jac
-        + ic_jac
-        + k_jac
-        + h_jac
-        + [g1_mul(alpha), g1_mul(beta), g1_mul(delta)]
+    # Every G1 key point comes out of ONE lockstep fixed-base pass (batched
+    # affine additions, already normalized), every G2 query point out of
+    # the other.
+    groups = [
+        qap.u[:m], qap.v[:m], ic_scalars, k_scalars, h_scalars,
+        [alpha, beta, delta],
+    ]
+    points = (
+        G1Point.infinity() if z == 0 else G1Point(x, y)
+        for x, y, z in table_g1.mul_many([s for g in groups for s in g])
     )
-    offset = 0
-    a_query = all_points[offset : offset + m]
-    offset += m
-    b_g1_query = all_points[offset : offset + m]
-    offset += m
-    ic = all_points[offset : offset + ell + 1]
-    offset += ell + 1
-    k_query = all_points[offset : offset + len(k_jac)]
-    offset += len(k_jac)
-    h_query = all_points[offset : offset + len(h_jac)]
-    alpha_g1, beta_g1, delta_g1 = all_points[-3:]
+    a_query, b_g1_query, ic, k_query, h_query, (alpha_g1, beta_g1, delta_g1) = (
+        [next(points) for _ in g] for g in groups
+    )
+    b_g2_query = table_g2.mul_many(qap.v[:m])
 
     proving_key = ProvingKey(
         alpha_g1=alpha_g1,

@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.curves import msm as msm_mod
 from repro.curves.bn254 import R
 from repro.curves.g1 import G1Point
 from repro.curves.g2 import G2Point
@@ -131,6 +134,73 @@ class TestFixedBaseG2:
 
     def test_mul_many(self, table):
         assert table.mul_many([5])[0] == H * 5
+
+
+# Scalars the lockstep comb must get right: the identity cases (0, R, 2R),
+# the ends of the range, values above R, and small values whose high
+# windows are all zero (their lanes stay empty for most of the walk).
+_comb_scalars = st.lists(
+    st.one_of(
+        st.sampled_from([0, 1, 2, R - 1, R, R + 1, 2 * R, 2**256 + 5]),
+        st.integers(0, 255),
+        st.integers(0, R - 1),
+        st.integers(R, 2**260),
+    ),
+    max_size=12,
+)
+
+_TABLES = {}
+
+
+def _table(group, window):
+    """Tables depend on (base, window) only; ``None`` = the default window."""
+    if (group, window) not in _TABLES:
+        kwargs = {} if window is None else {"window": window}
+        _TABLES[group, window] = (
+            FixedBaseTableG1((G.x, G.y), **kwargs)
+            if group == "g1"
+            else FixedBaseTableG2(H, **kwargs)
+        )
+    return _TABLES[group, window]
+
+
+class TestLockstepMulMany:
+    """``mul_many`` (lockstep batched affine) against the per-scalar ``mul``."""
+
+    @staticmethod
+    def _check(group, window, scalars):
+        table = _table(group, window)
+        want = {s: table.mul(s) for s in set(scalars)}
+        many = table.mul_many(scalars)
+        assert len(many) == len(scalars)
+        for s, got in zip(scalars, many):
+            if group == "g1":
+                assert got[2] == (0 if s % R == 0 else 1)  # already normalized
+                assert G1Point.from_jacobian(got) == G1Point.from_jacobian(want[s])
+            else:
+                assert got.is_infinity() == (s % R == 0)
+                assert got == want[s]
+
+    @pytest.mark.parametrize("group", ["g1", "g2"])
+    @pytest.mark.parametrize("window", [4, None])
+    @given(scalars=_comb_scalars)
+    def test_matches_mul(self, group, window, scalars):
+        self._check(group, window, scalars)
+
+    @pytest.mark.parametrize("group", ["g1", "g2"])
+    def test_empty_and_single(self, group):
+        self._check(group, 4, [])
+        self._check(group, 4, [R - 2])
+        self._check(group, 4, [0])
+
+    @pytest.mark.parametrize("group", ["g1", "g2"])
+    def test_longer_than_one_tile(self, group, rng):
+        """Tile boundaries: repeated scalars from a small pool, so the
+        per-scalar reference stays cheap while the list spans two tiles."""
+        pool = [0, 1, 77, R - 1, R] + [rng.randrange(R) for _ in range(12)]
+        self._check(
+            group, 4, [rng.choice(pool) for _ in range(msm_mod._COMB_TILE + 37)]
+        )
 
 
 class TestSharedScalarMultiMsm:

@@ -64,6 +64,58 @@ class TestEngineCaching:
         assert engine.stats.setup_misses == 1
         assert engine.stats.setup_hits == 1
 
+    def test_setup_is_single_flight_per_digest(self, tmp_path, monkeypatch):
+        """Threads meeting a new shape run ONE setup and share its keypair.
+
+        More threads than cores and a shortened switch interval: before
+        the per-digest lock, every thread that probed the cache before the
+        first setup finished ran its own and overwrote the cached keypair.
+        """
+        import sys
+        import threading
+        import time
+
+        from repro.engine import engine as engine_mod
+
+        engine = ProvingEngine(cache_dir=str(tmp_path))
+        compiled, _ = engine.synthesize("k", _chain_synth(3, 5))
+        keys = setup(compiled.cs, seed=1)
+        n_threads = 6
+        start_together = threading.Barrier(n_threads)
+        setups, saves, got = [], [], []
+
+        def slow_setup(cs, *, seed=None):
+            setups.append(seed)
+            time.sleep(0.2)  # every other thread arrives meanwhile
+            return type(keys)(keys.proving_key, keys.verifying_key)  # distinct
+
+        real_save = engine.artifact_store.save_keypair
+        monkeypatch.setattr(engine_mod, "groth16_setup", slow_setup)
+        monkeypatch.setattr(
+            engine.artifact_store, "save_keypair",
+            lambda digest, kp: (saves.append(digest), real_save(digest, kp)),
+        )
+
+        def worker():
+            start_together.wait(timeout=10)
+            got.append(engine.setup(compiled))
+
+        threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(setups) == 1 and saves == [compiled.digest]
+        assert len(got) == n_threads and all(kp is got[0] for kp in got)
+        assert engine.stats.setup_misses == 1
+        assert engine.stats.setup_hits == n_threads - 1
+
     def test_prove_and_verify_roundtrip(self):
         engine = ProvingEngine()
         job = engine.prove_job("k", _chain_synth(3, 5), seed=2, setup_seed=1)

@@ -229,6 +229,29 @@ class TestKernelProfiling:
         )
         assert hist.snapshot(n="2^2", group="g1")["count"] == 1
 
+    def test_fixed_base_mul_many_lands_in_histogram(self, obs_on):
+        """A slow ``setup`` stage is attributable the way a slow prove is."""
+        from repro.curves.bn254 import G1_GENERATOR
+        from repro.curves.g2 import G2Point
+        from repro.curves.msm import FixedBaseTableG1, FixedBaseTableG2
+
+        table_g1 = FixedBaseTableG1(G1_GENERATOR, window=4)
+        table_g2 = FixedBaseTableG2(G2Point.generator(), window=4)
+        reinit_metrics_after_fork()
+        table_g1.mul_many([9])  # profiling off: nothing recorded
+        prev = set_kernel_profiling(True)
+        try:
+            table_g1.mul_many([1, 2, 3, 4, 5])
+            table_g2.mul_many([6, 7])
+        finally:
+            set_kernel_profiling(prev)
+        hist = get_metrics().histogram(
+            "zkrownn_msm_seconds", buckets=KERNEL_BUCKETS
+        )
+        assert hist.snapshot(n="2^3", group="g1_fixed")["count"] == 1
+        assert hist.snapshot(n="2^1", group="g2_fixed")["count"] == 1
+        assert hist.snapshot(n="2^0", group="g1_fixed")["count"] == 0
+
     def test_ntt_profiled_fwd_and_inv(self, obs_on):
         from repro.field.ntt import get_domain, intt, ntt
 

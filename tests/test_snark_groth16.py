@@ -4,6 +4,8 @@ Uses a session-scoped keypair on the cubic circuit (x^3 + x + 5 = y) to
 keep the pure-Python pairing cost bounded.
 """
 
+import hashlib
+
 import pytest
 
 from repro.field.prime import BN254_R as R
@@ -194,3 +196,45 @@ class TestSetupDeterminism:
         kp2 = setup(cs, seed=100)
         proof = prove(kp1.proving_key, cs, assignment, seed=1)
         assert not verify(kp2.verifying_key, [35], proof)
+
+
+def _chain_circuit(n_public=3, length=20):
+    """x_{i+1} = (x_i + i) * x_i, the last link copied to every public."""
+    cs = ConstraintSystem()
+    pubs = [cs.allocate_public(f"p{i}") for i in range(n_public)]
+    prev = cs.allocate_private("x0")
+    for i in range(length):
+        nxt = cs.allocate_private(f"x{i + 1}")
+        cs.enforce(
+            LC.variable(prev) + LC.constant(i), LC.variable(prev), LC.variable(nxt)
+        )
+        prev = nxt
+    for p in pubs:
+        cs.enforce(LC.variable(prev), LC.constant(1), LC.variable(p))
+    return cs
+
+
+class TestGoldenKeys:
+    """Seeded keys are pinned byte for byte.
+
+    The digests were recorded on the commit BEFORE the lockstep
+    batch-affine fixed-base rewrite (per-scalar Jacobian comb); any
+    setup-kernel or field-backend change must reproduce them exactly.
+    Both circuits have variables absent from B (7 and 11 points at
+    infinity across their queries), so the identity encoding is pinned too.
+    """
+
+    GOLDEN = {
+        "cubic": "f35b52c4d32ed9305c63dc6dc1b3c270922485755d3f1bf011050a263ae5041b",
+        "chain": "669751b8ff4f2dc1239c1e8d68e5bc4518d293d2b01ba999493242f2d1151df2",
+    }
+
+    @pytest.mark.parametrize("name, seed", [("cubic", 42), ("chain", 7)])
+    def test_seeded_setup_bytes_are_pinned(self, cubic_circuit, name, seed):
+        cs = cubic_circuit[0] if name == "cubic" else _chain_circuit()
+        kp = setup(cs, seed=seed)
+        pk = kp.proving_key
+        assert any(p.is_infinity() for p in pk.b_g1_query)
+        assert any(p.is_infinity() for p in pk.b_g2_query)
+        blob = pk.to_bytes() + kp.verifying_key.to_bytes()
+        assert hashlib.sha256(blob).hexdigest() == self.GOLDEN[name]
