@@ -1,41 +1,30 @@
-"""MSM kernel ablation: naive vs PR-1 Pippenger vs GLV+signed-window vs
-field backends vs parallel.
+"""MSM kernel benchmark: the one pipeline vs naive, field backends, parallel.
 
 The prover's wall time is dominated by variable-base G1 MSMs, so this
-benchmark isolates exactly that kernel across its implementations:
+benchmark isolates exactly that kernel:
 
 * ``naive_msm_g1``      -- double-and-add reference,
-* ``msm_g1_unsigned``   -- the PR-1 Pippenger path (unsigned windows,
-  Jacobian bucket adds), kept verbatim as the baseline,
 * ``msm_g1``            -- GLV + signed windows + batch-affine buckets,
-  under each selectable *field backend* (stdlib residues, Montgomery
-  form, gmpy2 when importable),
-* ``msm_g2`` vs ``msm_g2_unsigned`` -- the signed-window G2 port,
+  under each selectable *field backend* (stdlib residues, gmpy2 when
+  importable),
+* ``msm_g2``            -- the same pipeline over Fp2 (timing only),
 * ``ProcessBackend.msm_g1`` -- the same kernel chunked across workers,
-* numpy limb-vectorized bucket accumulation vs the shared-inversion
-  python rounds (the PR-10 ``numpy`` field backend), gated at n=4096,
 * fixed-base ``FixedBaseTableG1/G2.mul_many`` (lockstep batched affine
   additions, what Groth16 setup runs) vs the per-scalar Jacobian ``mul``
   loop it replaced, gated at 1.3x, plus the window sweep behind the
   table defaults.
 
 Every row lands in ``BENCH_msm_kernels.json`` together with the window
-sizes the heuristics picked, so regressions in either the kernels or the
+sizes the heuristic picked, so regressions in either the kernels or the
 tuning are visible from artifacts alone.  The multi-claim ``prove_batch``
 comparison lives here too: serial vs process backend over one shared
 prepared key.
 
 Honest-measurement note: in pure CPython the batched-affine add costs ~6
 modular multiplications against ~12 for a Jacobian mixed add, and Python's
-big-int ``%`` dominates both, so the serial GLV path lands around 1.6-1.8x
-over the PR-1 baseline at n=4096.  A pure-Python *Montgomery* multiply
-trades that one C-level ``divmod`` for two extra big-int multiplications
-and measures ~10-15% slower per operation on CPython 3.11 -- which is why
-the Montgomery backend's gate below is the unsigned PR-1 baseline (beaten
-~1.5x) rather than the plain-residue GLV path, and why the stdlib default
-keeps canonical residues.  The real multiplication-cost lever is gmpy2:
-when importable, the same kernel over ``mpz`` residues is asserted to beat
-the stdlib path outright.
+big-int ``%`` dominates both.  The real multiplication-cost lever is
+gmpy2: when importable, the same kernel over ``mpz`` residues is asserted
+to beat the stdlib path outright.
 """
 
 from __future__ import annotations
@@ -44,17 +33,13 @@ import os
 import random
 import time
 
-import pytest
-
 from repro.curves.bn254 import P, R
 from repro.curves.g1 import G1Point, jac_add, jac_to_affine_many
 from repro.curves.msm import (
     FixedBaseTableG1,
     FixedBaseTableG2,
     msm_g1,
-    msm_g1_unsigned,
     msm_g2,
-    msm_g2_unsigned,
     naive_msm_g1,
     pippenger_window_size,
 )
@@ -99,19 +84,14 @@ def _sizes(scale) -> list:
 
 
 def test_msm_kernel_ablation(bench_scale, bench_json):
-    """Pippenger beats naive; GLV+signed-window beats Pippenger."""
+    """The optimized pipeline beats the naive reference."""
     for n in _sizes(bench_scale):
         points, scalars = _inputs(n)
-        t_unsigned, r_unsigned = _best_of(lambda: msm_g1_unsigned(points, scalars))
         t_glv, r_glv = _best_of(lambda: msm_g1(points, scalars))
-        assert jac_to_affine_many([r_unsigned]) == jac_to_affine_many([r_glv])
         entry = {
             "n": n,
-            "unsigned_seconds": t_unsigned,
             "glv_signed_seconds": t_glv,
-            "speedup_glv_vs_unsigned": t_unsigned / t_glv,
             "signed_window": pippenger_window_size(2 * n),
-            "unsigned_window": pippenger_window_size(n, signed=False),
         }
         if n <= 512:
             t_naive, r_naive = _best_of(
@@ -126,29 +106,21 @@ def test_msm_kernel_ablation(bench_scale, bench_json):
                 f"optimized MSM slower than naive at n={n}: "
                 f"{t_glv:.3f}s vs {t_naive:.3f}s"
             )
-        if n >= 1024:
-            assert t_glv < t_unsigned, (
-                f"GLV+signed MSM slower than PR-1 Pippenger at n={n}: "
-                f"{t_glv:.3f}s vs {t_unsigned:.3f}s"
-            )
         bench_json(f"msm-n{n}", **entry)
 
 
 def test_field_backend_ablation(bench_scale, bench_json):
-    """stdlib vs Montgomery vs gmpy2 field backends on the GLV MSM kernel.
+    """stdlib vs gmpy2 field backends on the GLV MSM kernel.
 
-    All backends must produce identical results; the perf gates are the
-    honest ones (see the module docstring): the Montgomery stdlib kernel
-    must beat the PR-1 unsigned baseline at every measured size, the
-    default stdlib path must not regress against it either, and gmpy2 --
-    when importable -- must beat the stdlib path outright at n >= 1024.
+    Both backends must produce identical results; the perf gate is live
+    only where gmpy2 is importable: it must beat the stdlib path outright
+    at n >= 1024.
     """
     n = _sizes(bench_scale)[-1]
     points, scalars = _inputs(n)
-    t_unsigned, r_unsigned = _best_of(lambda: msm_g1_unsigned(points, scalars))
-    reference = jac_to_affine_many([r_unsigned])
 
     times = {}
+    reference = None
     prev = set_field_backend("python")
     try:
         for name in available_field_backends():
@@ -159,34 +131,26 @@ def test_field_backend_ablation(bench_scale, bench_json):
             native_points = [(ops_p.wrap(x), ops_p.wrap(y)) for x, y in points]
             native_scalars = ops_r.wrap_many(scalars)
             t, r = _best_of(lambda: msm_g1(native_points, native_scalars))
-            assert jac_to_affine_many([r]) == reference, (
-                f"field backend {name!r} disagrees with the unsigned reference"
+            result = [
+                None if a is None else (int(a[0]), int(a[1]))
+                for a in jac_to_affine_many([r])
+            ]
+            if reference is None:
+                reference = result
+            assert result == reference, (
+                f"field backend {name!r} disagrees with the stdlib result"
             )
             times[name] = t
     finally:
         set_field_backend(prev)
 
-    entry = {
-        "n": n,
-        "unsigned_seconds": t_unsigned,
-        "gmpy2_available": gmpy2_available(),
-        "speedup_montgomery_vs_unsigned": t_unsigned / times["montgomery"],
-        "speedup_python_vs_montgomery": times["montgomery"] / times["python"],
-    }
+    entry = {"n": n, "gmpy2_available": gmpy2_available()}
     for name, t in times.items():
         entry[f"{name}_seconds"] = t
     if "gmpy2" in times:
         entry["speedup_gmpy2_vs_python"] = times["python"] / times["gmpy2"]
     bench_json(f"field-backend-n{n}", **entry)
 
-    assert times["montgomery"] < t_unsigned, (
-        f"Montgomery stdlib kernel slower than the unsigned PR-1 baseline "
-        f"at n={n}: {times['montgomery']:.3f}s vs {t_unsigned:.3f}s"
-    )
-    assert times["python"] < t_unsigned, (
-        f"default stdlib kernel slower than the unsigned PR-1 baseline "
-        f"at n={n}: {times['python']:.3f}s vs {t_unsigned:.3f}s"
-    )
     if "gmpy2" in times and n >= 1024:
         assert times["gmpy2"] < times["python"], (
             f"gmpy2 field backend slower than stdlib at n={n}: "
@@ -194,98 +158,8 @@ def test_field_backend_ablation(bench_scale, bench_json):
         )
 
 
-def test_numpy_kernel_ablation(bench_scale, bench_json):
-    """Vectorized limb-array bucket accumulation vs the stdlib rounds.
-
-    Reproduces the exact bucket grid a signed-window MSM scatters (the
-    post-GLV shape: ``2n`` half-width scalars), then reduces it through
-    both implementations: ``_reduce_buckets`` with the shared-inversion
-    python adds, and ``_numpy_window_sums`` -- the gather + vectorized
-    :func:`~repro.field.limb.reduce_bucket_grid` rounds the numpy field
-    backend routes through (including its python handoff for narrow tail
-    rounds).  Results must be identical.
-
-    The honest gate: at the n=4096 headline size (reduced scale) the
-    numpy bucket accumulation must not lose to the stdlib python rounds.
-    The measured ratio is recorded either way, as is the end-to-end
-    ``msm_g1`` ratio (which carries scatter/conversion overheads both
-    paths share and is expected closer to parity; wide MSMs win bigger).
-    """
-    pytest.importorskip("numpy")
-    from repro.curves.msm import (
-        _batch_affine_add,
-        _numpy_window_sums,
-        _reduce_buckets,
-        _scatter_signed_idx,
-    )
-    from repro.field.limb import get_limb_context
-
-    n = _sizes(bench_scale)[-1]
-    pairs = 2 * n  # GLV splits every scalar into two half-width parts
-    rng = random.Random(23)
-    points, _ = _inputs(pairs)
-    scalars = [rng.randrange(1, 1 << 127) for _ in range(pairs)]
-    c = pippenger_window_size(pairs)
-    bids, pids, negs, windows = _scatter_signed_idx(scalars, c)
-    n_buckets = windows * ((1 << (c - 1)) + 1)
-
-    template: list = [[] for _ in range(n_buckets)]
-    for b, i, neg in zip(bids, pids, negs):
-        x, y = points[i]
-        template[b].append((x, P - y) if neg else (x, y))
-
-    def python_reduce():
-        # _reduce_buckets mutates; hand it a fresh shallow copy each run.
-        return _reduce_buckets([list(b) for b in template], _batch_affine_add)
-
-    ctx = get_limb_context(P)
-    xs = ctx.to_mont(ctx.to_limbs([p[0] for p in points]))
-    ys = ctx.to_mont(ctx.to_limbs([p[1] for p in points]))
-
-    def numpy_reduce():
-        return _numpy_window_sums(ctx, xs, ys, bids, pids, negs, n_buckets)
-
-    t_python, r_python = _best_of(python_reduce)
-    t_numpy, r_numpy = _best_of(numpy_reduce)
-    assert r_numpy == r_python, (
-        "numpy bucket accumulation disagrees with the python rounds"
-    )
-
-    full_scalars = [rng.randrange(R) for _ in range(n)]
-    prev = set_field_backend("python")
-    try:
-        t_msm_python, r_p = _best_of(
-            lambda: msm_g1(points[:n], full_scalars)
-        )
-        set_field_backend("numpy")
-        t_msm_numpy, r_n = _best_of(lambda: msm_g1(points[:n], full_scalars))
-    finally:
-        set_field_backend(prev)
-    assert jac_to_affine_many([r_p]) == jac_to_affine_many([r_n])
-
-    bench_json(
-        f"numpy-buckets-n{n}",
-        n=n,
-        pairs=pairs,
-        lanes=len(bids),
-        window=c,
-        python_bucket_seconds=t_python,
-        numpy_bucket_seconds=t_numpy,
-        numpy_vs_python_bucket_ratio=t_python / t_numpy,
-        python_msm_seconds=t_msm_python,
-        numpy_msm_seconds=t_msm_numpy,
-        numpy_vs_python_msm_ratio=t_msm_python / t_msm_numpy,
-    )
-    if n >= 4096:
-        assert t_numpy <= t_python, (
-            f"numpy bucket accumulation lost to the stdlib python rounds "
-            f"at n={n}: {t_numpy:.3f}s vs {t_python:.3f}s "
-            f"(ratio {t_python / t_numpy:.2f}x)"
-        )
-
-
-def test_msm_g2_signed_vs_unsigned(bench_scale, bench_json):
-    """The signed-window G2 port vs the retired unsigned Jacobian path."""
+def test_msm_g2_timing(bench_scale, bench_json):
+    """The G2 instance of the pipeline: recorded, checked against ``*``."""
     from repro.curves.g2 import G2Point
 
     n = 128 if bench_scale.name == "tiny" else 256
@@ -297,20 +171,14 @@ def test_msm_g2_signed_vs_unsigned(bench_scale, bench_json):
         points.append(acc)
         acc = acc + g2
     scalars = [rng.randrange(R) for _ in range(n)]
-    t_unsigned, r_unsigned = _best_of(lambda: msm_g2_unsigned(points, scalars))
     t_signed, r_signed = _best_of(lambda: msm_g2(points, scalars))
-    assert r_signed == r_unsigned
+    # points[i] = (i+1) * g2, so the MSM collapses to one scalar mul.
+    assert r_signed == g2 * (sum((i + 1) * s for i, s in enumerate(scalars)) % R)
     bench_json(
         f"msm-g2-n{n}",
         n=n,
-        unsigned_seconds=t_unsigned,
         signed_seconds=t_signed,
-        speedup_signed_vs_unsigned=t_unsigned / t_signed,
         signed_window=pippenger_window_size(n),
-    )
-    assert t_signed < t_unsigned, (
-        f"signed-window G2 MSM slower than the unsigned baseline at n={n}: "
-        f"{t_signed:.3f}s vs {t_unsigned:.3f}s"
     )
 
 

@@ -532,7 +532,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         path = result.profile.save(out)
         print(f"wrote machine profile: {path}")
     profile = result.profile
-    print(f"field backend:  {profile.field_backend}")
     print(
         "compute:        "
         + (profile.compute_backend or "serial")

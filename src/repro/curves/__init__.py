@@ -22,9 +22,7 @@ from .msm import (
     FixedBaseTableG1,
     FixedBaseTableG2,
     msm_g1,
-    msm_g1_unsigned,
     msm_g2,
-    msm_g2_unsigned,
     naive_msm_g1,
     naive_msm_g2,
 )
@@ -56,9 +54,7 @@ __all__ = [
     "FixedBaseTableG1",
     "FixedBaseTableG2",
     "msm_g1",
-    "msm_g1_unsigned",
     "msm_g2",
-    "msm_g2_unsigned",
     "naive_msm_g1",
     "naive_msm_g2",
     "final_exponentiation",

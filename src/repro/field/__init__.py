@@ -13,7 +13,6 @@ from .backend import (
     FIELD_BACKEND_ENV,
     FieldOps,
     Gmpy2FieldOps,
-    MontgomeryFieldOps,
     PythonFieldOps,
     active_field_backend,
     available_field_backends,
@@ -41,7 +40,6 @@ __all__ = [
     "FIELD_BACKEND_ENV",
     "FieldOps",
     "Gmpy2FieldOps",
-    "MontgomeryFieldOps",
     "PythonFieldOps",
     "active_field_backend",
     "available_field_backends",

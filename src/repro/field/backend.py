@@ -1,45 +1,29 @@
 """Pluggable field-arithmetic backends: the substrate under every kernel.
 
 Every hot loop in this codebase bottoms out in modular multiplication over
-one of the two BN254 primes.  This module makes that substrate swappable:
+one of the two BN254 primes.  This module makes that substrate swappable
+between the two representations a benchmark justifies:
 
 * :class:`PythonFieldOps` -- the pure-stdlib default.  Canonical residues
-  (plain ``int``), ``a * b % p`` multiplication, plus a full complement of
-  cached Montgomery machinery (R, R^2 mod p, n' = -p^-1 mod R) exposed as
-  first-class operations (:meth:`~PythonFieldOps.to_mont`,
-  :meth:`~PythonFieldOps.mont_mul`, ...).
-* :class:`MontgomeryFieldOps` -- same element-level API, but flags the
-  curve layer to run its batch-affine MSM inner loops in Montgomery form
-  (all explicit ``%`` reductions replaced by shift-and-mask REDC).
+  (plain ``int``), ``a * b % p`` multiplication.
 * :class:`Gmpy2FieldOps` -- GMP-backed residues (``gmpy2.mpz``), gated
   behind ``importlib``: selecting it without gmpy2 installed is an error,
   and the ``auto`` backend falls back to ``python`` silently.
-* :class:`NumpyFieldOps` -- same element-level semantics as the stdlib
-  backend (plain ``int`` residues), but flags the MSM and NTT layers to
-  run their batch kernels over contiguous multi-limb ``uint64`` arrays
-  (:mod:`repro.field.limb`): whole Pippenger bucket rounds and NTT
-  butterfly stages advance as a few wide numpy passes instead of one
-  CPython big-int operation per element.  Gated behind ``importlib``
-  like gmpy2.
 
 Selection mirrors the compute-backend convention: the
-``ZKROWNN_FIELD_BACKEND`` environment variable (``python`` | ``montgomery``
-| ``gmpy2`` | ``numpy`` | ``auto``), overridable per process via
-:func:`set_field_backend`.  The default is ``auto``: the machine
-profile's measured winner when one is loaded (``zkrownn tune``), else
-gmpy2 when importable, else stdlib -- so the pure-Python path never
-needs a new dependency.
+``ZKROWNN_FIELD_BACKEND`` environment variable (``python`` | ``gmpy2`` |
+``auto``), overridable per process via :func:`set_field_backend`.  The
+default is ``auto``: gmpy2 when importable, else stdlib -- something the
+code can observe, so there is nothing to tune and the pure-Python path
+never needs a new dependency.
 
 Design note (measured, CPython 3.11, x86-64): a Montgomery multiply in
 pure Python costs three big-int multiplications (``a*b``, ``lo*n'``,
 ``m*p``) against one multiplication plus one C-level ``divmod`` for
 ``a * b % p``, and lands ~15% *slower* per operation -- CPython's big-int
-division is simply good at 254 bits.  That is why the *default* stdlib
-backend keeps canonical residues and the Montgomery form is a selectable
-backend rather than the default: it exists as the honest ablation point
-(``bench_msm_kernels.py``), is property-tested for exact agreement, and is
-the representation a future C/limb-vectorized kernel would want.  gmpy2,
-where available, is the real fast path: GMP multiplies these operand sizes
+division is simply good at 254 bits -- so residues stay canonical and
+there is no Montgomery-form backend.  gmpy2, where available, is the
+real fast path: GMP multiplies these operand sizes
 several times faster than CPython, and every kernel in the repo is written
 against *native* residues, so ``mpz`` coordinates flow through MSM, NTT,
 tower and pairing arithmetic without per-operation conversions.
@@ -61,12 +45,9 @@ __all__ = [
     "FIELD_BACKEND_ENV",
     "FieldOps",
     "PythonFieldOps",
-    "MontgomeryFieldOps",
     "Gmpy2FieldOps",
-    "NumpyFieldOps",
     "available_field_backends",
     "gmpy2_available",
-    "numpy_available",
     "resolve_field_backend",
     "active_field_backend",
     "set_field_backend",
@@ -90,12 +71,6 @@ class FieldOps:
     """
 
     name = "abstract"
-    #: True when the MSM layer should route its batch-affine inner loops
-    #: through the Montgomery-form kernels.
-    montgomery_kernels = False
-    #: True when the MSM and NTT layers should route their batch kernels
-    #: through the vectorized limb arrays of :mod:`repro.field.limb`.
-    numpy_kernels = False
 
     def __init__(self, modulus: int):
         if modulus < 2:
@@ -168,31 +143,9 @@ class FieldOps:
 
 
 class PythonFieldOps(FieldOps):
-    """Pure-stdlib residues (plain ``int``) with cached Montgomery constants.
-
-    The Montgomery domain uses ``R = 2^mont_bits`` with ``4p < R`` (so
-    lazily-reduced sums of two residues still feed REDC safely) and byte
-    alignment for readable serialization of the constants.  All Montgomery
-    entry points produce *canonical* representatives in ``[0, p)`` -- the
-    MSM kernels rely on exact equality of x-coordinates to detect the
-    doubling case, so the cheap conditional subtraction is not optional.
-    """
+    """Pure-stdlib canonical residues (plain ``int``)."""
 
     name = "python"
-
-    def __init__(self, modulus: int):
-        super().__init__(modulus)
-        bits = modulus.bit_length() + 2
-        bits += (-bits) % 8
-        self.mont_bits = bits
-        self.mont_r = 1 << bits
-        self.mont_mask = self.mont_r - 1
-        self.mont_r2 = self.mont_r * self.mont_r % modulus
-        # n' = -p^-1 mod R: the REDC folding constant.
-        self.mont_nprime = (-pow(modulus, -1, self.mont_r)) % self.mont_r
-        self.mont_one = self.mont_r % modulus
-
-    # -- canonical residues --------------------------------------------------
 
     def wrap(self, value):
         return value % self.modulus
@@ -211,59 +164,6 @@ class PythonFieldOps(FieldOps):
         if a % self.modulus == 0:
             raise ZeroDivisionError("inverse of zero residue")
         return pow(a, -1, self.modulus)
-
-    # -- Montgomery domain ---------------------------------------------------
-
-    def redc(self, t) -> int:
-        """Montgomery reduction: ``t * R^-1 mod p``, canonical output.
-
-        Accepts any ``t`` with ``|t| < R*p`` (products of canonical or
-        singly-lazy operands, including negative chords from the affine
-        formulas); the shift is exact because ``t + m*p = 0 (mod R)``.
-        """
-        m = ((t & self.mont_mask) * self.mont_nprime) & self.mont_mask
-        t = (t + m * self.modulus) >> self.mont_bits
-        if t >= self.modulus:
-            return t - self.modulus
-        if t < 0:
-            return t + self.modulus
-        return t
-
-    def to_mont(self, value: int) -> int:
-        """Canonical residue -> Montgomery form (``v * R mod p``)."""
-        return self.redc((value % self.modulus) * self.mont_r2)
-
-    def from_mont(self, value: int) -> int:
-        """Montgomery form -> canonical residue."""
-        return self.redc(value)
-
-    def mont_mul(self, a: int, b: int) -> int:
-        """Product of two Montgomery-form residues, in Montgomery form."""
-        return self.redc(a * b)
-
-    def mont_exp(self, a: int, e: int) -> int:
-        """``a^e`` for Montgomery-form ``a`` (result in Montgomery form)."""
-        return self.to_mont(pow(self.from_mont(a), e, self.modulus))
-
-    def mont_inv(self, a: int) -> int:
-        """Inverse of a Montgomery-form residue, in Montgomery form."""
-        plain = self.from_mont(a)
-        if plain == 0:
-            raise ZeroDivisionError("inverse of zero residue")
-        return self.to_mont(pow(plain, -1, self.modulus))
-
-
-class MontgomeryFieldOps(PythonFieldOps):
-    """Stdlib backend that runs the MSM inner loops in Montgomery form.
-
-    Element-level semantics (wrap/unwrap/mulmod/...) are identical to
-    :class:`PythonFieldOps` -- conversions happen inside the kernels at
-    their own boundaries -- so proofs are byte-identical by construction
-    and the backends differ only in how the bucket arithmetic is carried.
-    """
-
-    name = "montgomery"
-    montgomery_kernels = True
 
 
 class Gmpy2FieldOps(FieldOps):
@@ -305,88 +205,42 @@ class Gmpy2FieldOps(FieldOps):
         return self._gmpy2.invert(a, self.modulus_native)
 
 
-class NumpyFieldOps(PythonFieldOps):
-    """Stdlib-int residues whose batch kernels run on numpy limb arrays.
-
-    Element-level semantics (wrap/unwrap/mulmod/...) are identical to
-    :class:`PythonFieldOps` -- scalar chains in the tower, pairing and
-    setup code gain nothing from vectorization -- so proofs are
-    byte-identical by construction.  What changes is the batch layer:
-    ``numpy_kernels`` routes Pippenger bucket accumulation (``msm_g1``)
-    and NTT butterfly stages (``field.ntt``) through
-    :mod:`repro.field.limb`, which carries whole rounds as contiguous
-    ``(limbs, lanes)`` ``uint64`` arrays in Montgomery form.
-    """
-
-    name = "numpy"
-    numpy_kernels = True
-
-    def __init__(self, modulus: int):
-        if not numpy_available():
-            raise ImportError("NumpyFieldOps requires numpy")
-        super().__init__(modulus)
-
-
 _BACKEND_CLASSES = {
     "python": PythonFieldOps,
-    "montgomery": MontgomeryFieldOps,
     "gmpy2": Gmpy2FieldOps,
-    "numpy": NumpyFieldOps,
 }
-
-
-def available_field_backends() -> List[str]:
-    """Backend names selectable on this interpreter."""
-    names = ["python", "montgomery"]
-    if gmpy2_available():
-        names.append("gmpy2")
-    if numpy_available():
-        names.append("numpy")
-    return names
 
 
 def gmpy2_available() -> bool:
     return importlib.util.find_spec("gmpy2") is not None
 
 
-def numpy_available() -> bool:
-    return importlib.util.find_spec("numpy") is not None
-
-
-_IMPORT_GATES = {"gmpy2": gmpy2_available, "numpy": numpy_available}
+def available_field_backends() -> List[str]:
+    """Backend names selectable on this interpreter."""
+    return ["python", "gmpy2"] if gmpy2_available() else ["python"]
 
 
 def resolve_field_backend(name: Optional[str] = None) -> str:
     """Resolve a backend name (or the environment/default) to a concrete one.
 
-    ``auto`` consults the persisted machine profile first (``zkrownn
-    tune`` records the measured winner for this host), then falls back to
-    the static preference order: gmpy2 when importable, else stdlib.
-    Naming ``gmpy2``/``numpy`` explicitly without the library installed
-    is an error rather than a silent downgrade.
+    ``auto`` picks gmpy2 when importable, else stdlib.  Naming ``gmpy2``
+    explicitly without the library installed is an error rather than a
+    silent downgrade, and so is any name outside ``_BACKEND_CLASSES``
+    (the error lists the valid ones).
     """
     if name is None:
         name = os.environ.get(FIELD_BACKEND_ENV) or "auto"
     name = name.strip().lower()
     if name == "auto":
-        from ..tuning.profile import profile_field_backend
-
-        preferred = profile_field_backend()
-        if preferred is not None:
-            preferred = preferred.strip().lower()
-            gate = _IMPORT_GATES.get(preferred)
-            if preferred in _BACKEND_CLASSES and (gate is None or gate()):
-                return preferred
         return "gmpy2" if gmpy2_available() else "python"
     if name not in _BACKEND_CLASSES:
+        valid = ", ".join(repr(n) for n in [*_BACKEND_CLASSES, "auto"])
         raise ValueError(
-            f"unknown field backend {name!r}: expected one of "
-            f"'python', 'montgomery', 'gmpy2', 'numpy', 'auto'"
+            f"unknown field backend {name!r}: expected one of {valid}"
         )
-    gate = _IMPORT_GATES.get(name)
-    if gate is not None and not gate():
+    if name == "gmpy2" and not gmpy2_available():
         raise ValueError(
-            f"field backend {name!r} requested but {name} is not importable; "
+            "field backend 'gmpy2' requested but gmpy2 is not importable; "
             "install it with `pip install zkrownn-repro[fast]` or select "
             "'python'/'auto'"
         )
@@ -447,16 +301,10 @@ def reinit_field_backend_after_fork() -> None:
 
     Called by worker initializers in ``repro.parallel.workers``; also
     implied by the PID check on every lookup, so even untracked forks
-    never reuse a parent's gmpy2 state.  The numpy backend's limb-context
-    registry is dropped alongside (its arrays are plain fork-safe data,
-    but it follows the same PID discipline so every backend has one
-    re-init story).
+    never reuse a parent's gmpy2 state.
     """
     _STATE["pid"] = -1
     _ensure_fresh()
-    from .limb import reset_limb_contexts
-
-    reset_limb_contexts()
 
 
 def invmod(value, modulus: int):

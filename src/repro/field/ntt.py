@@ -6,7 +6,10 @@ power-of-two multiplicative subgroup of Fr.  BN254's scalar field has
 pure-Python prover ever touches.
 
 All functions work on lists of raw integers modulo ``Fr.modulus`` (the hot
-path for proving).  Every per-size constant is precomputed and cached:
+path for proving) through one transform, :func:`ntt`: an in-place radix-2
+loop with one big-int multiply per butterfly, which is the shape CPython
+runs fastest (stage-at-a-time array butterflies measured 0.66-0.85x of it).
+Every per-size constant is precomputed and cached:
 
 * stage twiddle tables (one list per butterfly stage, derived from the
   top stage by stride-2 subsampling), so the NTT inner loop is a table
@@ -31,9 +34,8 @@ types inside one transform.
 from __future__ import annotations
 
 import functools
-import os
 import time
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..obs import metrics as _obs_metrics
 from .backend import get_field_ops
@@ -103,87 +105,6 @@ def _stage_twiddles(n: int, omega: int, ops) -> List[List[int]]:
     return tables
 
 
-#: Minimum size for the stage-at-a-time numpy butterflies.  Honest
-#: numbers from the dev box: the vectorized stages measured *slower*
-#: than the plain loop at every size tried (0.66x at 16k, 0.85x at 64k,
-#: 0.78x at 256k) -- CPython's big-int mulmod is hard to beat when each
-#: butterfly is one multiply, unlike the MSM's add chains -- but the
-#: ratio improves with size (the limb kernels are bandwidth-bound), so
-#: the route stays at the size where wider-vector hosts plausibly cross
-#: over rather than being deleted.  Results are byte-identical either
-#: way; tests pin the threshold down to exercise the path.
-NUMPY_NTT_MIN_SIZE = 65536
-
-# Tiled Montgomery-domain twiddle arrays per (pid, size, root): one
-# (L, n/2) array per stage, ready to multiply a whole stage's odd lanes
-# in one call.  PID-keyed like the limb-context registry so forked
-# workers rebuild instead of sharing.
-_NUMPY_TWIDDLE_CACHE: Dict[Tuple[int, int, int], List[Any]] = {}
-
-
-def _numpy_stage_twiddles(ctx, n: int, omega: int, ops) -> List[Any]:
-    key = (os.getpid(), n, int(omega))
-    tables = _NUMPY_TWIDDLE_CACHE.get(key)
-    if tables is None:
-        for stale in [k for k in _NUMPY_TWIDDLE_CACHE if k[0] != key[0]]:
-            del _NUMPY_TWIDDLE_CACHE[stale]
-        np = ctx.np
-        tables = []
-        for stage in _stage_twiddles(n, omega, ops):
-            half = len(stage)
-            blocks = n // (2 * half)
-            mont = ctx.to_mont(ctx.to_limbs([int(w) for w in stage]))
-            tables.append(np.tile(mont, blocks))
-        _NUMPY_TWIDDLE_CACHE[key] = tables
-    return tables
-
-
-_BITREV_PERM_CACHE: Dict[int, Any] = {}
-
-
-def _bitrev_perm(n: int, np) -> Any:
-    perm = _BITREV_PERM_CACHE.get(n)
-    if perm is None:
-        idx = list(range(n))
-        for i, j in _bitrev_swaps(n):
-            idx[i], idx[j] = idx[j], idx[i]
-        perm = np.asarray(idx, dtype=np.int64)
-        _BITREV_PERM_CACHE[n] = perm
-    return perm
-
-
-def _ntt_numpy(values: Sequence[int], omega: int, n: int, ops) -> List[int]:
-    """Radix-2 NTT with each stage's butterflies as one limb-array pass.
-
-    Residues convert once into Montgomery-domain ``(L, n)`` limb arrays;
-    every stage then runs as a single tiled twiddle multiply plus one
-    add/sub pair over all ``n/2`` butterflies (versus ``n/2`` sequential
-    big-int multiplies).  Outputs are the same canonical ints as the
-    scalar path -- the transform is exact, so results are byte-identical.
-    """
-    from .limb import get_limb_context
-
-    ctx = get_limb_context(R)
-    np = ctx.np
-    a = ctx.to_mont(ctx.to_limbs([int(v) % R for v in values]))
-    a = np.ascontiguousarray(a[:, _bitrev_perm(n, np)])
-    L = a.shape[0]
-    length = 2
-    for twiddles in _numpy_stage_twiddles(ctx, n, omega, ops):
-        half = length >> 1
-        blocks = n // length
-        a3 = a.reshape(L, blocks, length)
-        even = np.ascontiguousarray(a3[:, :, :half]).reshape(L, n // 2)
-        odd = np.ascontiguousarray(a3[:, :, half:]).reshape(L, n // 2)
-        # Stage 1's twiddles are all one; Montgomery mul by the canonical
-        # one is the identity, so the multiply is skipped exactly.
-        t = odd if half == 1 else ctx.mont_mul(odd, twiddles)
-        a3[:, :, :half] = ctx.addmod(even, t).reshape(L, blocks, half)
-        a3[:, :, half:] = ctx.submod(even, t).reshape(L, blocks, half)
-        length <<= 1
-    return ctx.from_limbs(ctx.from_mont(a))
-
-
 def _profiled_ntt(direction: str):
     """Opt-in duration profiling for a transform entry point.
 
@@ -223,8 +144,6 @@ def ntt(values: Sequence[int], omega: int) -> List[int]:
     if n & (n - 1):
         raise ValueError("NTT size must be a power of two")
     ops = get_field_ops(R)
-    if ops.numpy_kernels and n >= NUMPY_NTT_MIN_SIZE:
-        return _ntt_numpy(values, omega, n, ops)
     out = ops.wrap_many(values)
     if n <= 1:
         return out

@@ -1,8 +1,8 @@
 """Machine-profile auto-tuning: measure once, load at every startup.
 
 The kernels carry performance constants that are really properties of
-the *host* -- field backend choice, Pippenger window widths, worker
-counts, scheduler batch size, process-pool chunking.  ``zkrownn tune``
+the *host* -- Pippenger window widths, worker counts, scheduler batch
+size, process-pool chunking.  ``zkrownn tune``
 (:mod:`repro.tuning.tuner`) searches those knobs on representative
 workloads and persists the winners as a machine profile
 (:mod:`repro.tuning.profile`); the engine, the proof service and the

@@ -5,11 +5,9 @@ A profile is a small JSON document written by ``zkrownn tune`` --
 ``ZKROWNN_PROFILE`` points -- holding the knob values that measured
 fastest on this machine:
 
-* ``field_backend``: the winner of the field-backend ablation; consulted
-  by ``ZKROWNN_FIELD_BACKEND=auto`` before its static preference order.
-* ``pippenger_windows``: per-size window-width breakpoints (``signed``
-  and ``unsigned`` tables of ``[min_pairs, width]`` rows); consulted by
-  ``pippenger_window_size`` before its static dev-box tables.
+* ``pippenger_windows``: per-size window-width breakpoints (a ``signed``
+  table of ``[min_pairs, width]`` rows); consulted by
+  ``pippenger_window_size`` before its static dev-box table.
 * ``compute_backend`` / ``workers`` / ``min_msm_chunk``: parallel layer
   defaults, consulted by ``repro.parallel.backend.get_backend``.
 * ``max_batch``: proof-service scheduler batching default.
@@ -19,9 +17,16 @@ variable > machine profile > static default.  ``ZKROWNN_PROFILE``
 selects a non-default profile path; ``off`` (or ``0`` / ``none``)
 disables profile loading entirely.
 
-This module is stdlib-only and imported lazily from low layers
-(``field.backend``, ``curves.msm``) -- it must never import back into
-the kernels it parameterizes.
+A profile file is outside input: :meth:`MachineProfile.from_dict`
+validates what the kernels will act on and raises ``ValueError``, which
+:func:`active_profile` maps to "no profile" -- a stale or hand-edited
+profile must never break proving.  Keys this version does not know
+(older ``zkrownn tune`` runs wrote ``field_backend`` and an ``unsigned``
+window table) are ignored.
+
+This module is stdlib-only and imported lazily from a low layer
+(``curves.msm``) -- it must never import back into the kernels it
+parameterizes.
 
 The in-process cache is PID-keyed like the field-backend registry, so
 forked workers re-resolve from the environment rather than inheriting a
@@ -45,7 +50,6 @@ __all__ = [
     "active_profile",
     "set_profile",
     "clear_profile_cache",
-    "profile_field_backend",
     "pippenger_window_override",
     "profile_compute_backend",
     "profile_workers",
@@ -56,6 +60,10 @@ __all__ = [
 
 PROFILE_ENV = "ZKROWNN_PROFILE"
 PROFILE_VERSION = 1
+
+#: Widest Pippenger window a profile may ask for (and the tuner may try):
+#: the scatter allocates ``2^(width-1)`` bucket lists per window.
+MAX_WINDOW_WIDTH = 16
 
 _OFF_VALUES = {"off", "0", "none", "disabled"}
 
@@ -79,14 +87,13 @@ def machine_fingerprint() -> Dict[str, Any]:
 class MachineProfile:
     """Typed view of one profile document (see module docstring)."""
 
-    field_backend: Optional[str] = None
     compute_backend: Optional[str] = None
     workers: Optional[int] = None
     max_batch: Optional[int] = None
     min_msm_chunk: Optional[int] = None
-    #: ``{"signed": [[min_pairs, width], ...], "unsigned": [...]}`` --
-    #: rows sorted by ``min_pairs``; lookup takes the last row at or
-    #: below the queried size.
+    #: ``{"signed": [[min_pairs, width], ...]}`` -- rows sorted by
+    #: ``min_pairs``; lookup takes the last row at or below the queried
+    #: size.
     pippenger_windows: Dict[str, List[List[int]]] = field(default_factory=dict)
     #: Raw benchmark numbers the tuner based its choices on (seconds).
     measurements: Dict[str, Any] = field(default_factory=dict)
@@ -100,7 +107,6 @@ class MachineProfile:
         doc: Dict[str, Any] = {"version": self.version}
         for key in (
             "created_at",
-            "field_backend",
             "compute_backend",
             "workers",
             "max_batch",
@@ -123,14 +129,26 @@ class MachineProfile:
         if not isinstance(doc, dict):
             raise ValueError("machine profile must be a JSON object")
         windows = doc.get("pippenger_windows") or {}
+        if not isinstance(windows, dict):
+            raise ValueError("pippenger_windows must be a JSON object")
         cleaned: Dict[str, List[List[int]]] = {}
-        for kind, rows in windows.items():
-            table = sorted(
-                [[int(n), int(c)] for n, c in rows], key=lambda row: row[0]
-            )
-            cleaned[str(kind)] = table
+        rows = windows.get("signed")
+        if rows:
+            try:
+                table = sorted(
+                    [[int(n), int(c)] for n, c in rows], key=lambda row: row[0]
+                )
+            except TypeError as exc:
+                raise ValueError(f"malformed pippenger window row: {exc}") from None
+            for min_pairs, width in table:
+                if min_pairs < 0 or not 1 <= width <= MAX_WINDOW_WIDTH:
+                    raise ValueError(
+                        f"pippenger window row [{min_pairs}, {width}] out of "
+                        f"range: need min_pairs >= 0 and width in "
+                        f"1..{MAX_WINDOW_WIDTH}"
+                    )
+            cleaned["signed"] = table
         return cls(
-            field_backend=doc.get("field_backend"),
             compute_backend=doc.get("compute_backend"),
             workers=_opt_int(doc.get("workers")),
             max_batch=_opt_int(doc.get("max_batch")),
@@ -163,8 +181,8 @@ class MachineProfile:
         self.path = path
         return path
 
-    def window_override(self, n: int, *, signed: bool = True) -> Optional[int]:
-        table = self.pippenger_windows.get("signed" if signed else "unsigned")
+    def window_override(self, n: int) -> Optional[int]:
+        table = self.pippenger_windows.get("signed")
         if not table:
             return None
         best: Optional[int] = None
@@ -243,16 +261,11 @@ def active_profile() -> Optional[MachineProfile]:
     return profile
 
 
-def profile_field_backend() -> Optional[str]:
-    profile = active_profile()
-    return profile.field_backend if profile else None
-
-
-def pippenger_window_override(n: int, *, signed: bool = True) -> Optional[int]:
+def pippenger_window_override(n: int) -> Optional[int]:
     profile = active_profile()
     if profile is None:
         return None
-    return profile.window_override(n, signed=signed)
+    return profile.window_override(n)
 
 
 def profile_compute_backend() -> Optional[str]:
@@ -284,7 +297,6 @@ def active_profile_metadata() -> Dict[str, Any]:
         "loaded": True,
         "path": profile.path,
         "created_at": profile.created_at,
-        "field_backend": profile.field_backend,
         "compute_backend": profile.compute_backend,
         "workers": profile.workers,
         "max_batch": profile.max_batch,

@@ -1,13 +1,15 @@
 """``zkrownn tune``: measure this host's knobs and persist the winners.
 
 The tuner runs a bounded grid / hill-climb search over the knobs that
-:mod:`repro.tuning.profile` persists -- field backend, Pippenger window
-widths, compute backend + worker count, process-pool MSM chunking, and
-the scheduler's ``max_batch`` -- benchmarking each point on
-representative workloads (an MSM/NTT pair sized like the catalog
-circuits' dominant kernels, and an engine ``prove_batch`` over a small
-chain circuit).  It then re-measures the reference workload under the
-chosen profile so the before/after delta ships with the profile.
+:mod:`repro.tuning.profile` persists -- Pippenger window widths, compute
+backend + worker count, process-pool MSM chunking, and the scheduler's
+``max_batch`` -- benchmarking each point on representative workloads (an
+MSM sized like the catalog circuits' dominant kernel, and an engine
+``prove_batch`` over a small chain circuit).  It then re-measures the
+reference workload under the chosen profile so the before/after delta
+ships with the profile.  The field backend is not a knob: it follows
+from whether gmpy2 is importable, and all measurements run on whichever
+one the process resolved.
 
 Search logic is separated from measurement: :func:`grid_search` and
 :func:`hill_climb` are pure given a ``measure`` callable, and every
@@ -16,8 +18,8 @@ stage's measurement function can be injected through the
 stubbed timers and never touch a real kernel.
 
 Module-level imports here must stay stdlib-only: ``repro.tuning`` is
-imported lazily from low layers (``field.backend``, ``curves.msm``) and
-pulling kernels in at import time would create a cycle.
+imported lazily from a low layer (``curves.msm``) and pulling kernels in
+at import time would create a cycle.
 """
 
 from __future__ import annotations
@@ -28,7 +30,12 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .profile import MachineProfile, machine_fingerprint, set_profile
+from .profile import (
+    MAX_WINDOW_WIDTH,
+    MachineProfile,
+    machine_fingerprint,
+    set_profile,
+)
 
 __all__ = ["Tuner", "TuningResult", "grid_search", "hill_climb"]
 
@@ -127,7 +134,7 @@ class Tuner:
     """
 
     WINDOW_LO = 4
-    WINDOW_HI = 16
+    WINDOW_HI = MAX_WINDOW_WIDTH
 
     def __init__(
         self,
@@ -137,7 +144,6 @@ class Tuner:
         seed: int = 20230710,
         timer: Callable[[], float] = time.perf_counter,
         log: Optional[Callable[[str], None]] = None,
-        measure_field_backend: Optional[Callable[[str], float]] = None,
         measure_window: Optional[Callable[[int, int], float]] = None,
         measure_prove: Optional[Callable[[str, Optional[int]], float]] = None,
         measure_chunk: Optional[Callable[[int, int], float]] = None,
@@ -149,9 +155,6 @@ class Tuner:
         self.seed = seed
         self.timer = timer
         self._log = log or (lambda message: None)
-        self._measure_field_backend = (
-            measure_field_backend or self._real_measure_field_backend
-        )
         self._measure_window = measure_window or self._real_measure_window
         self._measure_prove = measure_prove or self._real_measure_prove
         self._measure_chunk = measure_chunk or self._real_measure_chunk
@@ -163,7 +166,6 @@ class Tuner:
         # the tiny-scale catalog circuits' dominant kernel shapes.
         if quick:
             self.msm_size = 256
-            self.ntt_size = 1024
             self.window_sizes = [256]
             self.prove_depth = 24
             self.prove_claims = 2
@@ -172,7 +174,6 @@ class Tuner:
             self.batch_candidates = [2, 4]
         else:
             self.msm_size = 2048
-            self.ntt_size = 8192
             self.window_sizes = [512, 4096]
             self.prove_depth = 96
             self.prove_claims = 4
@@ -188,24 +189,17 @@ class Tuner:
     def run(self) -> TuningResult:
         """Execute every stage; returns the profile and its evidence.
 
-        The process-wide profile pin and field-backend pin are restored on
-        exit, so running the tuner never changes ambient behaviour -- the
-        caller decides whether to :meth:`MachineProfile.save` the result.
+        The process-wide profile pin is restored on exit, so running the
+        tuner never changes ambient behaviour -- the caller decides whether
+        to :meth:`MachineProfile.save` the result.
         """
-        from ..field.backend import set_field_backend
-
         trials: Dict[str, Any] = {}
         # Pin an empty profile so an ambient ~/.zkrownn/profile.json can't
         # skew the measurements we are about to take.
         previous_profile = set_profile(MachineProfile())
-        previous_backend = None
         try:
             baseline = self._time_reference()
             trials["reference_baseline"] = baseline
-
-            field_backend, field_trials = self._tune_field_backend()
-            trials["field_backend"] = field_trials
-            previous_backend = set_field_backend(field_backend)
 
             windows, window_trials = self._tune_windows()
             trials["pippenger_windows"] = window_trials
@@ -222,7 +216,6 @@ class Tuner:
             trials["max_batch"] = batch_trials
 
             profile = MachineProfile(
-                field_backend=field_backend,
                 compute_backend=compute_backend,
                 workers=workers,
                 max_batch=max_batch,
@@ -249,16 +242,6 @@ class Tuner:
             )
         finally:
             set_profile(previous_profile)
-            set_field_backend(previous_backend)
-
-    def _tune_field_backend(self) -> Tuple[str, List[Dict[str, Any]]]:
-        from ..field.backend import available_field_backends
-
-        candidates = available_field_backends()
-        self._log(f"tune: field backends {candidates}")
-        best, trials = grid_search(candidates, self._measure_field_backend)
-        self._log(f"tune: field backend -> {best}")
-        return best, trials
 
     def _tune_windows(
         self,
@@ -354,40 +337,13 @@ class Tuner:
             self._workloads[("msm", n)] = cached
         return cached
 
-    def _real_measure_field_backend(self, name: str) -> float:
-        import random
-
-        from ..curves.bn254 import R
-        from ..curves.msm import msm_g1
-        from ..field.backend import set_field_backend
-        from ..field.ntt import get_domain
-
-        points, scalars = self._msm_inputs(self.msm_size)
-        rng = random.Random(self.seed + 1)
-        values = [rng.randrange(R) for _ in range(self.ntt_size)]
-        previous = set_field_backend(name)
-        try:
-            domain = get_domain(self.ntt_size)
-
-            def workload():
-                msm_g1(points, scalars)
-                domain.ifft(domain.fft(values))
-
-            # One warm-up builds backend-native tables outside the clock.
-            workload()
-            return self._time(workload)
-        finally:
-            set_field_backend(previous)
-
     def _real_measure_window(self, n: int, c: int) -> float:
         from ..curves.msm import msm_g1
 
         points, scalars = self._msm_inputs(n)
         # Route the forced width through the production lookup itself:
         # a one-row profile table covering every size.
-        forced = MachineProfile(
-            pippenger_windows={"signed": [[0, c]], "unsigned": [[0, c]]}
-        )
+        forced = MachineProfile(pippenger_windows={"signed": [[0, c]]})
         previous = set_profile(forced)
         try:
             return self._time(lambda: msm_g1(points, scalars))
@@ -472,7 +428,7 @@ class Tuner:
     def _real_measure_reference(self) -> float:
         """One pass of the reference workload under the ambient knobs.
 
-        Uses whatever field backend / windows / batching the currently
+        Uses whatever windows / batching the currently
         active profile (or defaults) selects -- this is what the
         before/after delta in the persisted profile compares.
         """

@@ -151,9 +151,9 @@ class TestBenchReportCli:
             tmp_path / "BENCH_msm_kernels.json",
             "bench_msm_kernels",
             tests={"test_fast": 0.5, "test_slow": 2.0},
-            entries={"numpy-buckets-n4096": {
-                "numpy_vs_python_bucket_ratio": 1.15, "note": "x"}},
-            field="numpy",
+            entries={"msm-n512": {
+                "glv_signed_seconds": 1.15, "note": "x"}},
+            field="gmpy2",
             profile={"loaded": True, "created_at": "2026-08-08"},
         )
         _write_bench(
@@ -166,9 +166,9 @@ class TestBenchReportCli:
         assert "# Benchmark trend" in out
         assert "bench_msm_kernels" in out and "bench_groth16" in out
         assert "test_slow" in out  # slowest test surfaced
-        assert "numpy" in out  # field backend column
+        assert "gmpy2" in out  # field backend column
         assert "# Key metrics" in out
-        assert "numpy-buckets-n4096.numpy_vs_python_bucket_ratio" in out
+        assert "msm-n512.glv_signed_seconds" in out
         assert "1.15" in out
 
     def test_baseline_delta_section(self, tmp_path, capsys):
@@ -212,7 +212,6 @@ class _StubTuner:
         from repro.tuning.tuner import TuningResult
 
         profile = MachineProfile(
-            field_backend="python",
             compute_backend="serial",
             max_batch=2,
             pippenger_windows={"signed": [[512, 7]]},
@@ -237,7 +236,7 @@ class TestTuneCli:
         ) == 0
         out = capsys.readouterr().out
         assert not out_path.exists()
-        assert '"field_backend": "python"' in out
+        assert '"compute_backend": "serial"' in out
         assert "2.000s default -> 1.000s tuned (2.00x)" in out
 
     def test_writes_profile_and_bench_json(self, tmp_path, capsys):
@@ -259,7 +258,7 @@ class TestTuneCli:
         ) == 0
         capsys.readouterr()
         profile = load_profile(str(out_path))
-        assert profile.field_backend == "python"
+        assert profile.compute_backend == "serial"
         assert profile.max_batch == 2
         assert profile.window_override(512) == 7
         payload = json.loads(bench_path.read_text())

@@ -3,17 +3,19 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.curves import msm as msm_mod
-from repro.curves.bn254 import R
+from repro.curves.bn254 import P, R
 from repro.curves.g1 import G1Point
 from repro.curves.g2 import G2Point
+from repro.curves.glv import GLV_LAMBDA, glv_decompose
 from repro.curves.msm import (
     FixedBaseTableG1,
     FixedBaseTableG2,
     msm_g1,
+    msm_g1_multi,
     msm_g2,
     naive_msm_g1,
     naive_msm_g2,
@@ -80,18 +82,128 @@ class TestPippengerG2:
             msm_g2([H], [])
 
 
+class TestSignedG2MSM:
+    def test_matches_naive(self):
+        rng = random.Random(31)
+        points, acc = [], H
+        for _ in range(24):
+            points.append(acc)
+            acc = acc + H
+        scalars = [rng.randrange(R) for _ in range(24)]
+        assert msm_g2(points, scalars) == naive_msm_g2(points, scalars)
+
+    def test_edge_cases(self):
+        assert msm_g2([], []).is_infinity()
+        assert msm_g2([H], [0]).is_infinity()
+        assert msm_g2([G2Point.infinity()], [5]).is_infinity()
+        assert msm_g2([H], [1]) == H
+        assert msm_g2([H, H], [3, R - 3]).is_infinity()
+        # Duplicate points exercise the shared-x (doubling) branch of the
+        # batched Fp2 affine addition.
+        assert msm_g2([H, H, H], [7, 7, 1]) == H * 15
+        assert msm_g2([H], [R - 1]) == -H
+        with pytest.raises(ValueError):
+            msm_g2([H], [1, 2])
+
+
 class TestWindowHeuristic:
-    @pytest.mark.parametrize("signed", [True, False])
-    def test_monotone(self, signed):
-        sizes = [
-            pippenger_window_size(n, signed=signed)
-            for n in (1, 10, 100, 1000, 10**5)
-        ]
+    def test_monotone(self):
+        sizes = [pippenger_window_size(n) for n in (1, 10, 100, 1000, 10**5)]
         assert sizes == sorted(sizes)
 
     def test_small_inputs(self):
-        assert pippenger_window_size(1, signed=False) == 1
         assert pippenger_window_size(1) >= 1
+
+
+# -- the one pipeline against the naive reference ------------------------------
+#
+# A small pool of multiples of the generators, closed under negation and
+# with repeats, so drawn point lists collide inside buckets (doubling and
+# cancellation branches of the batched affine add) far more often than
+# random points would.
+_G1_POOL = [_affine(G * k) for k in (1, 2, 3, 5, 64)]
+_G1_POOL += [(x, -y % P) for x, y in _G1_POOL[:3]] + [None]
+_G2_POOL = [H, H * 2, H * 7, -H, -(H * 2), G2Point.infinity()]
+
+# The signed recoding carries out of the last natural window -- into the
+# spare one the scatter allocates -- when a bucketed magnitude's bit
+# length is a multiple of the window width and its top digit exceeds half.
+# 120 ones do that at every width small inputs get (3, 5, 6), and
+# ``a +- a*lambda`` GLV-splits back into exactly those halves; the
+# all-ones full-width scalars do the same to G2, which does not split.
+_ONES_120 = (1 << 120) - 1
+_ADVERSARIAL_SCALARS = [
+    0, 1, 2, R - 1, R, R + 1, 2 * R - 1, 2 * R,
+    _ONES_120,
+    (_ONES_120 + _ONES_120 * GLV_LAMBDA) % R,
+    (_ONES_120 - _ONES_120 * GLV_LAMBDA) % R,
+    (1 << 250) - 1, (1 << 252) - 1, (1 << 256) - 1,
+]
+_msm_scalars = st.one_of(
+    st.sampled_from(_ADVERSARIAL_SCALARS),
+    st.integers(0, 15),
+    st.integers(0, R - 1),
+    st.integers(R, 1 << 260),
+)
+
+
+@st.composite
+def _msm_case(draw):
+    n = draw(st.integers(0, 10))
+    scalars = draw(st.lists(_msm_scalars, min_size=n, max_size=n))
+    sets = draw(st.integers(1, 3))
+    g1_lists = [
+        draw(st.lists(st.sampled_from(_G1_POOL), min_size=n, max_size=n))
+        for _ in range(sets)
+    ]
+    if n and draw(st.booleans()):
+        g1_lists[-1] = [None] * n  # an all-infinity set beside live ones
+    g2_points = draw(st.lists(st.sampled_from(_G2_POOL), min_size=n, max_size=n))
+    return scalars, g1_lists, g2_points
+
+
+class TestPipelineAgainstNaive:
+    """``msm_g1``, ``msm_g1_multi`` and ``msm_g2`` are one body; drive all
+    three entry points against the double-and-add reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_msm_case())
+    def test_differential(self, case):
+        scalars, g1_lists, g2_points = case
+        want = [
+            G1Point.from_jacobian(naive_msm_g1(ps, scalars)) for ps in g1_lists
+        ]
+        multi = msm_g1_multi(g1_lists, scalars)
+        assert [G1Point.from_jacobian(p) for p in multi] == want
+        assert [
+            G1Point.from_jacobian(msm_g1(ps, scalars)) for ps in g1_lists
+        ] == want
+        assert msm_g2(g2_points, scalars) == naive_msm_g2(g2_points, scalars)
+
+    def test_recoding_carry_reaches_the_spare_window(self):
+        """Pin the adversarial scalar: its halves really do carry out of
+        the last natural window, and the MSM still gets it right."""
+        s = (_ONES_120 + _ONES_120 * GLV_LAMBDA) % R
+        assert glv_decompose(s) == (_ONES_120, _ONES_120)
+        c = pippenger_window_size(2)
+        assert _ONES_120.bit_length() % c == 0
+        pt = _affine(G)
+        grids, windows = msm_mod._scatter_signed(
+            [pt, pt], [_ONES_120] * 2, c, msm_mod._neg_affine_g1
+        )
+        stride = (1 << (c - 1)) + 1
+        top = max(i // stride for i, bucket in enumerate(grids) if bucket)
+        assert top == _ONES_120.bit_length() // c < windows
+        assert G1Point.from_jacobian(msm_g1([pt], [s])) == G * s
+
+    def test_keyword_arguments(self):
+        got = msm_g1(points=[_affine(G)], scalars=[5])
+        assert G1Point.from_jacobian(got) == G * 5
+        assert msm_g2(points=[H], scalars=[5]) == H * 5
+
+    def test_length_mismatch_in_any_set(self):
+        with pytest.raises(ValueError):
+            msm_g1_multi([[_affine(G)], [_affine(G), _affine(G)]], [1])
 
 
 class TestFixedBaseG1:
@@ -217,8 +329,6 @@ class TestSharedScalarMultiMsm:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 40, 200])
     def test_matches_independent_msms(self, n, rng):
-        from repro.curves.msm import msm_g1_multi
-
         scalars = [rng.randrange(2 * R) for _ in range(n)]
         lists = [self._inputs(rng, n), self._inputs(rng, n)]
         got = [G1Point.from_jacobian(p) for p in msm_g1_multi(lists, scalars)]
@@ -228,8 +338,6 @@ class TestSharedScalarMultiMsm:
     def test_independent_infinity_patterns(self, rng):
         # The point sets may have None entries at DIFFERENT positions; the
         # shared recoding must not couple them.
-        from repro.curves.msm import msm_g1_multi
-
         n = 60
         scalars = [0 if i % 9 == 4 else rng.randrange(R) for i in range(n)]
         lists = [
@@ -242,22 +350,16 @@ class TestSharedScalarMultiMsm:
         assert got == want
 
     def test_all_zero_scalars(self, rng):
-        from repro.curves.msm import msm_g1_multi
-
         points = self._inputs(rng, 8)
         results = msm_g1_multi([points, points], [0] * 8)
         assert all(G1Point.from_jacobian(p).is_infinity() for p in results)
 
     def test_empty_and_length_mismatch(self, rng):
-        from repro.curves.msm import msm_g1_multi
-
         assert msm_g1_multi([], []) == []
         with pytest.raises(ValueError):
             msm_g1_multi([[_affine(G)]], [1, 2])
 
     def test_single_list_equals_msm_g1(self, rng):
-        from repro.curves.msm import msm_g1_multi
-
         n = 90
         points = self._inputs(rng, n)
         scalars = [rng.randrange(R) for _ in range(n)]

@@ -1,14 +1,14 @@
 """Field-arithmetic backend tests.
 
-Covers the three backends' agreement on element-level arithmetic (edge
-values and random residues), the Montgomery machinery against plain
-modular arithmetic, the Montgomery MSM kernels against the stdlib ones,
-backend selection/fork semantics, and -- the system-level guarantee
-everything else exists to protect -- Groth16 proof byte-identity across
-field backends x compute backends.
+Covers the backends' agreement on element-level arithmetic (edge values
+and random residues), backend selection/fork semantics, and -- the
+system-level guarantee everything else exists to protect -- Groth16 proof
+byte-identity across field backends x compute backends.
 
-gmpy2-specific cases run only when the library is importable (the CI
-field-backend matrix installs it; the stdlib path needs no dependency).
+Where real gmpy2 is importable (the CI field-backend matrix installs it)
+the gmpy2 cases run against it; elsewhere a stub whose ``mpz`` is an int
+subclass stands in, so the ``Gmpy2FieldOps`` plumbing is exercised on
+every box and the stdlib path needs no dependency.
 """
 
 import importlib.machinery
@@ -20,31 +20,21 @@ import pytest
 
 from repro.curves.bn254 import P, R
 from repro.curves.g1 import G1Point, jac_add, jac_to_affine_many
-from repro.curves.g2 import G2Point
-from repro.curves.msm import (
-    _batch_affine_add,
-    _batch_affine_add_mont,
-    msm_g1,
-    msm_g1_multi,
-    msm_g2,
-    msm_g2_unsigned,
-    naive_msm_g2,
-)
+from repro.curves.msm import msm_g1, msm_g1_multi
 from repro.field.backend import (
+    _BACKEND_CLASSES,
     FIELD_BACKEND_ENV,
     Gmpy2FieldOps,
-    MontgomeryFieldOps,
     PythonFieldOps,
     active_field_backend,
     available_field_backends,
     get_field_ops,
     gmpy2_available,
-    numpy_available,
     reinit_field_backend_after_fork,
     resolve_field_backend,
     set_field_backend,
 )
-from repro.field.ntt import get_domain, ntt
+from repro.field.ntt import get_domain
 from repro.field.prime import Fp, Fr, batch_inverse_ints
 
 EDGE_VALUES = [0, 1, 2, 3, P - 1, P - 2, P // 2, 1 << 255]
@@ -56,13 +46,38 @@ def _unpin_backend_after_test():
     set_field_backend(None)
 
 
+class _FakeMpz(int):
+    """Stand-in for ``gmpy2.mpz``: an int subclass (operator-compatible)."""
+
+
+def _install_fake_gmpy2(monkeypatch):
+    mod = types.ModuleType("gmpy2")
+    mod.__spec__ = importlib.machinery.ModuleSpec("gmpy2", loader=None)
+    mod.mpz = _FakeMpz
+    mod.powmod = lambda a, e, m: _FakeMpz(pow(int(a), int(e), int(m)))
+    mod.invert = lambda a, m: _FakeMpz(pow(int(a), -1, int(m)))
+    mod.version = lambda: "fake-0"
+    monkeypatch.setitem(sys.modules, "gmpy2", mod)
+
+
+@pytest.fixture
+def gmpy2_or_stub(monkeypatch):
+    """Make a second backend selectable on every box: real gmpy2 where it
+    is installed, else the int-subclass stub (which exercises the same
+    ``Gmpy2FieldOps`` code; see :class:`TestGmpy2PlumbingViaStub`)."""
+    if not gmpy2_available():
+        _install_fake_gmpy2(monkeypatch)
+    return "gmpy2"
+
+
 def _random_residues(count, seed=1234):
     rng = random.Random(seed)
     return [rng.randrange(P) for _ in range(count)]
 
 
 def _all_ops(modulus):
-    ops = [PythonFieldOps(modulus), MontgomeryFieldOps(modulus)]
+    """Call under ``gmpy2_or_stub`` to get both backends everywhere."""
+    ops = [PythonFieldOps(modulus)]
     if gmpy2_available():
         ops.append(Gmpy2FieldOps(modulus))
     return ops
@@ -78,15 +93,29 @@ class TestSelection:
         assert resolve_field_backend() == expected
         assert resolve_field_backend("auto") == expected
 
-    def test_env_variable_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(FIELD_BACKEND_ENV, "montgomery")
+    def test_env_variable_selects_backend(self, monkeypatch, gmpy2_or_stub):
+        monkeypatch.setenv(FIELD_BACKEND_ENV, "gmpy2")
         set_field_backend(None)  # drop any pin so the env is consulted
-        assert active_field_backend() == "montgomery"
-        assert get_field_ops(P).montgomery_kernels
+        assert active_field_backend() == "gmpy2"
+        assert get_field_ops(P).name == "gmpy2"
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown field backend"):
             resolve_field_backend("cuda")
+
+    @pytest.mark.parametrize("retired", ["numpy", "montgomery"])
+    def test_retired_names_fail_loudly(self, monkeypatch, retired):
+        # The message lists what IS valid, built from the backend table.
+        valid = ", ".join(repr(n) for n in [*_BACKEND_CLASSES, "auto"])
+        assert valid == "'python', 'gmpy2', 'auto'"
+        with pytest.raises(ValueError) as pinned:
+            set_field_backend(retired)
+        assert f"unknown field backend {retired!r}" in str(pinned.value)
+        assert valid in str(pinned.value)
+        monkeypatch.setenv(FIELD_BACKEND_ENV, retired)
+        set_field_backend(None)
+        with pytest.raises(ValueError, match=valid):
+            active_field_backend()
 
     def test_gmpy2_without_library_is_an_error_not_a_downgrade(self):
         if gmpy2_available():
@@ -94,30 +123,36 @@ class TestSelection:
         with pytest.raises(ValueError, match="gmpy2 is not importable"):
             resolve_field_backend("gmpy2")
 
-    def test_set_and_restore_roundtrip(self):
-        previous = set_field_backend("montgomery")
-        assert active_field_backend() == "montgomery"
+    def test_set_and_restore_roundtrip(self, gmpy2_or_stub):
+        set_field_backend("python")
+        previous = set_field_backend("gmpy2")
+        assert previous == "python"
+        assert active_field_backend() == "gmpy2"
         set_field_backend(previous)
-        assert active_field_backend() in available_field_backends()
+        assert active_field_backend() == "python"
 
-    def test_ops_cached_per_modulus_and_swapped_on_switch(self):
+    def test_ops_cached_per_modulus_and_swapped_on_switch(self, gmpy2_or_stub):
         set_field_backend("python")
         first = get_field_ops(P)
         assert get_field_ops(P) is first
-        set_field_backend("montgomery")
+        set_field_backend("gmpy2")
         assert get_field_ops(P) is not first
-        assert get_field_ops(P).name == "montgomery"
+        assert get_field_ops(P).name == "gmpy2"
 
     def test_reinit_after_fork_drops_pin(self, monkeypatch):
-        monkeypatch.delenv(FIELD_BACKEND_ENV, raising=False)
-        set_field_backend("montgomery")
+        monkeypatch.setenv(FIELD_BACKEND_ENV, "auto")
+        set_field_backend("python")
+        monkeypatch.setattr(
+            "repro.field.backend.gmpy2_available", lambda: True
+        )
         reinit_field_backend_after_fork()
-        # Back to environment resolution, as a worker process would be.
-        assert active_field_backend() == resolve_field_backend()
+        # Back to environment resolution, as a worker process would be:
+        # the pin said python, `auto` now says gmpy2.
+        assert active_field_backend() == "gmpy2"
 
-    def test_prime_field_ops_property_tracks_active_backend(self):
-        set_field_backend("montgomery")
-        assert Fp.ops.name == "montgomery"
+    def test_prime_field_ops_property_tracks_active_backend(self, gmpy2_or_stub):
+        set_field_backend("gmpy2")
+        assert Fp.ops.name == "gmpy2"
         assert Fr.ops.modulus == R
 
 
@@ -126,7 +161,7 @@ class TestSelection:
 
 class TestOpsAgreement:
     @pytest.mark.parametrize("modulus", [P, R])
-    def test_mulmod_inverse_exp_agree_across_backends(self, modulus):
+    def test_mulmod_inverse_exp_agree_across_backends(self, modulus, gmpy2_or_stub):
         all_ops = _all_ops(modulus)
         values = [v % modulus for v in EDGE_VALUES] + _random_residues(16)
         rng = random.Random(99)
@@ -147,7 +182,7 @@ class TestOpsAgreement:
                     with pytest.raises(ZeroDivisionError):
                         ops.inv(na)
 
-    def test_batch_inverse_agrees_and_rejects_zero(self):
+    def test_batch_inverse_agrees_and_rejects_zero(self, gmpy2_or_stub):
         values = _random_residues(50, seed=5)
         expected = [pow(v, -1, P) for v in values]
         for ops in _all_ops(P):
@@ -161,77 +196,11 @@ class TestOpsAgreement:
         out = batch_inverse_ints(values, P)
         assert [int(v) for v in out] == [pow(v, -1, P) for v in values]
 
-    def test_wrap_unwrap_canonicalize(self):
+    def test_wrap_unwrap_canonicalize(self, gmpy2_or_stub):
         for ops in _all_ops(P):
             assert ops.unwrap(ops.wrap(-1)) == P - 1
             assert ops.unwrap(ops.wrap(P)) == 0
             assert ops.unwrap_many(ops.wrap_many([P + 5, -3])) == [5, P - 3]
-
-
-class TestMontgomeryMachinery:
-    def test_constants(self):
-        ops = PythonFieldOps(P)
-        assert ops.mont_r > 4 * P  # lazy-sum REDC input window
-        assert ops.mont_r * pow(ops.mont_r, -1, P) % P == 1
-        assert (P * ops.mont_nprime + 1) % ops.mont_r == 0
-        assert ops.mont_r2 == ops.mont_r * ops.mont_r % P
-        assert ops.mont_one == ops.to_mont(1)
-
-    def test_roundtrip_and_mul_on_edges_and_random(self):
-        ops = PythonFieldOps(P)
-        values = [v % P for v in EDGE_VALUES] + _random_residues(32, seed=3)
-        rng = random.Random(17)
-        for a in values:
-            assert ops.from_mont(ops.to_mont(a)) == a
-            b = rng.randrange(P)
-            ma, mb = ops.to_mont(a), ops.to_mont(b)
-            assert ops.from_mont(ops.mont_mul(ma, mb)) == a * b % P
-            assert ops.from_mont(ops.mont_exp(ma, 12345)) == pow(a, 12345, P)
-            if a:
-                assert (
-                    ops.from_mont(ops.mont_inv(ma)) == pow(a, -1, P)
-                )
-        with pytest.raises(ZeroDivisionError):
-            ops.mont_inv(ops.to_mont(0))
-
-    def test_redc_handles_negative_inputs_canonically(self):
-        ops = PythonFieldOps(P)
-        rng = random.Random(23)
-        r_inv = pow(ops.mont_r, -1, P)
-        for _ in range(64):
-            # Chord numerators in the MSM kernel reach (-p^2, p^2).
-            t = rng.randrange(P * P) - P * P // 2
-            out = ops.redc(t)
-            assert 0 <= out < P
-            assert out == t * r_inv % P
-
-    def test_montgomery_batch_affine_add_matches_plain(self):
-        g = G1Point.generator()
-        jacs, acc = [], (g.x, g.y, 1)
-        for _ in range(64):
-            jacs.append(acc)
-            acc = jac_add(acc, (g.x, g.y, 1))
-        pts = jac_to_affine_many(jacs)
-        # Distinct pairs, doublings (P == Q) and cancellations (P == -Q).
-        ps = pts[:32]
-        qs = pts[32:]
-        ps += [pts[0], pts[1]]
-        qs += [pts[0], (pts[1][0], P - pts[1][1])]
-        plain = _batch_affine_add(ps, qs)
-        ops = MontgomeryFieldOps(P)
-        to_m = ops.to_mont
-        from_m = ops.from_mont
-        mont = _batch_affine_add_mont(
-            [(to_m(x), to_m(y)) for x, y in ps],
-            [(to_m(x), to_m(y)) for x, y in qs],
-            ops,
-        )
-        assert len(plain) == len(mont)
-        for a, b in zip(plain, mont):
-            if a is None:
-                assert b is None
-            else:
-                assert a == (from_m(b[0]), from_m(b[1]))
 
 
 # ------------------------------------------------------------------ kernels --
@@ -249,7 +218,7 @@ def _g1_inputs(n, seed=7):
 
 
 class TestKernelParityAcrossBackends:
-    def test_msm_g1_identical_across_backends(self):
+    def test_msm_g1_identical_across_backends(self, gmpy2_or_stub):
         points, scalars = _g1_inputs(96)
         # Edge cases inside one MSM: infinities, zero scalars, negatives.
         points[3] = None
@@ -270,7 +239,7 @@ class TestKernelParityAcrossBackends:
             else:
                 assert result == reference, f"backend {name} diverged"
 
-    def test_msm_g1_multi_identical_across_backends(self):
+    def test_msm_g1_multi_identical_across_backends(self, gmpy2_or_stub):
         points, scalars = _g1_inputs(64, seed=21)
         lists = [points, points[::-1]]
         reference = None
@@ -286,7 +255,7 @@ class TestKernelParityAcrossBackends:
             else:
                 assert outs == reference, f"backend {name} diverged"
 
-    def test_ntt_identical_across_backends(self):
+    def test_ntt_identical_across_backends(self, gmpy2_or_stub):
         values = [random.Random(4).randrange(R) for _ in range(64)]
         domain = get_domain(64)
         reference = [int(v) for v in domain.fft(values)]
@@ -299,231 +268,18 @@ class TestKernelParityAcrossBackends:
                 v % R for v in values
             ]
 
-    def test_domain_registry_keyed_by_backend(self):
+    def test_domain_registry_keyed_by_backend(self, gmpy2_or_stub):
         set_field_backend("python")
         d_py = get_domain(32)
-        set_field_backend("montgomery")
-        d_mont = get_domain(32)
-        assert d_py is not d_mont
-        assert (d_py.backend, d_mont.backend) == ("python", "montgomery")
+        set_field_backend("gmpy2")
+        d_gmp = get_domain(32)
+        assert d_py is not d_gmp
+        assert (d_py.backend, d_gmp.backend) == ("python", "gmpy2")
         set_field_backend("python")
         assert get_domain(32) is d_py
 
 
-# ------------------------------------------------------------ numpy backend --
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-class TestNumpyBackend:
-    """Selection, fork semantics and kernel routing of the numpy backend.
-
-    The generic parity/byte-identity loops above already include numpy
-    via ``available_field_backends()``, but at their small sizes the
-    routing floors keep the vectorized kernels cold; these tests pin the
-    floors down so the limb paths demonstrably run and agree.
-    """
-
-    def test_selection_and_kernel_flags(self):
-        set_field_backend("numpy")
-        ops = get_field_ops(P)
-        assert ops.name == "numpy"
-        assert ops.numpy_kernels and not ops.montgomery_kernels
-        # Element-level semantics are the stdlib backend's: plain ints.
-        assert ops.wrap(P + 7) == 7
-        assert ops.mulmod(ops.wrap(3), ops.wrap(5)) == 15
-        assert "numpy" in available_field_backends()
-
-    def test_env_variable_selects_numpy(self, monkeypatch):
-        monkeypatch.setenv(FIELD_BACKEND_ENV, "numpy")
-        set_field_backend(None)
-        assert active_field_backend() == "numpy"
-
-    def test_numpy_without_library_is_an_error_not_a_downgrade(
-        self, monkeypatch
-    ):
-        import repro.field.backend as backend_mod
-
-        monkeypatch.setattr(backend_mod, "numpy_available", lambda: False)
-        monkeypatch.setitem(
-            backend_mod._IMPORT_GATES, "numpy", lambda: False
-        )
-        assert "numpy" not in available_field_backends()
-        with pytest.raises(ValueError, match="numpy is not importable"):
-            resolve_field_backend("numpy")
-
-    def test_reinit_after_fork_drops_limb_contexts(self):
-        from repro.field.limb import get_limb_context
-
-        set_field_backend("numpy")
-        ctx = get_limb_context(P)
-        assert get_limb_context(P) is ctx
-        reinit_field_backend_after_fork()
-        assert get_limb_context(P) is not ctx
-
-    def test_msm_vectorized_path_matches_python(self, monkeypatch):
-        import repro.curves.msm as msm_mod
-
-        points, scalars = _g1_inputs(48, seed=33)
-        points[2] = None
-        scalars[3] = 0
-        scalars[5] = R - 1
-        set_field_backend("python")
-        expected = jac_to_affine_many([msm_g1(points, scalars)])[0]
-
-        calls = []
-        real = msm_mod._signed_window_msm_numpy
-        monkeypatch.setattr(
-            msm_mod,
-            "_signed_window_msm_numpy",
-            lambda *a: calls.append(1) or real(*a),
-        )
-        monkeypatch.setattr(msm_mod, "NUMPY_MSM_MIN_PAIRS", 1)
-        set_field_backend("numpy")
-        got = jac_to_affine_many([msm_g1(points, scalars)])[0]
-        assert calls, "vectorized MSM path did not run"
-        assert got == expected
-
-    def test_msm_tail_handoff_matches_pure_vectorized(self, monkeypatch):
-        # Force the python-tail handoff on the very first bucket round
-        # (NUMPY_ROUND_MIN_PAIRS above any round width) and compare with
-        # the fully vectorized reduction.
-        import repro.curves.msm as msm_mod
-
-        points, scalars = _g1_inputs(64, seed=35)
-        set_field_backend("numpy")
-        monkeypatch.setattr(msm_mod, "NUMPY_MSM_MIN_PAIRS", 1)
-        monkeypatch.setattr(msm_mod, "NUMPY_ROUND_MIN_PAIRS", 0)
-        pure = jac_to_affine_many([msm_g1(points, scalars)])[0]
-        monkeypatch.setattr(msm_mod, "NUMPY_ROUND_MIN_PAIRS", 1 << 30)
-        handed_off = jac_to_affine_many([msm_g1(points, scalars)])[0]
-        assert handed_off == pure
-
-    def test_msm_multi_vectorized_path_matches_python(self, monkeypatch):
-        import repro.curves.msm as msm_mod
-
-        points, scalars = _g1_inputs(40, seed=37)
-        lists = [points, points[::-1]]
-        set_field_backend("python")
-        expected = [
-            None if a is None else (int(a[0]), int(a[1]))
-            for a in jac_to_affine_many(msm_g1_multi(lists, scalars))
-        ]
-
-        calls = []
-        real = msm_mod._msm_g1_multi_numpy
-        monkeypatch.setattr(
-            msm_mod,
-            "_msm_g1_multi_numpy",
-            lambda *a: calls.append(1) or real(*a),
-        )
-        monkeypatch.setattr(msm_mod, "NUMPY_MSM_MIN_PAIRS", 1)
-        set_field_backend("numpy")
-        got = [
-            None if a is None else (int(a[0]), int(a[1]))
-            for a in jac_to_affine_many(msm_g1_multi(lists, scalars))
-        ]
-        assert calls, "vectorized multi-MSM path did not run"
-        assert got == expected
-
-    def test_ntt_vectorized_path_matches_python(self, monkeypatch):
-        import importlib
-
-        nttmod = importlib.import_module("repro.field.ntt")
-        values = [random.Random(8).randrange(R) for _ in range(128)]
-        set_field_backend("python")
-        domain = get_domain(128)
-        expected = [int(v) for v in domain.fft(values)]
-
-        calls = []
-        real = nttmod._ntt_numpy
-        monkeypatch.setattr(
-            nttmod,
-            "_ntt_numpy",
-            lambda *a: calls.append(1) or real(*a),
-        )
-        monkeypatch.setattr(nttmod, "NUMPY_NTT_MIN_SIZE", 1)
-        set_field_backend("numpy")
-        d = get_domain(128)
-        assert d.backend == "numpy"
-        assert [int(v) for v in d.fft(values)] == expected
-        assert calls, "vectorized NTT path did not run"
-        assert [int(v) for v in d.ifft(d.fft(values))] == [
-            v % R for v in values
-        ]
-
-    def test_proofs_byte_identical_with_vectorized_kernels_forced(
-        self, monkeypatch
-    ):
-        # The generic byte-identity matrix runs numpy at sizes below the
-        # routing floors; here the floors drop to 1 so the limb MSM and
-        # NTT paths carry a real Groth16 prove end to end.
-        import importlib
-
-        import repro.curves.msm as msm_mod
-
-        from repro.engine import ProvingEngine
-
-        nttmod = importlib.import_module("repro.field.ntt")
-        set_field_backend("python")
-        engine = ProvingEngine()
-        compiled, synthesis = engine.synthesize("chain-16", _mul_chain(16))
-        reference = engine.prove(
-            compiled, synthesis, seed=5, setup_seed=6
-        ).to_bytes()
-
-        monkeypatch.setattr(msm_mod, "NUMPY_MSM_MIN_PAIRS", 1)
-        monkeypatch.setattr(nttmod, "NUMPY_NTT_MIN_SIZE", 1)
-        set_field_backend("numpy")
-        engine2 = ProvingEngine()
-        compiled2, synthesis2 = engine2.synthesize("chain-16", _mul_chain(16))
-        proof = engine2.prove(compiled2, synthesis2, seed=5, setup_seed=6)
-        assert proof.to_bytes() == reference
-        assert engine2.verify(compiled2, synthesis2.public_values, proof)
-
-
-class TestSignedG2MSM:
-    def test_matches_naive_and_unsigned(self):
-        rng = random.Random(31)
-        g2 = G2Point.generator()
-        points, acc = [], g2
-        for _ in range(24):
-            points.append(acc)
-            acc = acc + g2
-        scalars = [rng.randrange(R) for _ in range(24)]
-        expected = naive_msm_g2(points, scalars)
-        assert msm_g2(points, scalars) == expected
-        assert msm_g2_unsigned(points, scalars) == expected
-
-    def test_edge_cases(self):
-        g2 = G2Point.generator()
-        assert msm_g2([], []).is_infinity()
-        assert msm_g2([g2], [0]).is_infinity()
-        assert msm_g2([G2Point.infinity()], [5]).is_infinity()
-        assert msm_g2([g2], [1]) == g2
-        assert msm_g2([g2, g2], [3, R - 3]).is_infinity()
-        # Duplicate points exercise the shared-x (doubling) branch of the
-        # batched Fp2 affine addition.
-        assert msm_g2([g2, g2, g2], [7, 7, 1]) == g2 * 15
-        assert msm_g2([g2], [R - 1]) == -g2
-        with pytest.raises(ValueError):
-            msm_g2([g2], [1, 2])
-
-
 # ------------------------------------------------------- proof byte-identity --
-
-
-class _FakeMpz(int):
-    """Stand-in for ``gmpy2.mpz``: an int subclass (operator-compatible)."""
-
-
-def _install_fake_gmpy2(monkeypatch):
-    mod = types.ModuleType("gmpy2")
-    mod.__spec__ = importlib.machinery.ModuleSpec("gmpy2", loader=None)
-    mod.mpz = _FakeMpz
-    mod.powmod = lambda a, e, m: _FakeMpz(pow(int(a), int(e), int(m)))
-    mod.invert = lambda a, m: _FakeMpz(pow(int(a), -1, int(m)))
-    mod.version = lambda: "fake-0"
-    monkeypatch.setitem(sys.modules, "gmpy2", mod)
 
 
 @pytest.mark.skipif(
@@ -585,7 +341,8 @@ def _mul_chain(depth, x=3):
 
 class TestProofByteIdentity:
     """Groth16 proofs must be byte-identical across field backends x
-    compute backends -- the acceptance bar for the whole refactor."""
+    compute backends (python x gmpy2-or-stub x serial x process) -- the
+    acceptance bar for any kernel refactor."""
 
     def _proofs_under(self, field_backend, compute_backend):
         from repro.engine import ProvingEngine
@@ -600,7 +357,7 @@ class TestProofByteIdentity:
         vk = engine.setup(compiled).verifying_key.to_bytes()
         return [p.to_bytes() for p in proofs], vk
 
-    def test_byte_identical_across_field_and_compute_backends(self):
+    def test_byte_identical_across_field_and_compute_backends(self, gmpy2_or_stub):
         from repro.parallel import ProcessBackend, SerialBackend
 
         reference_proofs, reference_vk = self._proofs_under(
@@ -619,7 +376,7 @@ class TestProofByteIdentity:
             finally:
                 process.close()
 
-    def test_setup_keys_byte_identical_across_field_backends(self):
+    def test_setup_keys_byte_identical_across_field_backends(self, gmpy2_or_stub):
         from repro.snark.groth16 import setup
         from repro.circuit.builder import CircuitBuilder
 

@@ -12,7 +12,7 @@ from repro.curves.glv import (
     glv_decompose,
     glv_endomorphism,
 )
-from repro.curves.msm import msm_g1, msm_g1_unsigned, naive_msm_g1
+from repro.curves.msm import msm_g1, naive_msm_g1
 
 G = G1Point.generator()
 
@@ -78,7 +78,6 @@ class TestGlvMsmAgainstNaive:
         scalars = [rng.randrange(2 * R) for _ in range(n)]
         expected = G1Point.from_jacobian(naive_msm_g1(points, scalars))
         assert G1Point.from_jacobian(msm_g1(points, scalars)) == expected
-        assert G1Point.from_jacobian(msm_g1_unsigned(points, scalars)) == expected
 
     def test_empty(self):
         assert G1Point.from_jacobian(msm_g1([], [])).is_infinity()

@@ -229,6 +229,29 @@ class TestKernelProfiling:
         )
         assert hist.snapshot(n="2^2", group="g1")["count"] == 1
 
+    def test_one_msm_g1_call_is_one_sample(self, obs_on):
+        """``msm_g1`` and ``msm_g1_multi`` share a body; a profiled call --
+        by keyword, which the wrapper must accept -- is observed once,
+        under ``group="g1"`` and nowhere else."""
+        from repro.curves.bn254 import G1_GENERATOR
+        from repro.curves.msm import msm_g1
+
+        reinit_metrics_after_fork()
+        prev = set_kernel_profiling(True)
+        try:
+            msm_g1(points=[G1_GENERATOR] * 4, scalars=[1, 2, 3, 4])
+        finally:
+            set_kernel_profiling(prev)
+        hist = get_metrics().histogram(
+            "zkrownn_msm_seconds", buckets=KERNEL_BUCKETS
+        )
+        counts = [
+            line for line in hist.render()
+            if line.startswith("zkrownn_msm_seconds_count")
+        ]
+        assert len(counts) == 1
+        assert 'group="g1"' in counts[0] and counts[0].endswith(" 1")
+
     def test_fixed_base_mul_many_lands_in_histogram(self, obs_on):
         """A slow ``setup`` stage is attributable the way a slow prove is."""
         from repro.curves.bn254 import G1_GENERATOR

@@ -7,9 +7,9 @@ Three layers, in increasing integration order:
 * the pure search primitives and the :class:`Tuner` driven entirely by
   stubbed measurement callables (no kernel ever runs);
 * the acceptance property of the whole feature -- knobs recorded in a
-  profile demonstrably take effect where the ISSUE wires them:
-  field-backend ``auto``, ``pippenger_window_size``, ``get_backend``,
-  and ``ProofService``.
+  profile demonstrably take effect where they are wired:
+  ``pippenger_window_size``, ``get_backend`` and ``ProofService`` -- and
+  a profile that is stale or out of range never breaks proving.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import json
 
 import pytest
 
-from repro.curves.msm import pippenger_window_size
+from repro.curves.g1 import G1Point
+from repro.curves.msm import msm_g1, pippenger_window_size
 from repro.field.backend import (
     available_field_backends,
     resolve_field_backend,
@@ -34,6 +35,7 @@ from repro.tuning import (
     load_profile,
 )
 from repro.tuning.profile import (
+    MAX_WINDOW_WIDTH,
     PROFILE_ENV,
     active_profile,
     active_profile_metadata,
@@ -55,7 +57,6 @@ def _fresh_profile_state(monkeypatch):
 class TestMachineProfile:
     def test_dict_roundtrip(self):
         profile = MachineProfile(
-            field_backend="numpy",
             compute_backend="process",
             workers=4,
             max_batch=8,
@@ -86,25 +87,60 @@ class TestMachineProfile:
         assert profile.window_override(64) == 6
         assert profile.window_override(4095) == 6
         assert profile.window_override(1 << 20) == 11
-        # No unsigned table: unsigned lookups fall through.
-        assert profile.window_override(4096, signed=False) is None
 
     def test_save_load_roundtrip(self, tmp_path):
         path = tmp_path / "nested" / "profile.json"
-        profile = MachineProfile(field_backend="montgomery", max_batch=3)
+        profile = MachineProfile(compute_backend="process", max_batch=3)
         written = profile.save(str(path))
         assert written == str(path)
         loaded = load_profile(str(path))
-        assert loaded.field_backend == "montgomery"
+        assert loaded.compute_backend == "process"
         assert loaded.max_batch == 3
         assert loaded.path == str(path)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 0]],  # every msm_g1 would die on a negative shift count
+            [[0, -3]],
+            [[0, MAX_WINDOW_WIDTH + 1]],
+            [[0, 40]],  # 2^39 bucket lists per window
+            [[-1, 8]],
+            [[0, 9], [512, 0]],
+            [7],  # not a [min_pairs, width] pair at all
+        ],
+    )
+    def test_from_dict_rejects_out_of_range_window_rows(self, rows):
+        with pytest.raises(ValueError):
+            MachineProfile.from_dict({"pippenger_windows": {"signed": rows}})
+
+    def test_tuner_window_bounds_are_the_loaders(self):
+        # Whatever the hill-climb can write, the loader accepts.
+        assert Tuner.WINDOW_HI == MAX_WINDOW_WIDTH
+        for width in (Tuner.WINDOW_LO, Tuner.WINDOW_HI):
+            doc = MachineProfile(
+                pippenger_windows={"signed": [[0, width]]}
+            ).to_dict()
+            assert MachineProfile.from_dict(doc).window_override(1) == width
+
+    def test_from_dict_ignores_keys_of_older_versions(self):
+        profile = MachineProfile.from_dict(
+            {
+                "field_backend": "numpy",
+                "pippenger_windows": {
+                    "signed": [[0, 9]],
+                    "unsigned": [[0, 0]],
+                },
+            }
+        )
+        assert not hasattr(profile, "field_backend")
+        assert profile.pippenger_windows == {"signed": [[0, 9]]}
+        assert "field_backend" not in profile.to_dict()
 
 
 class TestProfileResolution:
     def test_env_off_disables_loading(self, tmp_path, monkeypatch):
-        MachineProfile(field_backend="montgomery").save(
-            str(tmp_path / "profile.json")
-        )
+        MachineProfile(max_batch=3).save(str(tmp_path / "profile.json"))
         monkeypatch.setenv(PROFILE_ENV, "off")
         clear_profile_cache()
         assert active_profile() is None
@@ -112,11 +148,11 @@ class TestProfileResolution:
 
     def test_env_path_loads_profile(self, tmp_path, monkeypatch):
         path = tmp_path / "profile.json"
-        MachineProfile(field_backend="montgomery", workers=2).save(str(path))
+        MachineProfile(max_batch=3, workers=2).save(str(path))
         monkeypatch.setenv(PROFILE_ENV, str(path))
         clear_profile_cache()
         profile = active_profile()
-        assert profile is not None and profile.field_backend == "montgomery"
+        assert profile is not None and profile.max_batch == 3
         meta = active_profile_metadata()
         assert meta["loaded"] is True
         assert meta["path"] == str(path)
@@ -134,47 +170,97 @@ class TestProfileResolution:
         clear_profile_cache()
         assert active_profile() is None
 
-    def test_pin_beats_environment(self, tmp_path, monkeypatch):
+    def test_out_of_range_window_file_treated_as_absent(
+        self, tmp_path, monkeypatch
+    ):
+        """A stale profile must never break proving: a window width the
+        scatter cannot run is a rejected file, not a dead ``msm_g1``."""
         path = tmp_path / "profile.json"
-        MachineProfile(field_backend="montgomery").save(str(path))
+        path.write_text(
+            json.dumps({"pippenger_windows": {"signed": [[0, 0]]}})
+        )
         monkeypatch.setenv(PROFILE_ENV, str(path))
         clear_profile_cache()
-        set_profile(MachineProfile(field_backend="python"))
+        assert active_profile() is None
+        g = G1Point.generator()
+        got = msm_g1([(g.x, g.y)] * 3, [5, 6, 7])
+        assert G1Point.from_jacobian(got) == g * 18
+
+    def test_profile_written_by_older_tune_still_loads_and_proves(
+        self, tmp_path, monkeypatch
+    ):
+        """``field_backend`` and the ``unsigned`` table are ignored; the
+        rest of the file still steers, and a prove under it succeeds."""
+        from repro.engine import ProvingEngine
+
+        path = tmp_path / "profile.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "field_backend": "numpy",
+                    "max_batch": 5,
+                    "pippenger_windows": {
+                        "signed": [[0, 4]],
+                        "unsigned": [[0, 7]],
+                    },
+                }
+            )
+        )
+        monkeypatch.setenv(PROFILE_ENV, str(path))
+        monkeypatch.delenv("ZKROWNN_FIELD_BACKEND", raising=False)
+        clear_profile_cache()
         profile = active_profile()
-        assert profile is not None and profile.field_backend == "python"
+        assert profile is not None and profile.max_batch == 5
+        assert active_profile_metadata()["loaded"] is True
+        assert resolve_field_backend("auto") in available_field_backends()
+        assert pippenger_window_size(4096) == 4
+
+        def synthesize(b):
+            out = b.public_output("y")
+            w = b.private_input("x", 3)
+            b.bind_output(out, b.mul(b.mul(w, w), w) + 1)
+
+        engine = ProvingEngine()
+        compiled, synthesis = engine.synthesize("cube", synthesize)
+        proof = engine.prove(compiled, synthesis, seed=5, setup_seed=6)
+        assert engine.verify(compiled, synthesis.public_values, proof)
+
+    def test_pin_beats_environment(self, tmp_path, monkeypatch):
+        path = tmp_path / "profile.json"
+        MachineProfile(max_batch=3).save(str(path))
+        monkeypatch.setenv(PROFILE_ENV, str(path))
+        clear_profile_cache()
+        set_profile(MachineProfile(max_batch=5))
+        profile = active_profile()
+        assert profile is not None and profile.max_batch == 5
         set_profile(None)
         reloaded = active_profile()
-        assert reloaded is not None and reloaded.field_backend == "montgomery"
+        assert reloaded is not None and reloaded.max_batch == 3
 
 
 class TestKnobsTakeEffect:
     """The acceptance criterion: a written profile steers real startup."""
 
-    def test_auto_field_backend_prefers_profile_winner(self):
-        set_profile(MachineProfile(field_backend="montgomery"))
-        assert resolve_field_backend("auto") == "montgomery"
-
     def test_auto_field_backend_ignores_unavailable_winner(self):
-        # A profile measured on a machine with gmpy2 must not break a
-        # machine without it: auto falls back to the static order.
-        set_profile(MachineProfile(field_backend="definitely-not-a-backend"))
+        # A profile naming a backend this version does not have (older
+        # `zkrownn tune` runs recorded one) must not break anything: the
+        # key is dropped and auto resolves from importability alone.
+        set_profile(
+            MachineProfile.from_dict(
+                {"field_backend": "definitely-not-a-backend"}
+            )
+        )
         fallback = resolve_field_backend("auto")
         assert fallback in available_field_backends()
 
-    def test_explicit_name_beats_profile(self):
-        set_profile(MachineProfile(field_backend="montgomery"))
-        assert resolve_field_backend("python") == "python"
-
     def test_window_size_prefers_profile_table(self):
         static = pippenger_window_size(4096)
-        static_unsigned = pippenger_window_size(4096, signed=False)
         set_profile(
             MachineProfile(pippenger_windows={"signed": [[0, 13]]})
         )
         assert pippenger_window_size(4096) == 13
         assert pippenger_window_size(7) == 13
-        # Unsigned path has no tuned table: static heuristic still rules.
-        assert pippenger_window_size(4096, signed=False) == static_unsigned
         set_profile(None)
         assert pippenger_window_size(4096) == static
 
@@ -224,16 +310,13 @@ class TestKnobsTakeEffect:
         # ZKROWNN_PROFILE=p.json in the proving environment.
         path = tmp_path / "profile.json"
         MachineProfile(
-            field_backend="montgomery",
             compute_backend="serial",
             max_batch=5,
             pippenger_windows={"signed": [[0, 12]]},
         ).save(str(path))
         monkeypatch.setenv(PROFILE_ENV, str(path))
-        monkeypatch.delenv("ZKROWNN_FIELD_BACKEND", raising=False)
         monkeypatch.delenv("ZKROWNN_BACKEND", raising=False)
         clear_profile_cache()
-        assert resolve_field_backend(None) == "montgomery"
         assert pippenger_window_size(4096) == 12
         assert isinstance(get_backend(), SerialBackend)
 
@@ -281,12 +364,9 @@ class TestSearchPrimitives:
 
 def _stubbed_tuner(**overrides):
     """A Tuner whose every measurement is a deterministic table lookup."""
-    field_cost = {"python": 2.0, "montgomery": 1.0, "numpy": 3.0,
-                  "gmpy2": 4.0}
     defaults = dict(
         quick=True,
         timer=iter(float(i) for i in range(10_000)).__next__,
-        measure_field_backend=lambda name: field_cost.get(name, 9.0),
         # Optimal window width 7 regardless of size.
         measure_window=lambda _n, c: float((c - 7) ** 2),
         # Serial wins the prove stage.
@@ -307,7 +387,6 @@ class TestTunerStubbed:
         result = _stubbed_tuner().run()
         assert isinstance(result, TuningResult)
         profile = result.profile
-        assert profile.field_backend == "montgomery"
         assert profile.compute_backend == "serial"
         assert profile.min_msm_chunk is None  # serial won: chunk stage skipped
         assert profile.max_batch == 4
@@ -317,15 +396,10 @@ class TestTunerStubbed:
         assert result.speedup == 2.0
 
     def test_run_restores_ambient_state(self):
-        sentinel = MachineProfile(field_backend="python")
+        sentinel = MachineProfile(max_batch=9)
         set_profile(sentinel)
-        previous_backend = set_field_backend("python")
-        try:
-            _stubbed_tuner().run()
-            assert active_profile() is sentinel
-            assert resolve_field_backend(None) == "python"
-        finally:
-            set_field_backend(previous_backend)
+        _stubbed_tuner().run()
+        assert active_profile() is sentinel
 
     def test_chunk_stage_runs_when_process_wins(self):
         result = _stubbed_tuner(
@@ -343,7 +417,7 @@ class TestTunerStubbed:
         assert measurements["reference_tuned_seconds"] == 5.0
         json.dumps(measurements)  # must be JSON-serializable as persisted
         stages = measurements["trials"]
-        assert "field_backend" in stages and "max_batch" in stages
+        assert "pippenger_windows" in stages and "max_batch" in stages
 
     def test_summary_is_json_serializable(self):
         summary = _stubbed_tuner().run().summary()
