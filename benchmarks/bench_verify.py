@@ -1,4 +1,4 @@
-"""Verifier-side scaling: single vs prepared vs batched pairing checks.
+"""Verifier-side scaling: one-shot vs reused-key vs batched pairing checks.
 
 The claim under measurement: auditing n proofs through one shared-loop
 random-linear-combination batch costs far less than n independent
@@ -50,13 +50,13 @@ def test_batched_verification_scaling(bench_json):
         for v in range(max(BATCH_SIZES))
     ]
 
-    # -- single: the naive per-proof pairing check ---------------------------
+    # -- single: a one-shot check, the key prepared again for every proof ----
     t0 = time.perf_counter()
     for publics, proof in batch[:SINGLE_SAMPLES]:
         assert verify(vk, publics, proof)
     single_seconds = (time.perf_counter() - t0) / SINGLE_SAMPLES
 
-    # -- prepared: cached G2 line coefficients, still one check per proof ----
+    # -- prepared: the same path with the key's line tables reused ----------
     pvk = prepare_verifying_key(vk)
     t0 = time.perf_counter()
     for publics, proof in batch[:SINGLE_SAMPLES]:

@@ -90,10 +90,10 @@ def main():
           f"{stats.setup_misses} setup (of {len(cases)} claims)")
 
     # --- The marketplace audits everything in one batch ------------------------
-    # The batched happy path is already a single multi-pairing; prepare=True
-    # additionally speeds the per-claim re-verification fallback that runs
-    # when a batch fails (exercised by the forged claim below).
-    verifier = OwnershipVerifier(party.verifying_key, prepare=True)
+    # One verifier, one prepared key: the batched happy path is a single
+    # multi-pairing, and the per-claim fallback that runs when a batch fails
+    # (exercised by the forged claim below) reuses the same line tables.
+    verifier = OwnershipVerifier(party.verifying_key)
     reports = verifier.verify_many(cases, seed=77)
     print(f"[marketplace] batch audit decisions: {[r.accepted for r in reports]}")
     assert all(r.accepted for r in reports)

@@ -26,7 +26,7 @@ from .msm import (
     naive_msm_g1,
     naive_msm_g2,
 )
-from .pairing import final_exponentiation, miller_loop, multi_pairing, pairing, pairing_check
+from .pairing import final_exponentiation, multi_pairing, pairing, pairing_check
 from .serialize import (
     G1_COMPRESSED_BYTES,
     G2_COMPRESSED_BYTES,
@@ -58,7 +58,6 @@ __all__ = [
     "naive_msm_g1",
     "naive_msm_g2",
     "final_exponentiation",
-    "miller_loop",
     "multi_pairing",
     "pairing",
     "pairing_check",

@@ -8,11 +8,13 @@ Two Miller-loop variants are implemented:
   correction steps.  Slower but simpler; kept as an independent reference
   implementation and as the subject of the pairing ablation benchmark.
 
-Both share the same sparse-line Miller machinery and the same final
-exponentiation.  The hard part of the final exponentiation is a direct
-``f^((p^4 - p^2 + 1)/r)`` -- correct by construction (the exponent identity
-is asserted at import) at the price of a few hundred extra Fp12 operations,
-a good trade for a reference implementation.
+Both share the same final exponentiation and the same Miller machinery,
+which is two functions: :func:`_g2_lines` is the G2 side (the only place the
+tangent/chord slopes are computed) and :func:`multi_miller_loop` is the walk
+(the only place a line meets the accumulator).  :func:`precompute_g2` is
+``list()`` of the former; :func:`pairing`, :func:`multi_pairing` and
+:func:`pairing_check` are adapters over the latter.  The textbook pairing
+this one is checked against lives in ``tests/reference/pairing.py``.
 
 Line functions: for the D-type twist, the line through (untwisted) points of
 G2 evaluated at ``P = (xP, yP)`` in G1 is the sparse element
@@ -22,7 +24,7 @@ Fp2, consumed by :meth:`Fp12Element.mul_by_line`.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from ..field.backend import get_field_ops
 from ..field.prime import BN254_P as P
@@ -38,8 +40,6 @@ __all__ = [
     "multi_pairing",
     "multi_miller_loop",
     "pairing_check",
-    "miller_loop",
-    "miller_loop_precomputed",
     "precompute_g2",
     "G2Precomputed",
     "final_exponentiation",
@@ -52,79 +52,6 @@ __all__ = [
 _HARD_EXPONENT, _rem = divmod(P**4 - P**2 + 1, R)
 if _rem:  # pragma: no cover - would indicate corrupted curve constants
     raise AssertionError("BN254 invariant violated: r does not divide p^4 - p^2 + 1")
-
-
-def _embed(value: int) -> Fp2Element:
-    return Fp2Element(value, 0)
-
-
-def _line_double(
-    t: Tuple[Fp2Element, Fp2Element], xp: int, yp: int
-) -> Tuple[Tuple[Fp2Element, Fp2Element], Tuple[Fp2Element, Fp2Element, Fp2Element]]:
-    """Double ``t`` and return (2t, sparse line coefficients at P)."""
-    x, y = t
-    lam = x.square().scale(3) * (y + y).inverse()
-    x3 = lam.square() - x - x
-    y3 = lam * (x - x3) - y
-    c0 = _embed(yp)
-    c3 = -(lam.scale(xp))
-    c4 = lam * x - y
-    return (x3, y3), (c0, c3, c4)
-
-
-def _line_add(
-    t: Tuple[Fp2Element, Fp2Element],
-    q: Tuple[Fp2Element, Fp2Element],
-    xp: int,
-    yp: int,
-) -> Tuple[Tuple[Fp2Element, Fp2Element], Tuple[Fp2Element, Fp2Element, Fp2Element]]:
-    """Add ``q`` to ``t`` and return (t + q, sparse line coefficients at P)."""
-    x1, y1 = t
-    x2, y2 = q
-    if x1 == x2 and y1 == y2:
-        return _line_double(t, xp, yp)
-    lam = (y2 - y1) * (x2 - x1).inverse()
-    x3 = lam.square() - x1 - x2
-    y3 = lam * (x1 - x3) - y1
-    c0 = _embed(yp)
-    c3 = -(lam.scale(xp))
-    c4 = lam * x2 - y2
-    return (x3, y3), (c0, c3, c4)
-
-
-def miller_loop(
-    p: G1Point, q: G2Point, loop_count: int, *, optimal_corrections: bool = False
-) -> Fp12Element:
-    """The Miller function ``f_{loop_count, Q}(P)`` (no final exponentiation).
-
-    With ``optimal_corrections`` the two extra line multiplications of the
-    optimal-Ate pairing (through ``psi(Q)`` and ``-psi^2(Q)``) are appended.
-    """
-    if p.is_infinity() or q.is_infinity():
-        return Fp12Element.one()
-    # One boundary conversion per pairing: the entire Miller loop then
-    # runs on the active field backend's native residues.
-    ops = get_field_ops(P)
-    xp, yp = ops.wrap(p.x), ops.wrap(p.y)
-    q = g2_wrap(q, ops)
-    t = (q.x, q.y)
-    q_affine = (q.x, q.y)
-    f = Fp12Element.one()
-    for bit in bin(loop_count)[3:]:
-        f = f.square()
-        t, line = _line_double(t, xp, yp)
-        f = f.mul_by_line(*line)
-        if bit == "1":
-            t, line = _line_add(t, q_affine, xp, yp)
-            f = f.mul_by_line(*line)
-    if optimal_corrections:
-        q1 = psi(q)
-        q2 = -psi(psi(q))
-        t, line = _line_add(t, (q1.x, q1.y), xp, yp)
-        f = f.mul_by_line(*line)
-        t, line = _line_add(t, (q2.x, q2.y), xp, yp)
-        f = f.mul_by_line(*line)
-    return f
 
 
 def _easy_part(f: Fp12Element) -> Fp12Element:
@@ -164,92 +91,56 @@ class G2Precomputed:
         self.with_corrections = with_corrections
 
 
-def precompute_g2(q: G2Point, variant: str = "optimal") -> G2Precomputed:
-    """Run the G2 side of the Miller loop once, capturing line coefficients."""
-    if q.is_infinity():
-        raise ValueError("cannot precompute the point at infinity")
+def _miller_steps(variant: str) -> Tuple[int, bool, str]:
+    """``(loop_count, corrections, steps)`` of a pairing variant.
+
+    ``steps`` is the Miller loop as one letter per line function: ``D``
+    squares the accumulator and doubles T, ``A`` adds Q, and the
+    optimal-Ate tail ``1``, ``2`` adds ``psi(Q)`` then ``-psi^2(Q)``.  Both
+    sides of the loop read this one schedule.
+    """
     if variant == "optimal":
         loop_count, corrections = OPTIMAL_ATE_LOOP_COUNT, True
     elif variant == "ate":
         loop_count, corrections = ATE_LOOP_COUNT, False
     else:
         raise ValueError(f"unknown pairing variant: {variant!r}")
+    steps = "".join("DA" if bit == "1" else "D" for bit in bin(loop_count)[3:])
+    return loop_count, corrections, steps + ("12" if corrections else "")
 
-    coeffs = []
+
+def _g2_lines(q: G2Point, steps: str) -> Iterator[Tuple[Fp2Element, Fp2Element]]:
+    """The G2 side of the Miller loop: ``(-lambda, lambda*x - y)`` per step.
+
+    Walks T from Q through ``steps`` in affine twist coordinates, yielding
+    the slope-dependent line coefficients as it goes; everything that
+    depends on the G1 argument is applied by :func:`multi_miller_loop`.
+    """
+    # One boundary conversion per point: the walk then runs on the active
+    # field backend's native residues.
     q = g2_wrap(q, get_field_ops(P))
-    t = (q.x, q.y)
-    q_affine = (q.x, q.y)
-
-    def double_step(t):
-        x, y = t
-        lam = x.square().scale(3) * (y + y).inverse()
-        x3 = lam.square() - x - x
-        y3 = lam * (x - x3) - y
-        coeffs.append((-lam, lam * x - y))
-        return (x3, y3)
-
-    def add_step(t, point):
-        x1, y1 = t
-        x2, y2 = point
-        lam = (y2 - y1) * (x2 - x1).inverse()
+    q1 = psi(q)
+    q2 = -psi(q1)
+    addend = {"A": (q.x, q.y), "1": (q1.x, q1.y), "2": (q2.x, q2.y)}
+    x1, y1 = q.x, q.y
+    for step in steps:
+        x2, y2 = (x1, y1) if step == "D" else addend[step]
+        if x1 == x2 and y1 == y2:
+            lam = x1.square().scale(3) * (y1 + y1).inverse()
+        else:
+            lam = (y2 - y1) * (x2 - x1).inverse()
+        yield -lam, lam * x2 - y2
         x3 = lam.square() - x1 - x2
-        y3 = lam * (x1 - x3) - y1
-        coeffs.append((-lam, lam * x2 - y2))
-        return (x3, y3)
-
-    for bit in bin(loop_count)[3:]:
-        t = double_step(t)
-        if bit == "1":
-            t = add_step(t, q_affine)
-    if corrections:
-        q1 = psi(q)
-        q2 = -psi(psi(q))
-        t = add_step(t, (q1.x, q1.y))
-        t = add_step(t, (q2.x, q2.y))
-    return G2Precomputed(coeffs, loop_count, corrections)
+        y1 = lam * (x1 - x3) - y1
+        x1 = x3
 
 
-def miller_loop_precomputed(p: G1Point, pre: G2Precomputed) -> Fp12Element:
-    """Miller loop consuming precomputed G2 coefficients (no G2 arithmetic)."""
-    if p.is_infinity():
-        return Fp12Element.one()
-    ops = get_field_ops(P)
-    xp, yp = ops.wrap(p.x), ops.wrap(p.y)
-    yp_embedded = _embed(yp)
-    it = iter(pre.coeffs)
-    f = Fp12Element.one()
-    for bit in bin(pre.loop_count)[3:]:
-        f = f.square()
-        neg_lam, c4 = next(it)
-        f = f.mul_by_line(yp_embedded, neg_lam.scale(xp), c4)
-        if bit == "1":
-            neg_lam, c4 = next(it)
-            f = f.mul_by_line(yp_embedded, neg_lam.scale(xp), c4)
-    if pre.with_corrections:
-        for _ in range(2):
-            neg_lam, c4 = next(it)
-            f = f.mul_by_line(yp_embedded, neg_lam.scale(xp), c4)
-    return f
-
-
-def _variant_params(variant: str) -> Tuple[int, bool]:
-    if variant == "optimal":
-        return OPTIMAL_ATE_LOOP_COUNT, True
-    if variant == "ate":
-        return ATE_LOOP_COUNT, False
-    raise ValueError(f"unknown pairing variant: {variant!r}")
-
-
-class _LivePair:
-    """Mutable G2-side Miller state for one (P, Q) pair of the shared loop."""
-
-    __slots__ = ("xp", "yp", "t", "q_affine", "q")
-
-    def __init__(self, p: G1Point, q: G2Point, ops):
-        self.xp, self.yp = ops.wrap(p.x), ops.wrap(p.y)
-        self.q = g2_wrap(q, ops)
-        self.t = (self.q.x, self.q.y)
-        self.q_affine = (self.q.x, self.q.y)
+def precompute_g2(q: G2Point, variant: str = "optimal") -> G2Precomputed:
+    """Run the G2 side of the Miller loop once, capturing line coefficients."""
+    if q.is_infinity():
+        raise ValueError("cannot precompute the point at infinity")
+    loop_count, corrections, steps = _miller_steps(variant)
+    return G2Precomputed(list(_g2_lines(q, steps)), loop_count, corrections)
 
 
 def multi_miller_loop(
@@ -259,22 +150,22 @@ def multi_miller_loop(
 
     Because squaring distributes over the product
     (``(prod f_i)^2 = prod f_i^2``), the per-bit ``square()`` of the
-    accumulator is shared across all pairs; each iteration then multiplies
-    in every pair's sparse line evaluation.  n pairs cost roughly one
-    squaring chain plus n line-evaluation chains, versus n full Miller
-    loops for a product of :func:`miller_loop` calls -- the kernel behind
-    batch verification.
+    accumulator is shared across all pairs; each step then multiplies in
+    every pair's sparse line evaluation.  n pairs cost roughly one squaring
+    chain plus n line-evaluation chains, versus n full Miller loops one
+    pair at a time -- the kernel behind batch verification, and the only
+    Miller walk in the package.
 
-    Each Q may be a live :class:`~repro.curves.g2.G2Point` or a
-    :class:`G2Precomputed` (key-fixed points with captured line
-    coefficients); mixing both in one call is the Groth16-verify shape.
-    Precomputations made for a different variant are rejected.  Pairs with
-    a point at infinity contribute the factor 1 and are skipped.
+    Each Q may be a live :class:`~repro.curves.g2.G2Point` (its lines are
+    computed as the walk consumes them) or a :class:`G2Precomputed`
+    (key-fixed points with captured line coefficients); mixing both in one
+    call is the Groth16-verify shape.  Precomputations made for a different
+    variant are rejected.  Pairs with a point at infinity contribute the
+    factor 1 and are skipped.
     """
-    loop_count, corrections = _variant_params(variant)
+    loop_count, corrections, steps = _miller_steps(variant)
     ops = get_field_ops(P)
-    live: List[_LivePair] = []
-    pre: List[Tuple[int, Fp2Element, object]] = []
+    lanes: List[Tuple[int, Fp2Element, Iterator]] = []
     for p, q in pairs:
         if isinstance(q, G2Precomputed):
             if q.loop_count != loop_count or q.with_corrections != corrections:
@@ -282,47 +173,23 @@ def multi_miller_loop(
                     "G2 precomputation was made for a different pairing "
                     f"variant (want {variant!r})"
                 )
-            if p.is_infinity():
-                continue
-            xp, yp = ops.wrap(p.x), ops.wrap(p.y)
-            pre.append((xp, _embed(yp), iter(q.coeffs)))
+            lines = iter(q.coeffs)
+        elif q.is_infinity():
+            continue
         else:
-            if p.is_infinity() or q.is_infinity():
-                continue
-            live.append(_LivePair(p, q, ops))
+            lines = _g2_lines(q, steps)
+        if not p.is_infinity():
+            lanes.append((ops.wrap(p.x), Fp2Element(ops.wrap(p.y), 0), lines))
 
     f = Fp12Element.one()
-    if not live and not pre:
+    if not lanes:
         return f
-
-    def pre_step(f: Fp12Element) -> Fp12Element:
-        """Consume one captured line per precomputed pair."""
-        for xp, ype, it in pre:
-            neg_lam, c4 = next(it)
-            f = f.mul_by_line(ype, neg_lam.scale(xp), c4)
-        return f
-
-    for bit in bin(loop_count)[3:]:
-        f = f.square()
-        for s in live:
-            s.t, line = _line_double(s.t, s.xp, s.yp)
-            f = f.mul_by_line(*line)
-        f = pre_step(f)
-        if bit == "1":
-            for s in live:
-                s.t, line = _line_add(s.t, s.q_affine, s.xp, s.yp)
-                f = f.mul_by_line(*line)
-            f = pre_step(f)
-    if corrections:
-        for s in live:
-            q1 = psi(s.q)
-            q2 = -psi(psi(s.q))
-            s.t, line = _line_add(s.t, (q1.x, q1.y), s.xp, s.yp)
-            f = f.mul_by_line(*line)
-            s.t, line = _line_add(s.t, (q2.x, q2.y), s.xp, s.yp)
-            f = f.mul_by_line(*line)
-        f = pre_step(f)
-        f = pre_step(f)
+    for step in steps:
+        if step == "D":
+            f = f.square()
+        for xp, yp, lines in lanes:
+            neg_lam, c4 = next(lines)
+            f = f.mul_by_line(yp, neg_lam.scale(xp), c4)
     return f
 
 
@@ -422,13 +289,7 @@ def pairing(p: G1Point, q: G2Point, variant: str = "optimal") -> Fp12Element:
     non-degenerate; they differ by a fixed exponent, so mixing variants in
     one product is not meaningful.
     """
-    if variant == "optimal":
-        f = miller_loop(p, q, OPTIMAL_ATE_LOOP_COUNT, optimal_corrections=True)
-    elif variant == "ate":
-        f = miller_loop(p, q, ATE_LOOP_COUNT)
-    else:
-        raise ValueError(f"unknown pairing variant: {variant!r}")
-    return final_exponentiation(f)
+    return multi_pairing([(p, q)], variant)
 
 
 def multi_pairing(

@@ -40,7 +40,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from ..curves.g1 import G1_INFINITY_JAC, JacobianPoint, jac_add
 from ..curves.msm import msm_g1, msm_g1_multi, msm_g2
 from ..curves.pairing import G2Precomputed, fp12_from_ints, multi_miller_loop
-from ..field.tower import Fp12Element
 from . import workers
 
 __all__ = ["ComputeBackend", "SerialBackend", "ProcessBackend", "get_backend"]
@@ -293,26 +292,22 @@ class ProcessBackend(ComputeBackend):
         multiplies the chunk values.  The squaring chain is re-run once
         per chunk (that part does not parallelize), so the fan-out pays
         off only for batches with enough line-evaluation work --
-        ``min_miller_pairs`` guards the crossover.  Precomputed-G2 pairs
-        carry captured coefficient lists whose pickling cost defeats the
-        point of shipping them; any present routes the whole call to the
-        serial kernel.
+        ``min_miller_pairs`` live pairs guard the crossover.  Precomputed-G2
+        pairs carry captured coefficient lists whose pickling cost defeats
+        the point of shipping them: they stay in a parent-side loop that
+        runs while the workers do.
         """
         pairs = list(pairs)
-        if (
-            len(pairs) < self.min_miller_pairs
-            or self.workers < 2
-            or any(isinstance(q, G2Precomputed) for _, q in pairs)
-        ):
-            return multi_miller_loop(pairs, variant)
+        fixed = [pair for pair in pairs if isinstance(pair[1], G2Precomputed)]
         # Infinity pairs contribute the factor 1; drop them before
         # chunking so no worker receives a coordinate-less point.
         live = [
             (p, q) for p, q in pairs
-            if not (p.is_infinity() or q.is_infinity())
+            if not isinstance(q, G2Precomputed)
+            and not (p.is_infinity() or q.is_infinity())
         ]
-        if not live:
-            return Fp12Element.one()
+        if not live or len(live) < self.min_miller_pairs or self.workers < 2:
+            return multi_miller_loop(pairs, variant)
         chunk = (len(live) + self.workers - 1) // self.workers
         jobs = [
             (
@@ -327,8 +322,9 @@ class ProcessBackend(ComputeBackend):
             )
             for i in range(0, len(live), chunk)
         ]
-        total = Fp12Element.one()
-        for part in self._msm_pool().map(workers.miller_chunk, jobs):
+        parts = self._msm_pool().map_async(workers.miller_chunk, jobs)
+        total = multi_miller_loop(fixed, variant)
+        for part in parts.get():
             total = total * fp12_from_ints(part)
         return total
 

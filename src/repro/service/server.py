@@ -642,20 +642,25 @@ class ProofService:
                 return last
         return last
 
+    def _verifier_for(self, circuit_digest: str) -> OwnershipVerifier:
+        """A verifier under the registered key of one circuit shape.
+
+        ``RegistryError`` when no key is stored for the digest,
+        ``wire.WireFormatError`` when the stored bytes are not a usable key.
+        """
+        return OwnershipVerifier(wire.parse_verifying_key(
+            self.registry.verifying_key_bytes(circuit_digest)
+        ))
+
     def _verify_claim(self, claim, circuit_digest: str) -> Dict:
         try:
             model = wire.decode_model(
                 self.registry.model_bytes(claim.model_sha256)
             )
-            vk = wire.decode_verifying_key(
-                wire.encode_frame(
-                    wire.MSG_VERIFYING_KEY,
-                    self.registry.verifying_key_bytes(circuit_digest),
-                )
-            )
+            verifier = self._verifier_for(circuit_digest)
         except RegistryError as exc:
             return {"accepted": False, "reason": str(exc), "malformed": False}
-        report = OwnershipVerifier(vk).verify(model, claim)
+        report = verifier.verify(model, claim)
         return {"accepted": report.accepted, "reason": report.reason,
                 "malformed": report.malformed}
 
@@ -716,10 +721,7 @@ class ProofService:
         for circuit_digest, members in by_digest.items():
             started = time.perf_counter()
             try:
-                vk = wire.decode_verifying_key(wire.encode_frame(
-                    wire.MSG_VERIFYING_KEY,
-                    self.registry.verifying_key_bytes(circuit_digest),
-                ))
+                verifier = self._verifier_for(circuit_digest)
             except (RegistryError, wire.WireFormatError) as exc:
                 for claim_id, _ in members:
                     verdicts.append(wire.BatchClaimVerdict(
@@ -750,9 +752,7 @@ class ProofService:
                 batched_ids.append(claim_id)
             group_ok = True
             if cases:
-                reports = OwnershipVerifier(vk, prepare=True).verify_many(
-                    cases, seed=seed
-                )
+                reports = verifier.verify_many(cases, seed=seed)
                 for claim_id, report in zip(batched_ids, reports):
                     verdicts.append(wire.BatchClaimVerdict(
                         claim_id=claim_id,

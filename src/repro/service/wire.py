@@ -75,6 +75,7 @@ __all__ = [
     "encode_verify_batch_request",
     "encode_verify_batch_result",
     "encode_verifying_key",
+    "parse_verifying_key",
 ]
 
 _MAGIC = b"ZKRW"
@@ -512,12 +513,17 @@ def encode_verifying_key(vk: VerifyingKey) -> bytes:
     return encode_frame(MSG_VERIFYING_KEY, vk.to_bytes())
 
 
-def decode_verifying_key(frame: bytes) -> VerifyingKey:
-    _, payload = decode_frame(frame, MSG_VERIFYING_KEY)
+def parse_verifying_key(payload: bytes) -> VerifyingKey:
+    """Canonical key bytes (a frame payload, a registry file) to a key."""
     try:
         return VerifyingKey.from_bytes(payload)
     except (ValueError, struct.error, IndexError) as exc:
         raise WireFormatError(f"malformed verifying key: {exc}") from exc
+
+
+def decode_verifying_key(frame: bytes) -> VerifyingKey:
+    _, payload = decode_frame(frame, MSG_VERIFYING_KEY)
+    return parse_verifying_key(payload)
 
 
 # -- batch verification --------------------------------------------------------

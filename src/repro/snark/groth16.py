@@ -14,7 +14,11 @@ Follows Groth's EUROCRYPT 2016 construction exactly:
 * ``Prove(PK, C, z)`` commits to the witness with two random blinders
   (r, s), making proofs perfectly zero-knowledge.
 * ``Verify(VK, x, proof)`` checks one pairing-product equation via a single
-  multi-Miller loop.
+  multi-Miller loop.  The equation is written once per shape --
+  :func:`verify_prepared` for one proof, :func:`verify_batch_prepared` for
+  a random linear combination of many -- and always against a
+  :class:`PreparedVerifyingKey`; :func:`verify`, :func:`verify_batch` and
+  :func:`verify_batch_grouped` prepare a plain key and delegate.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from ..curves.pairing import (
     G2Precomputed,
     final_exponentiation,
     multi_miller_loop,
-    multi_pairing,
     precompute_g2,
 )
 from .errors import UnsatisfiedWitness
@@ -390,22 +393,12 @@ def prove_prepared(
 def verify(vk: VerifyingKey, public_inputs: Sequence[int], proof: Proof) -> bool:
     """Check the Groth16 pairing equation.
 
-    ``e(A, B) = e(alpha, beta) * e(IC(x), gamma) * e(C, delta)`` rearranged
-    into a single product check via one multi-pairing.
+    ``e(A, B) = e(alpha, beta) * e(IC(x), gamma) * e(C, delta)`` --
+    :func:`verify_prepared` against a key prepared for this one call (the
+    preparation costs what the three key-side Miller loops would).  Raises
+    ``ValueError`` for a degenerate key.
     """
-    if len(public_inputs) != vk.num_public_inputs:
-        return False
-    ic_points = [_g1_affine(p) for p in vk.ic]
-    scalars = [1] + [x % R for x in public_inputs]
-    vk_x = G1Point.from_jacobian(msm_g1(ic_points, scalars))
-    return multi_pairing(
-        [
-            (proof.a, proof.b),
-            (-vk_x, vk.gamma_g2),
-            (-proof.c, vk.delta_g2),
-            (-vk.alpha_g1, vk.beta_g2),
-        ]
-    ).is_one()
+    return verify_prepared(prepare_verifying_key(vk), public_inputs, proof)
 
 
 @dataclass(frozen=True)
@@ -425,6 +418,13 @@ class PreparedVerifyingKey:
 
 
 def prepare_verifying_key(vk: VerifyingKey) -> PreparedVerifyingKey:
+    """Precompute the key's three G2 line tables.
+
+    Every verification goes through here, so this is also where a
+    degenerate key (an identity alpha/beta/gamma/delta, whose pairing
+    factor would silently drop out of the equation) raises ``ValueError``.
+    """
+    vk.check_nondegenerate()
     return PreparedVerifyingKey(
         vk=vk,
         beta_pre=precompute_g2(vk.beta_g2),
@@ -438,8 +438,9 @@ def verify_prepared(
 ) -> bool:
     """Groth16 verification against a prepared key.
 
-    One live Miller loop (A, B) plus three precomputed ones, a single
-    shared final exponentiation.
+    ``e(A, B) = e(alpha, beta) * e(IC(x), gamma) * e(C, delta)`` rearranged
+    into a single product check: one live Miller lane (A, B) plus three
+    precomputed ones on one squaring chain, one final exponentiation.
     """
     vk = pvk.vk
     if len(public_inputs) != vk.num_public_inputs:
@@ -480,44 +481,6 @@ def _batch_rho_sampler(seed: Optional[int]):
     return lambda: rng.randrange(1, bound)
 
 
-def _accumulate_batch(vk, batch, next_rho, g1_msm):
-    """The RLC accumulation shared by every batch-verification entry point.
-
-    Returns ``(live_pairs, neg_alpha, neg_vkx, neg_c)`` -- the n
-    ``(rho_i A_i, B_i)`` pairs plus the three G1 points that pair with the
-    key-fixed G2 points -- or ``None`` when some instance has the wrong
-    length (the whole batch is then rejected).  All instances share the IC
-    points, so their contributions fold into one MSM with combined scalars
-    ``sum_i rho_i * z_i[j]``; likewise the per-proof ``rho_i * C_i``
-    scalar muls fold into a single MSM over the C points.
-    """
-    pairs: List[Tuple[G1Point, G2Point]] = []
-    rho_total = 0
-    ic_points = [_g1_affine(p) for p in vk.ic]
-    combined_scalars = [0] * len(vk.ic)
-    c_points: List[Optional[Tuple[int, int]]] = []
-    c_scalars: List[int] = []
-    for public_inputs, proof in batch:
-        if len(public_inputs) != vk.num_public_inputs:
-            return None
-        rho = next_rho()
-        rho_total = (rho_total + rho) % R
-        pairs.append((proof.a * rho, proof.b))
-        combined_scalars[0] = (combined_scalars[0] + rho) % R
-        for j, x in enumerate(public_inputs, start=1):
-            combined_scalars[j] = (combined_scalars[j] + rho * x) % R
-        c_points.append(_g1_affine(proof.c))
-        c_scalars.append(rho)
-    vkx_acc = g1_msm(ic_points, combined_scalars)
-    c_acc = g1_msm(c_points, c_scalars)
-    return (
-        pairs,
-        -(vk.alpha_g1 * rho_total),
-        -G1Point.from_jacobian(vkx_acc),
-        -G1Point.from_jacobian(c_acc),
-    )
-
-
 def verify_batch(
     vk: VerifyingKey,
     batch: Sequence[Tuple[Sequence[int], Proof]],
@@ -542,16 +505,7 @@ def verify_batch(
     reproducible runs ONLY -- an adversary who knows the rhos in advance
     can defeat the combination.
     """
-    if not batch:
-        return True
-    acc = _accumulate_batch(vk, batch, _batch_rho_sampler(seed), msm_g1)
-    if acc is None:
-        return False
-    pairs, neg_alpha, neg_vkx, neg_c = acc
-    pairs.append((neg_alpha, vk.beta_g2))
-    pairs.append((neg_vkx, vk.gamma_g2))
-    pairs.append((neg_c, vk.delta_g2))
-    return multi_pairing(pairs).is_one()
+    return verify_batch_prepared(prepare_verifying_key(vk), batch, seed=seed)
 
 
 def verify_batch_prepared(
@@ -564,12 +518,17 @@ def verify_batch_prepared(
     """:func:`verify_batch` against a prepared key, optionally fanned out.
 
     The three key-fixed pairings consume the prepared key's captured line
-    coefficients (no G2 arithmetic), and the n live ``(rho_i A_i, B_i)``
-    Miller loops share one squaring chain.  ``backend`` (a
-    :class:`~repro.parallel.backend.ComputeBackend`) routes the live
-    Miller product and the folded C/IC MSMs across workers for large
-    batches; per-chunk Miller products are combined before the single
-    final exponentiation.  Verdicts are identical across backends.
+    coefficients (no G2 arithmetic), and all n + 3 lanes share one squaring
+    chain.  All instances share the IC points, so their contributions fold
+    into one MSM with combined scalars ``sum_i rho_i * z_i[j]``; likewise
+    the per-proof ``rho_i * C_i`` scalar muls fold into a single MSM over
+    the C points.  An instance of the wrong length rejects the whole batch.
+
+    ``backend`` (a :class:`~repro.parallel.backend.ComputeBackend`) routes
+    the Miller product and the folded C/IC MSMs; how the lanes are split
+    across workers is the backend's business (per-chunk Miller products
+    are combined before the single final exponentiation).  Verdicts are
+    identical across backends.
 
     Same soundness bound and seeding rules as :func:`verify_batch`.
     """
@@ -577,21 +536,32 @@ def verify_batch_prepared(
         return True
     vk = pvk.vk
     g1_msm = msm_g1 if backend is None else backend.msm_g1
-    acc = _accumulate_batch(vk, batch, _batch_rho_sampler(seed), g1_msm)
-    if acc is None:
-        return False
-    live_pairs, neg_alpha, neg_vkx, neg_c = acc
-    fixed_pairs = [
-        (neg_alpha, pvk.beta_pre),
-        (neg_vkx, pvk.gamma_pre),
-        (neg_c, pvk.delta_pre),
+    multi_miller = multi_miller_loop if backend is None else backend.multi_miller
+    next_rho = _batch_rho_sampler(seed)
+    pairs: List[Tuple[G1Point, object]] = []
+    rho_total = 0
+    combined_scalars = [0] * len(vk.ic)
+    c_points: List[Optional[Tuple[int, int]]] = []
+    c_scalars: List[int] = []
+    for public_inputs, proof in batch:
+        if len(public_inputs) != vk.num_public_inputs:
+            return False
+        rho = next_rho()
+        rho_total = (rho_total + rho) % R
+        pairs.append((proof.a * rho, proof.b))
+        combined_scalars[0] = (combined_scalars[0] + rho) % R
+        for j, x in enumerate(public_inputs, start=1):
+            combined_scalars[j] = (combined_scalars[j] + rho * x) % R
+        c_points.append(_g1_affine(proof.c))
+        c_scalars.append(rho)
+    vkx_acc = g1_msm([_g1_affine(p) for p in vk.ic], combined_scalars)
+    c_acc = g1_msm(c_points, c_scalars)
+    pairs += [
+        (-(vk.alpha_g1 * rho_total), pvk.beta_pre),
+        (-G1Point.from_jacobian(vkx_acc), pvk.gamma_pre),
+        (-G1Point.from_jacobian(c_acc), pvk.delta_pre),
     ]
-    if backend is None:
-        f = multi_miller_loop(live_pairs + fixed_pairs)
-    else:
-        f = backend.multi_miller(live_pairs)
-        f = f * multi_miller_loop(fixed_pairs)
-    return final_exponentiation(f).is_one()
+    return final_exponentiation(multi_miller(pairs)).is_one()
 
 
 @dataclass(frozen=True)
@@ -618,8 +588,8 @@ def verify_batch_grouped(
     bucketing by verifying-key digest (SHA-256 of the canonical key bytes)
     yields one batched RLC check per group, so n claims over g shapes cost
     g multi-pairings instead of n.  Each ``vk`` may be a
-    :class:`~repro.snark.keys.VerifyingKey` or a
-    :class:`PreparedVerifyingKey` (the prepared path is used when given).
+    :class:`~repro.snark.keys.VerifyingKey` (prepared here, once per group)
+    or a :class:`PreparedVerifyingKey`.
     A group's verdict covers all its members -- attribute blame by
     re-verifying the members of a rejected group individually.
 
@@ -640,13 +610,10 @@ def verify_batch_grouped(
         groups[digest][2].append((public_inputs, proof))
     results: List[BatchGroupResult] = []
     for k, (digest, (vk, indices, batch)) in enumerate(groups.items()):
-        group_seed = None if seed is None else seed + k
-        if isinstance(vk, PreparedVerifyingKey):
-            ok = verify_batch_prepared(
-                vk, batch, seed=group_seed, backend=backend
-            )
-        else:
-            ok = verify_batch(vk, batch, seed=group_seed)
+        pvk = vk if isinstance(vk, PreparedVerifyingKey) else prepare_verifying_key(vk)
+        ok = verify_batch_prepared(
+            pvk, batch, seed=None if seed is None else seed + k, backend=backend
+        )
         results.append(BatchGroupResult(digest, tuple(indices), ok))
     return results
 

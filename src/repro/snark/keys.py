@@ -124,6 +124,19 @@ class VerifyingKey:
     def num_public_inputs(self) -> int:
         return len(self.ic) - 1
 
+    def check_nondegenerate(self) -> None:
+        """Raise ``ValueError`` if alpha, beta, gamma or delta is the identity.
+
+        Such a point's pairing factor is 1 whatever the proof says, so the
+        verification equation loses a term and becomes forgeable.  ``ic``
+        points may legitimately be the identity.
+        """
+        for name in ("alpha_g1", "beta_g2", "gamma_g2", "delta_g2"):
+            if getattr(self, name).is_infinity():
+                raise ValueError(
+                    f"degenerate verifying key: {name} is the identity"
+                )
+
     def to_bytes(self) -> bytes:
         return (
             g1_to_bytes(self.alpha_g1)
@@ -140,7 +153,9 @@ class VerifyingKey:
         gamma = g2_from_bytes(data[96:160])
         delta = g2_from_bytes(data[160:224])
         ic, _ = _unpack_g1_list(data, 224)
-        return VerifyingKey(alpha, beta, gamma, delta, ic)
+        vk = VerifyingKey(alpha, beta, gamma, delta, ic)
+        vk.check_nondegenerate()
+        return vk
 
     def size_bytes(self) -> int:
         return len(self.to_bytes())

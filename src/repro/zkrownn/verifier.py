@@ -12,12 +12,18 @@ Crucially the verifier reconstructs the public instance *themselves* from
 the model and the claim's public parameters -- the prover never supplies
 instance values, so a cheating prover cannot claim against a model other
 than the one the verifier holds.
+
+Every check runs the same path: :meth:`OwnershipVerifier._precheck` (digest,
+instance, proof decoding, point validation, key preparation) and then the
+prepared Groth16 equation of :mod:`repro.snark.groth16` -- once per claim in
+:meth:`~OwnershipVerifier.verify`, once per batch in
+:meth:`~OwnershipVerifier.verify_many`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..circuit.fixedpoint import FixedPointFormat
 from ..nn.model import Sequential
@@ -25,11 +31,10 @@ from ..snark.errors import MalformedProof
 from ..snark.groth16 import (
     PreparedVerifyingKey,
     prepare_verifying_key,
-    verify_batch_grouped,
+    verify_batch_prepared,
     verify_prepared,
-    verify_with_precheck,
 )
-from ..snark.keys import VerifyingKey
+from ..snark.keys import Proof, VerifyingKey
 from .artifacts import OwnershipClaim, model_digest
 from .circuit import CircuitConfig, public_inputs_for
 
@@ -57,32 +62,30 @@ class VerificationReport:
 class OwnershipVerifier:
     """A third-party verifier for ownership claims.
 
-    ``prepare=True`` precomputes the Miller-loop coefficients of the key's
-    fixed G2 points once (the pipeline's cached-verify stage): a verifier
-    expecting a stream of *individual* :meth:`verify` calls under one key
-    roughly halves per-claim pairing time.  It does not change
-    :meth:`verify_many`'s batched happy path (already a single
-    multi-pairing), only its per-claim fallback.  One-shot verifiers keep
-    the default and pay nothing up front.
+    The Miller-loop coefficients of the key's three fixed G2 points are
+    precomputed on the first claim that reaches the pairing check and
+    reused by every later :meth:`verify` and :meth:`verify_many` call on
+    this instance; a one-shot verifier pays for them once, which costs
+    what walking those three points live would.
     """
 
     verifying_key: VerifyingKey
-    prepare: bool = False
+    #: Accepted and never read: ``benchmarks/e2e/workloads.py`` still passes
+    #: ``prepare=True`` (ROADMAP, Housekeeping, says when this goes).
+    prepare: bool = field(default=True, repr=False, compare=False)
     _prepared: Optional[PreparedVerifyingKey] = field(
         default=None, repr=False, init=False, compare=False
     )
 
-    def _pairing_check(self, instance: Sequence[int], claim: OwnershipClaim) -> bool:
-        """Point validation + pairing equation, prepared when requested."""
-        if not self.prepare:
-            return verify_with_precheck(self.verifying_key, instance, claim.proof)
-        if self._prepared is None:
-            self._prepared = prepare_verifying_key(self.verifying_key)
-        claim.proof.validate_points()
-        return verify_prepared(self._prepared, instance, claim.proof)
+    def _precheck(
+        self, model: Sequential, claim: OwnershipClaim
+    ) -> Union[VerificationReport, Tuple[List[int], Proof]]:
+        """Everything short of the pairing equation, cheapest check first.
 
-    def verify(self, model: Sequential, claim: OwnershipClaim) -> VerificationReport:
-        """Check an ownership claim against the model the verifier holds."""
+        Returns the rejecting report, or ``(instance, proof)`` with the
+        instance rebuilt from the verifier's own model, the proof decoded
+        (once) and point-validated, and ``self._prepared`` ready.
+        """
         digest = model_digest(model, claim.embed_layer)
         if digest != claim.model_sha256:
             return VerificationReport(
@@ -108,14 +111,26 @@ class OwnershipVerifier:
                 f"expected, instance has {len(instance)})",
             )
         try:
-            ok = self._pairing_check(instance, claim)
-        except MalformedProof as exc:
+            proof = claim.proof
+            proof.validate_points()
+        except (MalformedProof, ValueError) as exc:
             return VerificationReport(
                 accepted=False,
                 reason=f"malformed proof: {exc}",
                 malformed=True,
             )
-        if not ok:
+        if self._prepared is None:
+            try:
+                self._prepared = prepare_verifying_key(self.verifying_key)
+            except ValueError as exc:
+                return VerificationReport(accepted=False, reason=str(exc))
+        return instance, proof
+
+    def _pairing_report(
+        self, claim: OwnershipClaim, instance: Sequence[int], proof: Proof
+    ) -> VerificationReport:
+        """The single-proof equation on a prechecked claim, as a report."""
+        if not verify_prepared(self._prepared, instance, proof):
             return VerificationReport(
                 accepted=False, reason="pairing check failed: proof is invalid"
             )
@@ -125,33 +140,12 @@ class OwnershipVerifier:
             f"threshold theta={claim.theta}",
         )
 
-    def _instance_for(
-        self, model: Sequential, claim: OwnershipClaim
-    ) -> Optional[List[int]]:
-        """Reconstruct the instance; None on a digest/shape precheck failure."""
-        if model_digest(model, claim.embed_layer) != claim.model_sha256:
-            return None
-        config = CircuitConfig(
-            theta=claim.theta,
-            fixed_point=FixedPointFormat(
-                frac_bits=claim.frac_bits, total_bits=claim.total_bits
-            ),
-            sigmoid_degree=claim.sigmoid_degree,
-        )
-        instance = public_inputs_for(
-            model, claim.theta, claim.wm_bits, claim.embed_layer, config
-        )
-        if len(instance) != self.verifying_key.num_public_inputs:
-            return None
-        return instance
-
-    def _batch_key(self):
-        """The key object handed to the grouped batch check."""
-        if not self.prepare:
-            return self.verifying_key
-        if self._prepared is None:
-            self._prepared = prepare_verifying_key(self.verifying_key)
-        return self._prepared
+    def verify(self, model: Sequential, claim: OwnershipClaim) -> VerificationReport:
+        """Check an ownership claim against the model the verifier holds."""
+        checked = self._precheck(model, claim)
+        if isinstance(checked, VerificationReport):
+            return checked
+        return self._pairing_report(claim, *checked)
 
     def verify_many(
         self,
@@ -163,42 +157,26 @@ class OwnershipVerifier:
 
         A marketplace scenario: many models of one architecture, one
         verification key, many ownership claims.  Prechecks (digest,
-        instance shape, point validity) run per claim -- malformed proof
-        points are flagged as such, not batched; the pairing work then
-        routes through :func:`~repro.snark.groth16.verify_batch_grouped`
-        (one RLC multi-pairing per key, prepared when this verifier is).
-        If the batch fails, claims are re-verified individually to
-        attribute blame -- the standard batch-with-fallback pattern.
+        instance shape, point validity) run per claim, exactly as in
+        :meth:`verify` -- malformed proof points are flagged as such, not
+        batched; the survivors then share one RLC multi-pairing
+        (:func:`~repro.snark.groth16.verify_batch_prepared`).  If the batch
+        fails, each survivor's own equation is checked to attribute blame
+        -- the standard batch-with-fallback pattern.
         """
-        reports: List[Optional[VerificationReport]] = [None] * len(cases)
-        items = []
-        batch_indices = []
-        for i, (model, claim) in enumerate(cases):
-            instance = self._instance_for(model, claim)
-            if instance is None:
-                reports[i] = VerificationReport(
-                    accepted=False, reason="precheck failed (digest/shape)"
-                )
-                continue
-            try:
-                claim.proof.validate_points()
-            except (MalformedProof, ValueError) as exc:
-                reports[i] = VerificationReport(
-                    accepted=False,
-                    reason=f"malformed proof: {exc}",
-                    malformed=True,
-                )
-                continue
-            items.append((self._batch_key(), instance, claim.proof))
-            batch_indices.append(i)
-        groups = verify_batch_grouped(items, seed=seed) if items else []
-        if all(g.accepted for g in groups):
-            for i in batch_indices:
-                reports[i] = VerificationReport(
+        checked = [self._precheck(model, claim) for model, claim in cases]
+        batch = [c for c in checked if not isinstance(c, VerificationReport)]
+        batch_ok = bool(batch) and verify_batch_prepared(
+            self._prepared, batch, seed=seed
+        )
+        reports = []
+        for (_, claim), c in zip(cases, checked):
+            if isinstance(c, VerificationReport):
+                reports.append(c)
+            elif batch_ok:
+                reports.append(VerificationReport(
                     accepted=True, reason="accepted (batched pairing check)"
-                )
-        else:
-            for i in batch_indices:
-                model, claim = cases[i]
-                reports[i] = self.verify(model, claim)
-        return [r for r in reports if r is not None]
+                ))
+            else:
+                reports.append(self._pairing_report(claim, *c))
+        return reports

@@ -5,16 +5,20 @@ soundness rests on the pairing being a correct bilinear map.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from reference.pairing import reference_pairing
 
 from repro.curves.bn254 import R
 from repro.curves.g1 import G1Point
 from repro.curves.g2 import G2Point
 from repro.curves.pairing import (
     final_exponentiation,
-    miller_loop,
+    multi_miller_loop,
     multi_pairing,
     pairing,
     pairing_check,
+    precompute_g2,
 )
 from repro.field.tower import Fp12Element
 
@@ -106,19 +110,44 @@ class TestFinalExponentiation:
 
 class TestMillerLoop:
     def test_infinity_returns_one(self):
-        from repro.curves.bn254 import OPTIMAL_ATE_LOOP_COUNT
-
-        assert miller_loop(
-            G1Point.infinity(), H, OPTIMAL_ATE_LOOP_COUNT
-        ).is_one()
+        assert multi_miller_loop([(G1Point.infinity(), H)]).is_one()
 
     def test_raw_miller_value_not_reduced(self):
         # Before final exponentiation the Miller value is generally != the
         # reduced pairing (sanity check that final exp matters).
-        from repro.curves.bn254 import OPTIMAL_ATE_LOOP_COUNT
+        assert multi_miller_loop([(G, H)]) != pairing(G, H)
 
-        raw = miller_loop(G, H, OPTIMAL_ATE_LOOP_COUNT, optimal_corrections=True)
-        assert raw != pairing(G, H)
+
+# One lane of a pairing product: the G1 and G2 scalars (0 is the point at
+# infinity) and whether Q goes in as captured line coefficients.
+_lane = st.tuples(
+    st.integers(0, R - 1), st.integers(0, R - 1), st.booleans()
+)
+
+
+class TestAgainstReferencePairing:
+    """The production walk against ``tests/reference/pairing.py``.
+
+    Live-vs-precomputed and one-pair-vs-shared-chain agreement are both
+    asserted here against the textbook pairing, which shares no Miller
+    code with production -- comparing production lanes with each other
+    would compare one walk with itself.
+    """
+
+    @pytest.mark.parametrize("variant", ["optimal", "ate"])
+    @settings(max_examples=12, deadline=None)
+    @given(lanes=st.lists(_lane, min_size=1, max_size=4))
+    @example(lanes=[(1, 1, False)])
+    @example(lanes=[(0, 5, False), (7, 0, False), (0, 9, True), (3, 4, True)])
+    def test_multi_pairing_is_product_of_reference_pairings(self, variant, lanes):
+        pairs, expected = [], Fp12Element.one()
+        for a, b, captured in lanes:
+            p, q = G * a, H * b
+            expected = expected * reference_pairing(p, q, variant)
+            if captured and not q.is_infinity():
+                q = precompute_g2(q, variant)
+            pairs.append((p, q))
+        assert multi_pairing(pairs, variant) == expected
 
 
 class TestVariantsAgree:

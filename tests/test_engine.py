@@ -253,7 +253,7 @@ class TestOwnershipThroughEngine:
         """Cached keypair reuse produces proofs that verify."""
         (model_a, claim_a, job_a), (model_b, claim_b, job_b), _ = two_claims
         assert job_a.keypair is job_b.keypair
-        verifier = OwnershipVerifier(job_a.keypair.verifying_key, prepare=True)
+        verifier = OwnershipVerifier(job_a.keypair.verifying_key)
         report_a = verifier.verify(model_a, claim_a)
         report_b = verifier.verify(model_b, claim_b)
         assert report_a.accepted, report_a.reason

@@ -94,6 +94,27 @@ class TestProcessBackend:
         with pytest.raises(ValueError):
             backend.msm_g1([_affine(G)], [1, 2])
 
+    def test_multi_miller_fans_out_live_lanes_around_precomputed_ones(self):
+        """The Groth16-batch lane mix: live pairs go to the workers,
+        precomputed and infinity lanes stay behind, and the product is the
+        serial kernel's raw Miller value."""
+        from repro.curves.g2 import G2Point
+        from repro.curves.pairing import multi_miller_loop, precompute_g2
+
+        h = G2Point.generator()
+        pairs = [(G * a, h * b) for a, b in ((3, 5), (7, 11), (13, 2))]
+        pairs += [(G * 17, precompute_g2(h * 19)), (G1Point.infinity(), h),
+                  (G * 23, precompute_g2(h))]
+        backend = ProcessBackend(2, min_miller_pairs=4)
+        try:
+            assert backend.multi_miller(pairs) == multi_miller_loop(pairs)
+            assert backend._pool is None  # three live pairs: below the floor
+            backend.min_miller_pairs = 3
+            assert backend.multi_miller(pairs) == multi_miller_loop(pairs)
+            assert backend._pool is not None
+        finally:
+            backend.close()
+
 
 def _chain_synthesizer(depth, x=3):
     def synthesize(b):

@@ -5,6 +5,7 @@ batch verification, the fast final exponentiation, and R1CS serialization.
 import random
 
 import pytest
+from reference.pairing import reference_pairing
 
 from repro.curves.pairing import final_exponentiation, final_exponentiation_naive
 from repro.field.prime import BN254_P as P
@@ -142,10 +143,24 @@ class TestPreparedVerification:
         pvk = prepare_verifying_key(keypair.verifying_key)
         return keypair, pvk, proof
 
+    @staticmethod
+    def _textbook_verify(vk, public_inputs, proof):
+        """Groth's equation as printed, one reference pairing per factor
+        and IC(x) by double-and-add -- no production Miller code."""
+        vk_x = vk.ic[0]
+        for x, point in zip(public_inputs, vk.ic[1:]):
+            vk_x = vk_x + point * x
+        return reference_pairing(proof.a, proof.b) == (
+            reference_pairing(vk.alpha_g1, vk.beta_g2)
+            * reference_pairing(vk_x, vk.gamma_g2)
+            * reference_pairing(proof.c, vk.delta_g2)
+        )
+
     def test_agrees_with_plain_verify_on_valid(self, prepared_parts):
         from repro.snark import verify_prepared
 
         keypair, pvk, proof = prepared_parts
+        assert self._textbook_verify(keypair.verifying_key, [49], proof)
         assert verify_prepared(pvk, [49], proof)
         assert verify(keypair.verifying_key, [49], proof)
 
@@ -153,6 +168,7 @@ class TestPreparedVerification:
         from repro.snark import verify_prepared
 
         keypair, pvk, proof = prepared_parts
+        assert not self._textbook_verify(keypair.verifying_key, [50], proof)
         assert not verify_prepared(pvk, [50], proof)
         assert not verify(keypair.verifying_key, [50], proof)
 
@@ -170,44 +186,34 @@ class TestPreparedVerification:
             precompute_g2(G2Point.infinity())
 
     def test_precomputed_miller_matches_live(self, rng):
-        from repro.curves.bn254 import OPTIMAL_ATE_LOOP_COUNT
         from repro.curves.g1 import G1Point
         from repro.curves.g2 import G2Point
-        from repro.curves.pairing import (
-            miller_loop,
-            miller_loop_precomputed,
-            precompute_g2,
-        )
+        from repro.curves.pairing import multi_pairing, precompute_g2
 
         p = G1Point.generator() * rng.randrange(1, 1000)
         q = G2Point.generator() * rng.randrange(1, 1000)
-        live = miller_loop(p, q, OPTIMAL_ATE_LOOP_COUNT, optimal_corrections=True)
-        pre = precompute_g2(q)
-        assert miller_loop_precomputed(p, pre) == live
+        expected = reference_pairing(p, q)
+        assert multi_pairing([(p, q)]) == expected
+        assert multi_pairing([(p, precompute_g2(q))]) == expected
 
     def test_precomputed_plain_ate_variant(self, rng):
-        from repro.curves.bn254 import ATE_LOOP_COUNT
         from repro.curves.g1 import G1Point
         from repro.curves.g2 import G2Point
-        from repro.curves.pairing import (
-            miller_loop,
-            miller_loop_precomputed,
-            precompute_g2,
-        )
+        from repro.curves.pairing import multi_pairing, precompute_g2
 
         p = G1Point.generator() * 5
         q = G2Point.generator() * 9
-        live = miller_loop(p, q, ATE_LOOP_COUNT)
-        pre = precompute_g2(q, variant="ate")
-        assert miller_loop_precomputed(p, pre) == live
+        expected = reference_pairing(p, q, "ate")
+        assert multi_pairing([(p, q)], "ate") == expected
+        assert multi_pairing([(p, precompute_g2(q, "ate"))], "ate") == expected
 
     def test_infinity_g1_gives_one(self, prepared_parts):
         from repro.curves.g1 import G1Point
-        from repro.curves.pairing import miller_loop_precomputed, precompute_g2
+        from repro.curves.pairing import multi_miller_loop, precompute_g2
         from repro.curves.g2 import G2Point
 
         pre = precompute_g2(G2Point.generator())
-        assert miller_loop_precomputed(G1Point.infinity(), pre).is_one()
+        assert multi_miller_loop([(G1Point.infinity(), pre)]).is_one()
 
 
 class TestFinalExponentiationVariants:

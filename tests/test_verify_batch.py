@@ -12,6 +12,7 @@ import json
 
 import numpy as np
 import pytest
+from reference.pairing import reference_pairing
 
 from repro.curves.g1 import G1Point
 from repro.curves.g2 import G2Point
@@ -78,10 +79,11 @@ class TestMultiMillerKernel:
 
     @pytest.mark.parametrize("variant", ["optimal", "ate"])
     def test_shared_loop_matches_per_pair_product(self, pairs, variant):
-        """One shared squaring chain == the product of independent loops."""
+        """One shared squaring chain == the product of independent textbook
+        pairings (``tests/reference/pairing.py``, no production Miller code)."""
         product = Fp12Element.one()
-        for pair in pairs:
-            product = product * multi_pairing([pair], variant=variant)
+        for p, q in pairs:
+            product = product * reference_pairing(p, q, variant)
         shared = final_exponentiation(multi_miller_loop(pairs, variant))
         assert shared == product
 
@@ -90,6 +92,12 @@ class TestMultiMillerKernel:
             (p, precompute_g2(q) if i % 2 else q)
             for i, (p, q) in enumerate(pairs)
         ]
+        product = Fp12Element.one()
+        for p, q in pairs:
+            product = product * reference_pairing(p, q)
+        assert multi_pairing(mixed) == product
+        # Captured lines are the live lines, so even the raw Miller values
+        # coincide (the process backend relies on it when it splits lanes).
         assert multi_miller_loop(mixed) == multi_miller_loop(pairs)
 
     @pytest.mark.parametrize("variant", ["optimal", "ate"])
@@ -532,6 +540,44 @@ class TestServiceBatchVerify:
                 content_type="application/json",
             )
         assert excinfo.value.status == 400
+
+    def test_degenerate_stored_key_fails_its_claims_not_the_sweep(
+        self, audit_service, tmp_path
+    ):
+        """A stored verifying key with an identity gamma used to raise out
+        of the prepared batch path and turn the whole sweep into one 400;
+        it is a per-claim "key unavailable" verdict."""
+        import dataclasses
+
+        from repro.service import ClaimRegistry, ProofService, wire
+        from repro.service.registry import ClaimRecord
+        from repro.zkrownn import model_digest
+
+        _, _, shapes, forge, _ = audit_service
+        model, keys, _, _, keypair, _ = shapes[0]
+        bad_key = dataclasses.replace(
+            keypair.verifying_key, gamma_g2=G2Point.infinity()
+        )
+        digest, claim_id = "d" * 64, "c" * 64
+        claim = forge(0, 6)
+        registry = ClaimRegistry(tmp_path)
+        registry.store_verifying_key(digest, bad_key.to_bytes())
+        registry.store_model_bytes(claim.model_sha256, wire.encode_model(model))
+        registry.register(ClaimRecord(
+            claim_id=claim_id,
+            model_digest=model_digest(model, keys.embed_layer),
+            state="done",
+            circuit_digest=digest,
+        ))
+        registry.store_claim_bytes(claim_id, wire.encode_claim(claim))
+        service = ProofService(registry)
+
+        result = service.verify_batch([claim_id, "no-such-claim"], seed=9)
+        by_id = {v.claim_id: v for v in result.verdicts}
+        assert by_id[claim_id].status == 404 and not by_id[claim_id].accepted
+        assert "gamma_g2 is the identity" in by_id[claim_id].reason
+        assert by_id["no-such-claim"].status == 404
+        assert [g.accepted for g in result.groups] == [False]
 
     def test_audit_cli_passes_then_fails_on_malformed_proof(
         self, audit_service, capsys

@@ -4,16 +4,21 @@ These are the integration tests of the whole stack -- slow (pure-Python
 pairings), so they share the session-scoped circuit/keypair fixtures.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.snark import prove
+from repro.curves.g1 import G1Point
+from repro.curves.g2 import G2Point
+from repro.snark import VerifyingKey, prove, verify, verify_batch_grouped
 from repro.zkrownn import (
     OwnershipClaim,
     OwnershipProver,
     OwnershipVerifier,
     ProverError,
     model_digest,
+    public_inputs_for,
 )
 
 
@@ -200,9 +205,105 @@ class TestBatchAudit:
         verifier = OwnershipVerifier(keypair.verifying_key)
         reports = verifier.verify_many([(other, claim), (model, claim)], seed=5)
         assert [r.accepted for r in reports] == [False, True]
-        assert "precheck" in reports[0].reason
+        # The batch audit names the mismatch exactly as a single verify does.
+        assert "different model" in reports[0].reason
+        assert reports[0] == verifier.verify(other, claim)
+
+    def test_proof_decoded_once_per_claim(self, claim_and_parts, monkeypatch):
+        """Decoding is three square roots; the single verify and the batch
+        audit's blame fallback each pay it once per claim."""
+        from repro.snark import Proof
+
+        model, _, _, keypair, claim = claim_and_parts
+        decoded = []
+        from_bytes = Proof.from_bytes
+        monkeypatch.setattr(
+            Proof, "from_bytes",
+            staticmethod(lambda data: decoded.append(1) or from_bytes(data)),
+        )
+        verifier = OwnershipVerifier(keypair.verifying_key)
+        assert verifier.verify(model, claim).accepted
+        assert len(decoded) == 1
+        forged = dataclasses.replace(claim, theta=claim.theta + 0.25)
+        reports = verifier.verify_many([(model, claim), (model, forged)], seed=5)
+        assert [r.accepted for r in reports] == [True, False]
+        assert len(decoded) == 3
 
     def test_verify_many_empty(self, claim_and_parts):
         *_, keypair, _ = claim_and_parts
         verifier = OwnershipVerifier(keypair.verifying_key)
         assert verifier.verify_many([]) == []
+
+
+def _report_reason(report):
+    assert not report.accepted and not report.malformed
+    return report.reason
+
+
+def _raised(call):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    return str(excinfo.value)
+
+
+#: Every way a (key, model, claim) triple reaches the pairing equation, each
+#: returning the text with which it refused the key.
+_ENTRY_POINTS = {
+    "OwnershipVerifier.verify": lambda vk, model, claim, instance: _report_reason(
+        OwnershipVerifier(vk).verify(model, claim)
+    ),
+    "OwnershipVerifier.verify_many": lambda vk, model, claim, instance: _report_reason(
+        OwnershipVerifier(vk).verify_many([(model, claim)], seed=1)[0]
+    ),
+    "groth16.verify": lambda vk, model, claim, instance: _raised(
+        lambda: verify(vk, instance, claim.proof)
+    ),
+    "groth16.verify_batch_grouped": lambda vk, model, claim, instance: _raised(
+        lambda: verify_batch_grouped([(vk, instance, claim.proof)], seed=1)
+    ),
+}
+
+
+class TestDegenerateVerifyingKey:
+    """An identity beta/gamma/delta makes its pairing factor 1 whatever the
+    proof says.  Before there was one verification path, the unprepared one
+    dropped the factor and answered on the crippled equation -- with gamma
+    gone, ``verify(vk, anything, Proof(alpha, beta, O))`` was True -- while
+    the prepared one raised past ``OwnershipVerifier``.  Now every entry
+    point refuses the key itself: the Groth16 layer raises, the protocol
+    layer reports, and neither gives a verdict on the proof."""
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    @pytest.mark.parametrize("point", ["beta_g2", "gamma_g2", "delta_g2"])
+    def test_every_entry_point_refuses_the_key(self, claim_and_parts, point, entry):
+        model, _, config, keypair, claim = claim_and_parts
+        vk = dataclasses.replace(
+            keypair.verifying_key, **{point: G2Point.infinity()}
+        )
+        instance = public_inputs_for(
+            model, claim.theta, claim.wm_bits, claim.embed_layer, config
+        )
+        refusal = _ENTRY_POINTS[entry](vk, model, claim, instance)
+        assert f"degenerate verifying key: {point} is the identity" in refusal
+
+    @pytest.mark.parametrize(
+        "point", ["alpha_g1", "beta_g2", "gamma_g2", "delta_g2"]
+    )
+    def test_rejected_where_the_bytes_enter(self, claim_and_parts, point):
+        from repro.service import wire
+
+        *_, keypair, _ = claim_and_parts
+        identity = G1Point.infinity() if point == "alpha_g1" else G2Point.infinity()
+        vk = dataclasses.replace(keypair.verifying_key, **{point: identity})
+        with pytest.raises(ValueError, match=f"{point} is the identity"):
+            VerifyingKey.from_bytes(vk.to_bytes())
+        with pytest.raises(wire.WireFormatError, match="degenerate"):
+            wire.decode_verifying_key(wire.encode_verifying_key(vk))
+
+    def test_identity_ic_points_are_not_degenerate(self, claim_and_parts):
+        *_, keypair, _ = claim_and_parts
+        vk = keypair.verifying_key
+        sparse = dataclasses.replace(
+            vk, ic=[G1Point.infinity()] + list(vk.ic[1:])
+        )
+        assert VerifyingKey.from_bytes(sparse.to_bytes()) == sparse
