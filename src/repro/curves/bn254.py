@@ -7,9 +7,10 @@ proofs ("the BN128 elliptic curve, which provides 128 bits of security").
 * G2:  y^2 = x^3 + 3/xi        over Fp2  (D-type sextic twist, xi = 9 + u)
 * r:   prime order of both subgroups (= the scalar field modulus)
 
-The module self-checks at import: generators are verified to lie on their
-curves and (for G2) in the order-r subgroup, so a corrupted constant cannot
-survive ``import repro``.
+The module self-checks at import: the trace identity holds and both
+generators lie on their curves; that the G2 generator also has order r is
+checked where the subgroup test lives, at import of :mod:`repro.curves.g2`.
+A corrupted constant cannot survive ``import repro``.
 """
 
 from __future__ import annotations

@@ -6,7 +6,10 @@ commitment, a few fixed points in the keys), so unlike
 :class:`~repro.field.tower.Fp2Element` coordinates.
 
 Includes the untwist-Frobenius-twist endomorphism ``psi`` needed by the
-optimal-Ate Miller loop.
+optimal-Ate Miller loop and by :meth:`G2Point.in_subgroup`, which checks
+order-r membership through a ``psi`` identity instead of multiplying by r
+(every G2 point of an untrusted proof goes through it).  Importing the
+module verifies that the generator passes that check.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from ..field.tower import FROB_GAMMA, Fp2Element, fp2_batch_inverse, fp2_wrap
-from .bn254 import G2_COFACTOR, G2_GENERATOR, R, TWIST_B
+from .bn254 import G2_COFACTOR, G2_GENERATOR, R, TWIST_B, X
 
 __all__ = [
     "G2Point",
@@ -72,10 +75,22 @@ class G2Point:
         return self.y.square() == self.x.square() * self.x + TWIST_B
 
     def in_subgroup(self) -> bool:
-        """Membership in the order-r subgroup (r * Q == O)."""
+        """Membership in the order-r subgroup (``r * Q == O``).
+
+        Decided without the 254-bit multiplication: on the whole twist
+        curve of a BN curve, ``Q`` has order dividing r exactly when
+        ``[x+1]Q + psi([x]Q) + psi^2([x]Q) == psi^3([2x]Q)`` (Dai, Lin,
+        Zhao, Zhou, ePrint 2022/348, the test gnark-crypto runs) -- one
+        63-bit Jacobian multiplication by the curve parameter, three
+        applications of :func:`psi` and four affine additions.
+        ``tests/reference/g2.py`` keeps the definition as the oracle.
+        """
         if not self.is_on_curve():
             return False
-        return (self * R).is_infinity()
+        xq = g2_from_jacobian(g2_jac_scalar_mul(g2_to_jacobian(self), X))
+        psi_xq = psi(xq)
+        psi2_xq = psi(psi_xq)
+        return xq + self + psi_xq + psi2_xq == psi(psi2_xq.double())
 
     def clear_cofactor(self) -> "G2Point":
         """Map an arbitrary twist-curve point into the order-r subgroup."""
@@ -356,3 +371,9 @@ def psi(q: G2Point) -> G2Point:
     if q.is_infinity():
         return q
     return G2Point(q.x.conjugate() * _PSI_X, q.y.conjugate() * _PSI_Y)
+
+
+# The import-time self-check repro.curves.bn254 cannot make itself (it sits
+# below this module): the standard generator has order r.
+if not G2Point.generator().in_subgroup():  # pragma: no cover
+    raise AssertionError("G2 generator is not in the order-r subgroup")

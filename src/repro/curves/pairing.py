@@ -20,6 +20,13 @@ Line functions: for the D-type twist, the line through (untwisted) points of
 G2 evaluated at ``P = (xP, yP)`` in G1 is the sparse element
 ``yP - (lambda * xP) w + (lambda * x_T - y_T) v w`` with all coefficients in
 Fp2, consumed by :meth:`Fp12Element.mul_by_line`.
+
+Final exponentiation: :func:`_easy_part` (one inversion, Frobenius maps)
+lands in the cyclotomic subgroup; from there on -- and only from there on --
+every squaring is :meth:`Fp12Element.cyclotomic_square` and every inverse a
+conjugation.  The hard part is three runs of one chain, :func:`_exp_by_neg_x`,
+plus a dozen small powers.  :func:`final_exponentiation_naive` (generic
+``pow`` with the full 1016-bit exponent) is the oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -67,8 +74,18 @@ def _easy_part(f: Fp12Element) -> Fp12Element:
 
 
 def _exp_by_neg_x(f: Fp12Element) -> Fp12Element:
-    """``f^(-x)`` for a cyclotomic-subgroup element (x = BN parameter)."""
-    return f.pow(X).conjugate()
+    """``f^(-x)`` for a cyclotomic-subgroup element (x = BN parameter).
+
+    The one x-power chain of the hard part: square-and-multiply over the
+    63 bits of x on Granger-Scott squarings, then the inverse by
+    conjugation.  Only valid on :func:`_easy_part` outputs and their powers.
+    """
+    acc = f
+    for bit in bin(X)[3:]:
+        acc = acc.cyclotomic_square()
+        if bit == "1":
+            acc = acc * f
+    return acc.conjugate()
 
 
 class G2Precomputed:
@@ -246,32 +263,31 @@ def final_exponentiation(f: Fp12Element) -> Fp12Element:
         lambda_0 =   - (36x^3 + 30x^2 + 18x + 2)
 
     (identity asserted at import).  Three 63-bit exponentiations by the
-    curve parameter x replace the naive 1016-bit power -- ~4x faster, and
-    property-tested against :func:`final_exponentiation_naive`.
+    curve parameter x replace the naive 1016-bit power, and every squaring
+    after the easy part is a cyclotomic one (:func:`_exp_by_neg_x`) -- ~4-5x
+    faster than :func:`final_exponentiation_naive`, which it is
+    property-tested against.
     """
     elt = _easy_part(f)
-    fx = elt.pow(X)
-    fx2 = fx.pow(X)
-    fx3 = fx2.pow(X)
+    csq = Fp12Element.cyclotomic_square  # elt and its powers only
+    f_nx = _exp_by_neg_x(elt)  # elt^(-x)
+    f_x2 = _exp_by_neg_x(f_nx)  # elt^(x^2)
+    f_nx3 = _exp_by_neg_x(f_x2)  # elt^(-x^3)
 
-    # Shared small powers.
-    fx6 = fx.square() * fx  # x * 3
-    fx6 = fx6.square()  # 6x
-    fx12 = fx6.square()  # 12x
-    fx18 = fx12 * fx6  # 18x
-    fx2_6 = fx2.square() * fx2  # x^2 * 3
-    fx2_6 = fx2_6.square()  # 6x^2
-    fx2_12 = fx2_6.square()  # 12x^2
-    fx2_18 = fx2_12 * fx2_6  # 18x^2
-    fx2_30 = fx2_18 * fx2_12  # 30x^2
-    fx3_36 = fx3.square() * fx3  # x^3 * 3
-    fx3_36 = fx3_36.square()  # 6x^3
-    fx3_36 = fx3_36 * fx3_36.square()  # 18x^3
-    fx3_36 = fx3_36.square()  # 36x^3
+    # Shared small powers (exponents in the comments).
+    f_nx6 = csq(csq(f_nx) * f_nx)  # -6x
+    f_nx12 = csq(f_nx6)  # -12x
+    f_nx18 = f_nx12 * f_nx6  # -18x
+    f_x2_6 = csq(csq(f_x2) * f_x2)  # 6x^2
+    f_x2_12 = csq(f_x2_6)  # 12x^2
+    f_x2_18 = f_x2_12 * f_x2_6  # 18x^2
+    f_x2_30 = f_x2_18 * f_x2_12  # 30x^2
+    f_nx3_6 = csq(csq(f_nx3) * f_nx3)  # -6x^3
+    f_nx3_36 = csq(f_nx3_6 * csq(f_nx3_6))  # -36x^3
 
-    y2 = fx2_6 * elt  # elt^(6x^2 + 1)
-    y1 = (fx3_36 * fx2_18 * fx12).conjugate() * elt
-    y0 = (fx3_36 * fx2_30 * fx18 * elt.square()).conjugate()
+    y2 = f_x2_6 * elt  # elt^lambda_2
+    y1 = f_nx3_36 * f_x2_18.conjugate() * f_nx12 * elt  # elt^lambda_1
+    y0 = f_nx3_36 * (f_x2_30 * csq(elt)).conjugate() * f_nx18  # elt^lambda_0
 
     return (
         y0

@@ -132,11 +132,12 @@ def g2_to_bytes(point: G2Point) -> bytes:
     return bytes(buf)
 
 
-def g2_from_bytes(data: bytes, *, check_subgroup: bool = False) -> G2Point:
+def g2_from_bytes(data: bytes) -> G2Point:
     """Decompress a G2 point; validates the twist-curve equation.
 
-    ``check_subgroup`` additionally verifies order-r membership (one scalar
-    multiplication -- meaningful for untrusted verification keys).
+    Order-r membership is not checked here: callers holding an untrusted
+    point ask :meth:`~repro.curves.g2.G2Point.in_subgroup` (as
+    ``Proof.validate_points`` does).
     """
     if len(data) != G2_COMPRESSED_BYTES:
         raise PointDecodingError(f"G2 point must be {G2_COMPRESSED_BYTES} bytes")
@@ -157,6 +158,4 @@ def g2_from_bytes(data: bytes, *, check_subgroup: bool = False) -> G2Point:
     point = G2Point(x, y)
     if not point.is_on_curve():
         raise PointDecodingError("decoded point not on twist curve")
-    if check_subgroup and not point.in_subgroup():
-        raise PointDecodingError("decoded point not in the order-r subgroup")
     return point

@@ -7,15 +7,32 @@ standard tower for BN curves:
 * ``Fp6  = Fp2[v] / (v^3 - xi)`` with the non-residue ``xi = 9 + u``
 * ``Fp12 = Fp6[w] / (w^2 - v)``
 
-Elements store raw Python integers (Fp2) or tuples of lower-tower elements,
-kept immutable.  Frobenius-map coefficients are *computed at import time*
-from first principles (powers of ``xi``) rather than hard-coded, which keeps
-the module self-verifying: a typo in a constant would break the bilinearity
-property tests immediately.
+Layout: an :class:`Fp2Element` holds two residues, reduced into ``[0, p)``
+by its constructor and nowhere else; :class:`Fp6Element` and
+:class:`Fp12Element` nest those (``b0/b1`` -> ``a0..a2`` -> ``c0/c1``) and
+are treated as immutable.
+
+Where reduction happens: the products that pairings spend their time in
+(:meth:`Fp6Element.__mul__` and :class:`Fp12Element`'s ``*``, ``square``,
+``mul_by_line`` and ``cyclotomic_square``) unpack their operands to raw
+coefficients, run the Karatsuba formulas and the ``xi`` twist on plain
+unreduced integers (the ``_fp*_raw`` helpers below, where those formulas are
+written once), and reduce each output coefficient exactly once, when the
+result's ``Fp2Element``s are built.  Everything else (additions, inverses,
+Frobenius maps) works element by element.  All of it uses only ``+ - *`` on
+the coefficients and the constructor's ``% p``, so backend-native residues
+(``gmpy2.mpz``) ride through unchanged.  ``tests/reference/fp12.py`` is the
+oracle these kernels are held to; it shares no code with this module.
+
+Frobenius-map coefficients are *computed at import time* from first
+principles (powers of ``xi``) rather than hard-coded, which keeps the module
+self-verifying: a typo in a constant would break the bilinearity property
+tests immediately.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import Tuple
 
 from .backend import get_field_ops
@@ -175,6 +192,107 @@ def fp2_unwrap(e: "Fp2Element") -> "Fp2Element":
 XI = Fp2Element(9, 1)
 
 
+# -- lazy-reduction helpers ---------------------------------------------------
+#
+# An Fp6 element is passed around here as its six coefficients
+# ``(a0.c0, a0.c1, a1.c0, a1.c1, a2.c0, a2.c1)``; inputs may be unreduced
+# sums, outputs are unreduced integers (possibly negative) for the caller to
+# combine further and finally hand to ``_fp6_reduce``.
+
+
+def _fp2_mul_raw(a0, a1, b0, b1):
+    """``(a0 + a1 u)(b0 + b1 u)`` by Karatsuba, unreduced."""
+    t0 = a0 * b0
+    t1 = a1 * b1
+    return t0 - t1, (a0 + a1) * (b0 + b1) - t0 - t1
+
+
+def _fp6_raw(e: "Fp6Element"):
+    a0, a1, a2 = e.a0, e.a1, e.a2
+    return a0.c0, a0.c1, a1.c0, a1.c1, a2.c0, a2.c1
+
+
+def _fp6_reduce(c00, c01, c10, c11, c20, c21) -> "Fp6Element":
+    """The one place a raw product is reduced: once per coefficient."""
+    return Fp6Element(
+        Fp2Element(c00, c01), Fp2Element(c10, c11), Fp2Element(c20, c21)
+    )
+
+
+def _fp6_mul_raw(a, b):
+    """Karatsuba product of two Fp6 coefficient sextuples (6 Fp2 products)."""
+    a00, a01, a10, a11, a20, a21 = a
+    b00, b01, b10, b11, b20, b21 = b
+    t00, t01 = _fp2_mul_raw(a00, a01, b00, b01)
+    t10, t11 = _fp2_mul_raw(a10, a11, b10, b11)
+    t20, t21 = _fp2_mul_raw(a20, a21, b20, b21)
+    # (a1 + a2)(b1 + b2) - t1 - t2, (a0 + a1)(b0 + b1) and (a0 + a2)(b0 + b2)
+    m0, m1 = _fp2_mul_raw(a10 + a20, a11 + a21, b10 + b20, b11 + b21)
+    m0 -= t10 + t20
+    m1 -= t11 + t21
+    n0, n1 = _fp2_mul_raw(a00 + a10, a01 + a11, b00 + b10, b01 + b11)
+    k0, k1 = _fp2_mul_raw(a00 + a20, a01 + a21, b00 + b20, b01 + b21)
+    return (
+        9 * m0 - m1 + t00,
+        9 * m1 + m0 + t01,
+        n0 - t00 - t10 + 9 * t20 - t21,
+        n1 - t01 - t11 + 9 * t21 + t20,
+        k0 - t00 - t20 + t10,
+        k1 - t01 - t21 + t11,
+    )
+
+
+def _fp6_mul_sparse_raw(a, b00, b01, b10, b11):
+    """Product with the sparse ``b0 + b1*v`` (5 Fp2 products)."""
+    a00, a01, a10, a11, a20, a21 = a
+    t00, t01 = _fp2_mul_raw(a00, a01, b00, b01)
+    t10, t11 = _fp2_mul_raw(a10, a11, b10, b11)
+    m0, m1 = _fp2_mul_raw(a20, a21, b10, b11)
+    n0, n1 = _fp2_mul_raw(a00 + a10, a01 + a11, b00 + b10, b01 + b11)
+    k0, k1 = _fp2_mul_raw(a20, a21, b00, b01)
+    return (
+        9 * m0 - m1 + t00,
+        9 * m1 + m0 + t01,
+        n0 - t00 - t10,
+        n1 - t01 - t11,
+        k0 + t10,
+        k1 + t11,
+    )
+
+
+def _fp4_square_raw(x0, x1, y0, y1):
+    """``(x + y s)^2`` with ``s^2 = xi``: ``x^2 + xi y^2`` and ``2xy``.
+
+    Three Fp2 squarings (of ``x``, ``y`` and ``x + y``), each computed as
+    ``(c0 + c1)(c0 - c1) + 2 c0 c1 u``.
+    """
+    xx0, xx1 = (x0 + x1) * (x0 - x1), 2 * x0 * x1
+    yy0, yy1 = (y0 + y1) * (y0 - y1), 2 * y0 * y1
+    s0, s1 = x0 + y0, x1 + y1
+    return (
+        xx0 + 9 * yy0 - yy1,
+        xx1 + 9 * yy1 + yy0,
+        (s0 + s1) * (s0 - s1) - xx0 - yy0,
+        2 * s0 * s1 - xx1 - yy1,
+    )
+
+
+def _fp12_reduce(t0, t1, mid) -> "Fp12Element":
+    """Close a Karatsuba product over Fp6: ``(t0 + v*t1) + (mid - t0 - t1) w``."""
+    p0, p1, p2, p3, p4, p5 = t0
+    q0, q1, q2, q3, q4, q5 = t1
+    m0, m1, m2, m3, m4, m5 = mid
+    return Fp12Element(
+        _fp6_reduce(
+            p0 + 9 * q4 - q5, p1 + 9 * q5 + q4, p2 + q0, p3 + q1, p4 + q2, p5 + q3
+        ),
+        _fp6_reduce(
+            m0 - p0 - q0, m1 - p1 - q1, m2 - p2 - q2,
+            m3 - p3 - q3, m4 - p4 - q4, m5 - p5 - q5,
+        ),
+    )
+
+
 class Fp6Element:
     """Element ``a0 + a1*v + a2*v^2`` of Fp6 with ``v^3 = xi``."""
 
@@ -203,15 +321,7 @@ class Fp6Element:
         return Fp6Element(-self.a0, -self.a1, -self.a2)
 
     def __mul__(self, other: "Fp6Element") -> "Fp6Element":
-        a0, a1, a2 = self.a0, self.a1, self.a2
-        b0, b1, b2 = other.a0, other.a1, other.a2
-        t0 = a0 * b0
-        t1 = a1 * b1
-        t2 = a2 * b2
-        c0 = ((a1 + a2) * (b1 + b2) - t1 - t2).mul_by_xi() + t0
-        c1 = (a0 + a1) * (b0 + b1) - t0 - t1 + t2.mul_by_xi()
-        c2 = (a0 + a2) * (b0 + b2) - t0 - t2 + t1
-        return Fp6Element(c0, c1, c2)
+        return _fp6_reduce(*_fp6_mul_raw(_fp6_raw(self), _fp6_raw(other)))
 
     def square(self) -> "Fp6Element":
         return self * self
@@ -222,16 +332,6 @@ class Fp6Element:
 
     def scale_fp2(self, k: Fp2Element) -> "Fp6Element":
         return Fp6Element(self.a0 * k, self.a1 * k, self.a2 * k)
-
-    def mul_sparse(self, b0: Fp2Element, b1: Fp2Element) -> "Fp6Element":
-        """Multiply by the sparse element ``b0 + b1*v`` (pairing line values)."""
-        a0, a1, a2 = self.a0, self.a1, self.a2
-        t0 = a0 * b0
-        t1 = a1 * b1
-        c0 = ((a1 + a2) * b1 - t1).mul_by_xi() + t0
-        c1 = (a0 + a1) * (b0 + b1) - t0 - t1
-        c2 = a2 * b0 + t1
-        return Fp6Element(c0, c1, c2)
 
     def inverse(self) -> "Fp6Element":
         a0, a1, a2 = self.a0, self.a1, self.a2
@@ -308,19 +408,58 @@ class Fp12Element:
 
     def __mul__(self, other: "Fp12Element") -> "Fp12Element":
         # Karatsuba over Fp6: 3 Fp6 multiplications.
-        a0, a1 = self.b0, self.b1
-        c0, c1 = other.b0, other.b1
-        t0 = a0 * c0
-        t1 = a1 * c1
-        mid = (a0 + a1) * (c0 + c1)
-        return Fp12Element(t0 + t1.mul_by_v(), mid - t0 - t1)
+        a0, a1 = _fp6_raw(self.b0), _fp6_raw(self.b1)
+        c0, c1 = _fp6_raw(other.b0), _fp6_raw(other.b1)
+        return _fp12_reduce(
+            _fp6_mul_raw(a0, c0),
+            _fp6_mul_raw(a1, c1),
+            _fp6_mul_raw(map(add, a0, a1), map(add, c0, c1)),
+        )
 
     def square(self) -> "Fp12Element":
-        # Complex squaring: (a0 + a1 w)^2 with w^2 = v.
-        a0, a1 = self.b0, self.b1
-        t = a0 * a1
-        c0 = (a0 + a1) * (a0 + a1.mul_by_v()) - t - t.mul_by_v()
-        return Fp12Element(c0, t + t)
+        # Complex squaring: (a0 + a1 w)^2 with w^2 = v is
+        # (a0 + a1)(a0 + v a1) - t - v t  +  2t w   for t = a0 a1.
+        a0, a1 = _fp6_raw(self.b0), _fp6_raw(self.b1)
+        x0, x1, x2, x3, x4, x5 = a1
+        v_a1 = (9 * x4 - x5, 9 * x5 + x4, x0, x1, x2, x3)
+        t0, t1, t2, t3, t4, t5 = _fp6_mul_raw(a0, a1)
+        m0, m1, m2, m3, m4, m5 = _fp6_mul_raw(map(add, a0, a1), map(add, a0, v_a1))
+        return Fp12Element(
+            _fp6_reduce(
+                m0 - t0 - (9 * t4 - t5), m1 - t1 - (9 * t5 + t4),
+                m2 - t2 - t0, m3 - t3 - t1, m4 - t4 - t2, m5 - t5 - t3,
+            ),
+            _fp6_reduce(t0 + t0, t1 + t1, t2 + t2, t3 + t3, t4 + t4, t5 + t5),
+        )
+
+    def cyclotomic_square(self) -> "Fp12Element":
+        """``self.square()`` for elements of the cyclotomic subgroup ONLY.
+
+        Granger-Scott squaring: for an element of order dividing
+        ``p^4 - p^2 + 1`` -- every value after the easy part of the final
+        exponentiation, and in general nothing before it -- the square is
+        determined by three Fp4 squarings on the coordinate pairs
+        ``(g0, h1)``, ``(h0, g2)``, ``(g1, h2)`` (``g = b0``, ``h = b1``):
+        nine Fp2 squarings in place of two Fp6 products.  On any other
+        element the result is simply wrong.
+        """
+        g00, g01, g10, g11, g20, g21 = _fp6_raw(self.b0)
+        h00, h01, h10, h11, h20, h21 = _fp6_raw(self.b1)
+        a0, a1, a2, a3 = _fp4_square_raw(g00, g01, h10, h11)
+        b0, b1, b2, b3 = _fp4_square_raw(h00, h01, g20, g21)
+        c0, c1, c2, c3 = _fp4_square_raw(g10, g11, h20, h21)
+        return Fp12Element(
+            _fp6_reduce(
+                3 * a0 - 2 * g00, 3 * a1 - 2 * g01,
+                3 * b0 - 2 * g10, 3 * b1 - 2 * g11,
+                3 * c0 - 2 * g20, 3 * c1 - 2 * g21,
+            ),
+            _fp6_reduce(
+                3 * (9 * c2 - c3) + 2 * h00, 3 * (9 * c3 + c2) + 2 * h01,
+                3 * a2 + 2 * h10, 3 * a3 + 2 * h11,
+                3 * b2 + 2 * h20, 3 * b3 + 2 * h21,
+            ),
+        )
 
     def inverse(self) -> "Fp12Element":
         a0, a1 = self.b0, self.b1
@@ -373,15 +512,23 @@ class Fp12Element:
 
         Miller-loop line functions for the D-type BN twist only have these
         three non-zero Fp2 coefficients (the constant term, the ``w`` term
-        and the ``v*w`` term); exploiting the sparsity roughly halves the
-        cost of a Miller step compared to a general Fp12 multiply.
+        and the ``v*w`` term); exploiting the sparsity takes 13 Fp2 products
+        where a general Fp12 multiply takes 18.
         """
-        a0, a1 = self.b0, self.b1
-        # Karatsuba with L0 = (c0, 0, 0) and L1 = (c3, c4, 0).
-        t0 = a0.scale_fp2(c0)
-        t1 = a1.mul_sparse(c3, c4)
-        mid = (a0 + a1).mul_sparse(c0 + c3, c4)
-        return Fp12Element(t0 + t1.mul_by_v(), mid - t0 - t1)
+        a0, a1 = _fp6_raw(self.b0), _fp6_raw(self.b1)
+        a00, a01, a10, a11, a20, a21 = a0
+        c00, c01, c30, c31, c40, c41 = c0.c0, c0.c1, c3.c0, c3.c1, c4.c0, c4.c1
+        # Karatsuba with L0 = (c0, 0, 0) and L1 = (c3, c4, 0); a0 * L0 is
+        # three Fp2 products laid end to end.
+        return _fp12_reduce(
+            _fp2_mul_raw(a00, a01, c00, c01)
+            + _fp2_mul_raw(a10, a11, c00, c01)
+            + _fp2_mul_raw(a20, a21, c00, c01),
+            _fp6_mul_sparse_raw(a1, c30, c31, c40, c41),
+            _fp6_mul_sparse_raw(
+                map(add, a0, a1), c00 + c30, c01 + c31, c40, c41
+            ),
+        )
 
     def is_one(self) -> bool:
         return self == Fp12Element.one()

@@ -1,8 +1,11 @@
 """Tests for G2 arithmetic, the psi endomorphism, and the Jacobian path."""
 
-import pytest
+import random
 
-from repro.curves.bn254 import G2_COFACTOR, R
+import pytest
+from reference.g2 import in_subgroup_naive
+
+from repro.curves.bn254 import G2_COFACTOR, TWIST_B, P, R
 from repro.curves.g2 import (
     G2_INFINITY_JAC,
     G2Point,
@@ -14,6 +17,7 @@ from repro.curves.g2 import (
     g2_to_jacobian,
     psi,
 )
+from repro.curves.serialize import PointDecodingError, _fp2_sqrt
 from repro.field.tower import Fp2Element
 
 H = G2Point.generator()
@@ -104,6 +108,64 @@ class TestCofactor:
         assert point.is_on_curve()
         cleared = point.clear_cofactor()
         assert cleared.in_subgroup()
+
+
+def _random_twist_points(count, seed):
+    """Points of the twist curve E'(Fp2) by square root from a random x.
+
+    The curve has ``r * (2p - r)`` points, so one of these lies in the
+    order-r subgroup with probability ~2^-254.
+    """
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        x = Fp2Element(rng.randrange(P), rng.randrange(P))
+        try:
+            y = _fp2_sqrt(x.square() * x + TWIST_B)
+        except PointDecodingError:
+            continue
+        points.append(G2Point(x, y))
+    return points
+
+
+class TestSubgroupCheckAgainstDefinition:
+    """``G2Point.in_subgroup`` (endomorphism identity) against ``r * Q == O``
+    (``tests/reference/g2.py``), on members and on every kind of non-member:
+    a generic twist point ``Q = S + C`` (subgroup part S, cofactor part C),
+    its pure cofactor part ``[r]Q`` -- the case an endomorphism test is most
+    likely to wave through -- and a subgroup point plus a cofactor point."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 0xC0FFEE, R // 2, R - 1])
+    def test_generator_multiples_are_members(self, k):
+        q = H * k
+        assert in_subgroup_naive(q)
+        assert q.in_subgroup()
+
+    def test_identity_is_a_member(self):
+        assert in_subgroup_naive(G2Point.infinity())
+        assert G2Point.infinity().in_subgroup()
+
+    @pytest.mark.parametrize("q", _random_twist_points(10, seed=2022348))
+    def test_agrees_on_and_around_random_twist_points(self, q):
+        assert q.is_on_curve()
+        cofactor_part = q * R
+        cleared = q.clear_cofactor()
+        assert not cofactor_part.is_infinity() and not cleared.is_infinity()
+        for point, member in [
+            (q, False),
+            (cofactor_part, False),
+            (cleared, True),
+            (cleared + cofactor_part, False),
+            (-cofactor_part, False),
+        ]:
+            assert in_subgroup_naive(point) is member
+            assert point.in_subgroup() is member
+
+    def test_off_curve_is_not_a_member(self):
+        bad = G2Point(H.x, H.y + Fp2Element.one())
+        assert not bad.is_on_curve()
+        assert not bad.in_subgroup()
+        assert not in_subgroup_naive(bad)
 
 
 class TestJacobianFastPath:
