@@ -198,7 +198,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .engine import ProvingEngine
-    from .parallel import get_backend
+    from .parallel import machine_backend
     from .service import ClaimRegistry, ProofServer, ProofService
 
     # The setup cache defaults to living inside the registry root, so a
@@ -206,9 +206,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # restarted service recovers queued claims AND re-proves known shapes
     # without re-running Groth16 setup.
     cache_dir = args.cache_dir or str(Path(args.registry) / "engine-cache")
+    # --workers sizes both the prove pool and the dispatch threads; left
+    # out, the threads follow whatever the backend resolved to.
     engine = ProvingEngine(
         cache_dir=cache_dir,
-        backend=get_backend(args.backend) if args.backend else None,
+        backend=machine_backend(args.backend, args.workers),
     )
     service = ProofService(
         ClaimRegistry(args.registry),
@@ -224,6 +226,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"proof service listening on {server.url}")
     print(f"  registry: {args.registry}  cache: {cache_dir}  "
           f"backend: {engine.backend.name}  max_batch: {args.max_batch}")
+    print(f"  prove workers: {engine.backend.workers}  "
+          f"dispatch threads: {service.scheduler.workers}")
     if args.max_queue_depth or args.prove_budget:
         print(f"  max_queue_depth: {args.max_queue_depth}  "
               f"prove_budget: {args.prove_budget}  "
@@ -623,9 +627,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
     serve.add_argument("--backend", choices=["serial", "process"], default=None,
-                       help="compute backend (default: ZKROWNN_BACKEND or serial)")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="scheduler proving threads")
+                       help="compute backend (default: ZKROWNN_BACKEND, else "
+                            "process with two or more workers, else serial)")
+    serve.add_argument("--workers", type=int, default=None,
+                       help="claims proved at the same time: prove-pool "
+                            "processes and dispatch threads (default: "
+                            "ZKROWNN_WORKERS, else the usable CPUs)")
     serve.add_argument("--max-batch", type=int, default=8,
                        help="max same-shape claims per proving batch")
     serve.add_argument("--cache-dir", default=None,

@@ -299,9 +299,9 @@ def get_field_ops(modulus: int) -> FieldOps:
 def reinit_field_backend_after_fork() -> None:
     """Drop inherited backend state; next use re-resolves from the env.
 
-    Called by worker initializers in ``repro.parallel.workers``; also
-    implied by the PID check on every lookup, so even untracked forks
-    never reuse a parent's gmpy2 state.
+    What the PID check on every lookup does by itself in a forked child,
+    made callable; pool workers (``repro.parallel.workers``) are spawned
+    and start without any state to drop.
     """
     _STATE["pid"] = -1
     _ensure_fresh()

@@ -1,9 +1,11 @@
 """Module-level worker functions for :class:`~repro.parallel.backend.ProcessBackend`.
 
-Everything here must be importable by name in a freshly spawned
-interpreter (the ``spawn`` start method pickles functions by reference),
-so no closures or lambdas.  Heavy shared state -- the prepared proving
-key and constraint system -- is shipped once per worker through the pool
+Workers are spawned: each is a fresh interpreter that imports this module
+by name and receives everything else pickled, so nothing here may be a
+closure or a lambda, and nothing relies on state the parent built up (the
+field backend and machine profile are resolved again from the inherited
+environment on first use).  Heavy shared state -- the prepared proving key
+and constraint system -- is shipped once per worker through the pool
 initializer and pinned in a *keyed* cache, so a pool that outlives one
 batch (the proof service serving many batches for one circuit digest)
 never re-receives its key material.
@@ -11,25 +13,39 @@ never re-receives its key material.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
+from multiprocessing.connection import wait as wait_for_any
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..field.backend import reinit_field_backend_after_fork
-
-#: Worker-side prepared-key cache: key id -> (prepared key, constraint system).
-#: Keys arrive via :func:`init_prove_worker` (pool initializer); with the
-#: ``fork`` start method the parent's already-warm cache is also inherited
-#: for free by any pool forked afterwards.
+#: Worker-side prepared-key cache: key id -> (prepared key, constraint system),
+#: filled by :func:`init_prove_worker` (pool initializer).
 _PROVE_STATE: Dict[str, Tuple[object, object]] = {}
 
 
-def init_prove_worker(key_id: str, ppk, cs) -> None:
-    """Pool initializer: pin the (large) shared proving inputs in the worker.
+def _exit_with_parent() -> None:
+    """Leave when the parent process does, however it went.
 
-    Also re-resolves the field backend from the environment: backend state
-    (gmpy2 handles, cached ops instances) must never silently cross a
-    ``fork`` -- each worker rebuilds its own on first field operation.
+    A pool worker blocks on its task queue, and its siblings hold the
+    queue's write end open, so a parent that is killed outright (``kill
+    -9``, the OOM killer) would otherwise leave every worker -- and its
+    copy of the prepared key -- behind for good.
     """
-    reinit_field_backend_after_fork()
+    parent = multiprocessing.parent_process()
+    if parent is None:  # pragma: no cover - not running as a child
+        return
+
+    def watch() -> None:
+        wait_for_any([parent.sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
+def init_prove_worker(key_id: str, ppk, cs) -> None:
+    """Pool initializer: pin the (large) shared proving inputs in the worker."""
+    _exit_with_parent()
     _PROVE_STATE[key_id] = (ppk, cs)
 
 
@@ -45,11 +61,6 @@ def prove_task(args: Tuple[str, Sequence[int], Optional[int]]):
             f"worker has no prepared key cached under {key_id!r}"
         ) from None
     return prove_prepared(ppk, cs, assignment, seed=seed)
-
-
-def init_msm_worker() -> None:
-    """MSM pool initializer: fresh field-backend state per worker process."""
-    reinit_field_backend_after_fork()
 
 
 def msm_chunk_g1(args) -> Tuple[int, int, int]:

@@ -138,10 +138,15 @@ class ProofScheduler:
 
     Not started automatically: call :meth:`start` (tests and the batching
     guarantee rely on being able to enqueue several jobs before the first
-    dispatch).  ``workers`` proving threads may run distinct shapes
-    concurrently; jobs for one shape are always drained by a single
-    thread per pass, so same-shape concurrency becomes batching instead
-    of contention.
+    dispatch).  Each of the ``workers`` dispatch threads takes, per pass,
+    every queued job of the best job's shape (up to ``max_batch``): jobs
+    that are queued together prove as one batch, while a same-shape job
+    that arrives once that batch is under way is taken by the next free
+    thread and proves beside it -- on the backend's shared per-digest
+    pool when the backend has one -- instead of waiting a whole prove.
+    Distinct shapes run concurrently the same way.  A batch that fails
+    for a reason outside the claims (an I/O error, a prove worker that
+    died) is requeued up to ``max_attempts`` dispatches, then quarantined.
     """
 
     def __init__(

@@ -58,6 +58,7 @@ from urllib.parse import parse_qs, urlparse
 from ..engine.engine import ProvingEngine
 from ..obs import Tracer, get_logger, get_metrics, new_trace_id, obs_enabled
 from ..obs.trace import sanitize_trace_id
+from ..parallel import machine_backend
 from ..zkrownn.artifacts import model_digest
 from ..zkrownn.planning import extraction_structure_key
 from ..zkrownn.circuit import extraction_synthesizer
@@ -106,6 +107,14 @@ class ProofService:
     root (``cache_dir`` overrides the location), so a restarted service
     re-proves known shapes with zero fresh Groth16 setups and its
     published VKs stay in lockstep with the registry's VK store.
+
+    The service sizes itself from the machine: its own engine gets
+    :func:`~repro.parallel.backend.machine_backend` (a process pool on two
+    or more usable CPUs, the serial backend on one; ``ZKROWNN_BACKEND`` /
+    ``ZKROWNN_WORKERS`` and the machine profile still win), and unless
+    ``scheduler_workers`` says otherwise it starts one dispatch thread per
+    backend worker, so same-shape claims that arrive a moment apart prove
+    side by side instead of queueing behind each other.
     """
 
     def __init__(
@@ -115,7 +124,7 @@ class ProofService:
         engine: Optional[ProvingEngine] = None,
         scheduler: Optional[ProofScheduler] = None,
         max_batch: Optional[int] = None,
-        scheduler_workers: int = 1,
+        scheduler_workers: Optional[int] = None,
         cache_dir: Optional[str] = None,
         max_queue_depth: Optional[int] = None,
         retry_after_seconds: float = 1.0,
@@ -135,6 +144,7 @@ class ProofService:
         if engine is None:
             engine = ProvingEngine(
                 cache_dir=cache_dir or str(registry.root / "engine-cache"),
+                backend=machine_backend(),
                 prove_budget_seconds=prove_budget_seconds,
                 audit=audit_mode,
             )
@@ -146,6 +156,8 @@ class ProofService:
                 )
             engine.audit_mode = audit_mode
         self.engine = engine
+        if scheduler_workers is None:
+            scheduler_workers = engine.backend.workers
         self.scheduler = scheduler if scheduler is not None else ProofScheduler(
             self.engine,
             registry,
@@ -824,6 +836,7 @@ class ProofService:
             "scheduler": self.scheduler.stats_snapshot(),
             "registry": self.registry.counts(),
             "backend": self.engine.backend.name,
+            "workers": self.engine.backend.workers,
             "uptime_seconds": time.time() - self.started_at,
         }
 
@@ -852,6 +865,16 @@ class ProofService:
             metrics.gauge(
                 "zkrownn_queue_depth", "claims waiting in the scheduler queue",
             ).set(self.scheduler.pending())
+            # Claims queued while busy < workers: the dispatch threads,
+            # not the prover, are what they are waiting for.
+            backend = self.engine.backend
+            metrics.gauge(
+                "zkrownn_prove_workers",
+                "proofs the compute backend can run at the same time",
+            ).set(backend.workers)
+            metrics.gauge(
+                "zkrownn_prove_workers_busy", "backend workers proving now",
+            ).set(backend.busy_workers())
             metrics.gauge(
                 "zkrownn_uptime_seconds", "seconds since service start",
             ).set(time.time() - self.started_at)

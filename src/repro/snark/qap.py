@@ -137,26 +137,23 @@ def compute_h(cs: ConstraintSystem, assignment: Sequence[int]) -> List[int]:
     """Coefficients of the quotient ``h(X) = (u v - w) / t``.
 
     Interpolates the witness-combined polynomials from their values on H,
-    re-evaluates them on the coset gH where ``t`` is the non-zero constant
-    ``g^|H| - 1``, divides pointwise, and interpolates back.  Exact because
-    ``deg h <= |H| - 2``.
+    re-evaluates ``u`` and ``v`` on the coset gH where ``t`` is the
+    non-zero constant ``g^|H| - 1``, and interpolates their product back.
+    ``w`` never visits the coset: interpolation is linear, so its
+    coefficients are subtracted from the product's directly and the
+    division by the constant follows.  Exact because ``deg h <= |H| - 2``.
     """
     domain = qap_domain(cs)
     ua, va, wa = _assignment_evaluations(cs, assignment, domain)
-    u_coeffs = domain.ifft(ua)
-    v_coeffs = domain.ifft(va)
+    u_coset = domain.coset_fft(domain.ifft(ua))
+    v_coset = domain.coset_fft(domain.ifft(va))
     w_coeffs = domain.ifft(wa)
-    u_coset = domain.coset_fft(u_coeffs)
-    v_coset = domain.coset_fft(v_coeffs)
-    w_coset = domain.coset_fft(w_coeffs)
     ops = get_field_ops(R)
     rn = ops.modulus_native
+    uv_coeffs = domain.coset_ifft(
+        [u * v % rn for u, v in zip(u_coset, v_coset)]
+    )
     t_inv = ops.inv(domain.vanishing_on_coset())
-    h_coset = [
-        (u_coset[i] * v_coset[i] - w_coset[i]) % rn * t_inv % rn
-        for i in range(domain.size)
-    ]
-    h_coeffs = domain.coset_ifft(h_coset)
     # deg h <= |H| - 2, so the top coefficient must vanish; a non-zero value
     # means the assignment does not satisfy the R1CS.
-    return h_coeffs
+    return [(uv - w) * t_inv % rn for uv, w in zip(uv_coeffs, w_coeffs)]

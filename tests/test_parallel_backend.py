@@ -1,6 +1,12 @@
 """Tests for the compute-backend subsystem and engine batch proving."""
 
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
@@ -8,12 +14,18 @@ from repro.curves.bn254 import R
 from repro.curves.g1 import G1Point, jac_to_affine_many
 from repro.curves.msm import naive_msm_g1
 from repro.engine import ProvingEngine
+from repro.obs import logging as obs_logging
+from repro.obs import metrics as obs_metrics
 from repro.parallel import (
     ComputeBackend,
     ProcessBackend,
+    ProveWorkerLost,
     SerialBackend,
     get_backend,
+    machine_backend,
+    usable_cpus,
 )
+from repro.parallel import backend as backend_mod
 
 G = G1Point.generator()
 
@@ -56,6 +68,51 @@ class TestBackendSelection:
         monkeypatch.setenv("ZKROWNN_BACKEND", "serial")
         engine = ProvingEngine()
         assert engine.backend.name == "serial"
+
+    def test_process_backend_sizes_itself_from_usable_cpus(self, monkeypatch):
+        assert usable_cpus() >= 1
+        monkeypatch.setattr(backend_mod, "usable_cpus", lambda: 5)
+        assert ProcessBackend().workers == 5
+        assert ProcessBackend(3).workers == 3
+
+
+class TestMachineBackend:
+    """``machine_backend``: the same ladder as ``get_backend`` with a
+    fallback sized from the machine (what the proof service asks for)."""
+
+    @pytest.fixture(autouse=True)
+    def _nothing_configured(self, monkeypatch):
+        monkeypatch.delenv("ZKROWNN_BACKEND", raising=False)
+        monkeypatch.delenv("ZKROWNN_WORKERS", raising=False)
+
+    def test_two_or_more_cpus_give_a_process_pool_of_that_size(self, monkeypatch):
+        monkeypatch.setattr(backend_mod, "usable_cpus", lambda: 4)
+        backend = machine_backend()
+        assert isinstance(backend, ProcessBackend) and backend.workers == 4
+        # Library callers are not affected: nothing set still means serial.
+        assert isinstance(get_backend(), SerialBackend)
+
+    def test_one_cpu_gives_the_serial_backend(self, monkeypatch):
+        monkeypatch.setattr(backend_mod, "usable_cpus", lambda: 1)
+        backend = machine_backend()
+        assert isinstance(backend, SerialBackend) and backend.workers == 1
+
+    def test_environment_and_arguments_still_win(self, monkeypatch):
+        monkeypatch.setattr(backend_mod, "usable_cpus", lambda: 4)
+        assert machine_backend("serial").name == "serial"
+        assert machine_backend(workers_count=1).name == "serial"
+        assert machine_backend(workers_count=3).workers == 3
+        assert machine_backend("process", 1).workers == 1
+        monkeypatch.setenv("ZKROWNN_WORKERS", "2")
+        assert machine_backend().workers == 2
+        monkeypatch.setenv("ZKROWNN_WORKERS", "1")
+        assert machine_backend().name == "serial"
+        monkeypatch.setenv("ZKROWNN_BACKEND", "process")
+        backend = machine_backend()
+        assert backend.name == "process" and backend.workers == 1
+        monkeypatch.setenv("ZKROWNN_BACKEND", "serial")
+        monkeypatch.setenv("ZKROWNN_WORKERS", "8")
+        assert machine_backend().name == "serial"
 
 
 class TestSerialBackend:
@@ -286,27 +343,186 @@ class TestPersistentProvePools:
         finally:
             backend.close()
 
-    def test_anonymous_key_uses_ephemeral_pool(self):
-        from repro.snark.groth16 import prepare_proving_key
+    def test_key_id_is_required(self):
+        # Every pool is cached under the circuit digest: there is no
+        # anonymous, per-call pool to fall back to.
+        for backend in (SerialBackend(), ProcessBackend(2)):
+            with pytest.raises(TypeError, match="key_id"):
+                backend.prove_stream(None, None, [])
+            with pytest.raises(TypeError, match="key_id"):
+                backend.prove_batch(None, None, [], [])
+
+
+def _run_with_timeout(fn, seconds=90):
+    """``fn()`` on a daemon thread: its result, or the exception it raised;
+    fails the test if it is still running after ``seconds``."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = fn()
+        except Exception as exc:  # noqa: BLE001 - handed to the caller
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), f"still blocked after {seconds}s"
+    return outcome
+
+
+class TestProveWorkerLoss:
+    def test_killed_worker_fails_the_stream_and_the_pool_is_replaced(self):
+        seeds = list(range(1, 9))
+        serial = ProvingEngine(backend=SerialBackend())
+        compiled, synthesis = serial.synthesize("chain", _chain_synthesizer(8))
+        expected = serial.prove_batch(
+            compiled, [synthesis] * 8, seeds=seeds, setup_seed=5
+        )
 
         backend = ProcessBackend(2)
-        engine = ProvingEngine(backend=SerialBackend())
-        compiled, synthesis = engine.synthesize("chain", _chain_synthesizer(8))
-        keypair = engine.setup(compiled, seed=5)
-        ppk = prepare_proving_key(keypair.proving_key)
+        engine = ProvingEngine(backend=backend)
+        compiled_p, synthesis_p = engine.synthesize("chain", _chain_synthesizer(8))
+        before = {p.pid for p in multiprocessing.active_children()}
+
+        def claims():
+            for i in range(8):
+                if i == 4:
+                    # Mid-batch: two proofs are back, two are with the
+                    # workers, four are still to be pulled.
+                    victim = next(
+                        p for p in multiprocessing.active_children()
+                        if p.pid not in before
+                    )
+                    os.kill(victim.pid, signal.SIGKILL)
+                yield synthesis_p
+
         try:
-            proofs = backend.prove_batch(
-                ppk, compiled.cs, [synthesis.assignment] * 2, [7, 8]
-            )
-            assert backend.prove_pool_keys() == []  # nothing cached
-            expected = SerialBackend().prove_batch(
-                ppk, compiled.cs, [synthesis.assignment] * 2, [7, 8]
-            )
-            assert [p.to_bytes() for p in proofs] == [
+            outcome = _run_with_timeout(lambda: engine.prove_batch(
+                compiled_p, claims(), seeds=iter(seeds), setup_seed=5
+            ))
+            assert isinstance(outcome.get("error"), ProveWorkerLost), outcome
+            assert backend.prove_pool_keys() == []
+            assert backend.busy_workers() == 0
+            # The same stream again: a fresh pool, the serial bytes.
+            again = _run_with_timeout(lambda: engine.prove_batch(
+                compiled_p, [synthesis_p] * 8, seeds=seeds, setup_seed=5
+            ))
+            assert [p.to_bytes() for p in again["value"]] == [
                 p.to_bytes() for p in expected
             ]
+            assert backend.prove_pool_keys() == [compiled_p.digest]
         finally:
             backend.close()
+
+
+    def test_a_worker_that_cannot_start_loses_the_pool_too(self, monkeypatch):
+        # submit() starts workers on demand; when a worker dies under it
+        # the start can fail on the queues the pool is already closing
+        # (seen as this ValueError), which is the same loss by another name.
+        from concurrent.futures import ProcessPoolExecutor
+
+        def refuse(self, *args, **kwargs):
+            raise ValueError("bad value(s) in fds_to_keep")
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", refuse)
+        backend = ProcessBackend(2)
+        try:
+            with pytest.raises(ProveWorkerLost, match="fds_to_keep"):
+                backend.prove_stream(None, None, [([1], 1)], key_id="d" * 64)
+            assert backend.prove_pool_keys() == []
+        finally:
+            backend.close()
+
+
+_ORPHAN_SCRIPT = """
+import multiprocessing, os, signal
+from repro.engine import ProvingEngine
+from repro.parallel import ProcessBackend
+
+def synthesize(b):
+    out = b.public_output("y")
+    w = b.private_input("x", 3)
+    b.bind_output(out, b.mul(w, w) + 1)
+
+if __name__ == "__main__":
+    engine = ProvingEngine(backend=ProcessBackend(2))
+    compiled, synthesis = engine.synthesize("square", synthesize)
+    engine.prove_batch(compiled, [synthesis] * 4, seeds=[1, 2, 3, 4], setup_seed=5)
+    print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+class TestWorkersDoNotOutliveTheirParent:
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        """A pool worker blocks on a queue its siblings keep open, so a
+        parent that is ``kill -9``-ed would leave them (and their copies
+        of the key) behind for good; they watch for it instead."""
+        script = tmp_path / "orphan.py"
+        script.write_text(_ORPHAN_SCRIPT)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run(
+            [sys.executable, str(script)], env=env, timeout=120,
+            stdout=subprocess.PIPE, text=True,
+        )
+        assert done.returncode == -signal.SIGKILL
+        pids = [int(pid) for pid in done.stdout.split()]
+        assert pids, "the pool started no worker"
+        deadline = time.monotonic() + 20
+        while pids and time.monotonic() < deadline:
+            for pid in list(pids):
+                try:
+                    os.kill(pid, 0)
+                except ProcessLookupError:
+                    pids.remove(pid)
+            time.sleep(0.05)
+        assert not pids, f"workers {pids} outlived their parent"
+
+
+class TestSpawnedWorkersShareNoLocks:
+    def test_pool_starts_while_other_threads_hold_the_obs_locks(self, monkeypatch):
+        """The service starts prove pools from a process whose HTTP and
+        scheduler threads log and count.  Whatever those threads hold at
+        that moment -- here the metrics-registry locks and the log stream
+        lock, for the whole life of the pool -- is no business of a
+        spawned worker, even one that profiles its kernels into its own
+        registry."""
+        from repro.snark.groth16 import prepare_proving_key
+
+        monkeypatch.setenv(obs_metrics.KERNEL_PROFILING_ENV, "1")
+        engine = ProvingEngine(backend=SerialBackend())
+        compiled, synthesis = engine.synthesize("chain", _chain_synthesizer(8))
+        ppk = prepare_proving_key(engine.setup(compiled, seed=5).proving_key)
+        batch = ([synthesis.assignment] * 3, [7, 8, 9])
+        expected = SerialBackend().prove_batch(
+            ppk, compiled.cs, *batch, key_id=compiled.digest
+        )
+
+        registry = obs_metrics.get_metrics()
+        held, release = threading.Event(), threading.Event()
+
+        def hold_locks():
+            with obs_metrics._STATE_LOCK, registry._lock, obs_logging._LOCK:
+                held.set()
+                release.wait(timeout=120)
+
+        holder = threading.Thread(target=hold_locks, daemon=True)
+        holder.start()
+        assert held.wait(timeout=10)
+        backend = ProcessBackend(2)
+        try:
+            outcome = _run_with_timeout(lambda: backend.prove_batch(
+                ppk, compiled.cs, *batch, key_id=compiled.digest
+            ))
+        finally:
+            release.set()
+            holder.join(timeout=10)
+            backend.close()
+        assert [p.to_bytes() for p in outcome["value"]] == [
+            p.to_bytes() for p in expected
+        ]
 
 
 class TestStreamSeedExhaustion:
@@ -323,9 +539,52 @@ class TestStreamSeedExhaustion:
 
 
 class TestConcurrentProvePools:
-    def test_busy_pool_is_not_evicted_under_cap_pressure(self):
-        import threading
+    def test_many_threads_stream_one_digest_through_one_pool(self):
+        """The service's shape after ISSUE 20: several dispatch threads,
+        one digest, one shared pool.  More threads than workers and a
+        short switch interval; every proof must be the serial one and the
+        in-flight count must come back to zero (a lost update would not)."""
+        serial = ProvingEngine(backend=SerialBackend())
+        compiled, synthesis = serial.synthesize("chain", _chain_synthesizer(8))
+        backend = ProcessBackend(2)
+        engine = ProvingEngine(backend=backend)
+        compiled_p, synthesis_p = engine.synthesize("chain", _chain_synthesizer(8))
+        engine.setup(compiled_p, seed=5)
+        results = {}
 
+        def stream(index):
+            seeds = [10 * index + k for k in range(1, 4)]
+            results[index] = (seeds, engine.prove_batch(
+                compiled_p, (synthesis_p for _ in seeds), seeds=iter(seeds),
+            ))
+
+        threads = [
+            threading.Thread(target=stream, args=(i,), daemon=True)
+            for i in range(6)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert backend.busy_workers() == 0
+            assert backend.prove_pool_keys() == [compiled_p.digest]
+        finally:
+            sys.setswitchinterval(interval)
+            backend.close()
+        assert sorted(results) == list(range(6))
+        for seeds, proofs in results.values():
+            expected = serial.prove_batch(
+                compiled, [synthesis] * 3, seeds=seeds, setup_seed=5
+            )
+            assert [p.to_bytes() for p in proofs] == [
+                p.to_bytes() for p in expected
+            ]
+
+    def test_busy_pool_is_not_evicted_under_cap_pressure(self):
         backend = ProcessBackend(2, max_prove_pools=1)
         engine = ProvingEngine(backend=backend)
         shapes = {}

@@ -26,7 +26,9 @@ plan's injection counts (CI uploads it).
 """
 
 import json
+import multiprocessing
 import os
+import signal
 import socket
 import time
 from pathlib import Path
@@ -39,6 +41,7 @@ from repro.engine import ProvingEngine
 from repro.engine.engine import ProveBudgetExceeded
 from repro.nn.layers import Dense, ReLU, Sigmoid
 from repro.nn.model import Sequential
+from repro.parallel import ProcessBackend
 from repro.service import (
     CircuitBreaker,
     ClaimRecord,
@@ -525,6 +528,94 @@ class TestWatchdogAndBudget:
         finally:
             sched.stop()
         _record_summary("watchdog_kill", plan)
+
+
+class TestProveWorkerLoss:
+    def test_killed_prove_worker_costs_a_retry_not_a_dispatch_thread(
+        self, tmp_path
+    ):
+        """``kill -9`` (or the OOM killer) takes a prove-pool worker while
+        a batch of two claims is on the pool.  The batch must fail as
+        retryable and both claims reach ``done`` on a fresh pool, with the
+        bytes an undisturbed run gives and no lease left behind -- not sit
+        in ``proving`` under a heartbeat that renews the lease for good."""
+        from test_service_http import _small_claim
+
+        from repro.parallel import SerialBackend
+        from repro.snark.groth16 import prepare_proving_key
+        from repro.zkrownn import (
+            extraction_structure_key,
+            extraction_synthesizer,
+        )
+
+        model, keys, config = _small_claim()
+        shape_key = extraction_structure_key(model, keys, config)
+        synthesizer = extraction_synthesizer(model, keys, config)
+        before = {p.pid for p in multiprocessing.active_children()}
+        killed = []
+
+        def synthesize_then_kill(builder):
+            # Runs on the dispatch thread while the backend pulls the
+            # batch's second claim: the first is with a worker by now,
+            # and the second is about to make the pool start another.
+            aux = synthesizer(builder)
+            if not killed:
+                time.sleep(0.5)
+                victim = next(
+                    p for p in multiprocessing.active_children()
+                    if p.pid not in before
+                )
+                os.kill(victim.pid, signal.SIGKILL)
+                killed.append(victim.pid)
+            return aux
+
+        def task(claim_id, seed, synthesize):
+            return ProofTask(
+                claim_id=claim_id, shape_key=shape_key, synthesize=synthesize,
+                model=model, keys=keys, config=config,
+                seed=seed, setup_seed=99,
+            )
+
+        registry = ClaimRegistry(tmp_path)
+        for cid in ("k1", "k2"):
+            registry.register(ClaimRecord(claim_id=cid, model_digest="m" * 64))
+        backend = ProcessBackend(2)
+        engine = ProvingEngine(backend=backend)
+        sched = ProofScheduler(engine, registry, max_attempts=3)
+        try:
+            sched.submit(task("k1", 5, synthesizer))
+            sched.submit(task("k2", 6, synthesize_then_kill))
+            sched.start()
+            for cid in ("k1", "k2"):
+                assert sched.wait(cid, timeout=120) == JobState.DONE
+            sched.stop()  # the dispatch thread releases leases last
+            assert len(killed) == 1
+            assert sched.stats.retried == 2 and sched.stats.batches == 2
+            for cid in ("k1", "k2"):
+                record = registry.get(cid)
+                assert record.state == JobState.DONE and record.attempts == 1
+                assert "prove worker" in record.error_chain[0]
+                assert registry.lease_owner(cid) is None
+            # One warm pool for the digest, without the dead worker: the
+            # broken pool is gone, not patched up.
+            assert len(backend.prove_pool_keys()) == 1
+            assert killed[0] not in {
+                p.pid for p in multiprocessing.active_children()
+            }
+
+            compiled, synthesis = engine.synthesize(shape_key, synthesizer)
+            expected = SerialBackend().prove_batch(
+                prepare_proving_key(engine.setup(compiled).proving_key),
+                compiled.cs, [synthesis.assignment] * 2, [5, 6],
+                key_id=compiled.digest,
+            )
+            assert [
+                wire.decode_claim(registry.claim_bytes(cid)).proof_bytes
+                for cid in ("k1", "k2")
+            ] == [proof.to_bytes() for proof in expected]
+        finally:
+            sched.stop()
+            backend.close()
 
 
 # -- graceful degradation ------------------------------------------------------

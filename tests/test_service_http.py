@@ -7,10 +7,16 @@ server restart in the registry, and share compile/setup (and one
 scheduled batch) with a concurrent same-shape submission.
 """
 
+import time
+
+import numpy as np
 import pytest
 
 from repro.circuit import FixedPointFormat
 from repro.engine import ProvingEngine
+from repro.nn.layers import Dense, ReLU, Sigmoid
+from repro.nn.model import Sequential
+from repro.parallel import usable_cpus
 from repro.service import (
     ClaimRegistry,
     ProofServer,
@@ -19,6 +25,7 @@ from repro.service import (
     ServiceError,
     ServiceUnavailable,
 )
+from repro.watermark import WatermarkKeys
 from repro.zkrownn import CircuitConfig
 
 
@@ -155,6 +162,78 @@ class TestEndToEnd:
 
             listed = client.list_claims(model_digest=a.model_sha256, state="done")
             assert len(listed) == 2
+        finally:
+            server.stop()
+
+
+def _small_claim():
+    """A claim that proves in under half a second (1.4k constraints):
+    untrained weights and random keys, valid because ``theta = 1`` accepts
+    any bit error rate."""
+    rng = np.random.default_rng(7)
+    model = Sequential(
+        [Dense(4, 3, rng=rng), ReLU(), Dense(3, 4, rng=rng), Sigmoid()],
+        name="small-mlp",
+    )
+    keys = WatermarkKeys(
+        embed_layer=1,
+        target_class=2,
+        trigger_inputs=rng.normal(size=(1, 4)),
+        projection=rng.normal(size=(3, 2)),
+        signature=(rng.random(2) < 0.5).astype(np.int64),
+    )
+    return model, keys, CircuitConfig(theta=1.0)
+
+
+class TestMachineSizedService:
+    @pytest.mark.skipif(
+        usable_cpus() < 2,
+        reason="with one usable CPU the service stays serial by design",
+    )
+    def test_same_shape_claims_a_moment_apart_prove_side_by_side(
+        self, tmp_path, monkeypatch
+    ):
+        """Two closed-loop clients of one architecture: the second claim
+        must not wait a whole prove behind the first."""
+        monkeypatch.delenv("ZKROWNN_BACKEND", raising=False)
+        monkeypatch.delenv("ZKROWNN_WORKERS", raising=False)
+        model, keys, config = _small_claim()
+        server = ProofServer(ProofService(ClaimRegistry(tmp_path / "reg"))).start()
+        try:
+            client = ServiceClient(server.url)
+            stats = client.stats()
+            assert stats["backend"] == "process"
+            assert stats["workers"] == usable_cpus()
+            gauges = client.metrics_text()
+            assert f"zkrownn_prove_workers {usable_cpus()}" in gauges
+            assert "zkrownn_prove_workers_busy 0" in gauges
+
+            # Shape warm (compiled, set up, pool started), then two claims
+            # 50 ms apart, as two polling clients would send them.
+            warm = client.submit_claim(model, keys, config, seed=1, setup_seed=9)
+            assert client.wait(warm["claim_id"], timeout=120)["state"] == "done"
+            first = client.submit_claim(model, keys, config, seed=2, setup_seed=9)
+            time.sleep(0.05)
+            second = client.submit_claim(model, keys, config, seed=3, setup_seed=9)
+            spans = []
+            for submitted in (first, second):
+                claim_id = submitted["claim_id"]
+                assert client.wait(claim_id, timeout=120)["state"] == "done"
+                spans.append(
+                    {s["name"]: s for s in client.trace(claim_id)["spans"]}
+                )
+
+            starts = [s["prove"]["start_unix"] for s in spans]
+            ends = [
+                s["prove"]["start_unix"] + s["prove"]["duration_seconds"]
+                for s in spans
+            ]
+            assert max(starts) < min(ends), "the prove spans do not overlap"
+            for s in spans:
+                assert s["queue-wait"]["duration_seconds"] < (
+                    0.25 * s["prove"]["duration_seconds"]
+                )
+            assert client.stats()["scheduler"]["batches"] == 3
         finally:
             server.stop()
 

@@ -12,11 +12,14 @@ import pytest
 
 from repro.circuit import FixedPointFormat
 from repro.engine import ProvingEngine
+from repro.parallel import ProcessBackend, SerialBackend
+from repro.parallel import backend as backend_mod
 from repro.service import (
     ClaimRecord,
     ClaimRegistry,
     JobState,
     ProofScheduler,
+    ProofService,
     ProofTask,
 )
 from repro.service import wire
@@ -51,6 +54,68 @@ def scheduler(tmp_path):
     sched = ProofScheduler(ProvingEngine(), registry, max_batch=8)
     yield sched
     sched.stop(timeout=5.0)
+
+
+class TestServiceSizesItselfFromTheMachine:
+    """``ProofService`` defaults: backend and dispatch threads from the
+    usable CPUs, with every explicit choice still winning."""
+
+    @pytest.fixture(autouse=True)
+    def _nothing_configured(self, monkeypatch):
+        monkeypatch.delenv("ZKROWNN_BACKEND", raising=False)
+        monkeypatch.delenv("ZKROWNN_WORKERS", raising=False)
+
+    @staticmethod
+    def _sizes(service):
+        backend = service.engine.backend
+        return backend.name, backend.workers, service.scheduler.workers
+
+    def test_one_usable_cpu_is_the_serial_single_thread_service(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(backend_mod, "usable_cpus", lambda: 1)
+        service = ProofService(ClaimRegistry(tmp_path))
+        assert isinstance(service.engine.backend, SerialBackend)
+        assert self._sizes(service) == ("serial", 1, 1)
+        assert service.stats()["backend"] == "serial"
+        assert service.stats()["workers"] == 1
+
+    def test_more_cpus_size_the_pool_and_the_dispatch_threads(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(backend_mod, "usable_cpus", lambda: 3)
+        service = ProofService(ClaimRegistry(tmp_path))
+        assert self._sizes(service) == ("process", 3, 3)
+        assert service.stats()["workers"] == 3
+
+    def test_environment_wins_over_the_machine(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(backend_mod, "usable_cpus", lambda: 4)
+        monkeypatch.setenv("ZKROWNN_BACKEND", "serial")
+        serial = ProofService(ClaimRegistry(tmp_path / "a"))
+        assert self._sizes(serial) == ("serial", 1, 1)
+        monkeypatch.delenv("ZKROWNN_BACKEND")
+        monkeypatch.setenv("ZKROWNN_WORKERS", "2")
+        two = ProofService(ClaimRegistry(tmp_path / "b"))
+        assert self._sizes(two) == ("process", 2, 2)
+
+    def test_explicit_arguments_win_over_the_machine(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(backend_mod, "usable_cpus", lambda: 4)
+        injected = ProofService(
+            ClaimRegistry(tmp_path / "a"),
+            engine=ProvingEngine(backend=SerialBackend()),
+        )
+        assert self._sizes(injected) == ("serial", 1, 1)
+        pooled = ProofService(
+            ClaimRegistry(tmp_path / "b"),
+            engine=ProvingEngine(backend=ProcessBackend(2)),
+        )
+        assert self._sizes(pooled) == ("process", 2, 2)
+        threads = ProofService(
+            ClaimRegistry(tmp_path / "c"), scheduler_workers=3
+        )
+        assert self._sizes(threads) == ("process", 4, 3)
 
 
 class TestBatching:

@@ -9,6 +9,9 @@ reference Polynomial class.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference.qap import quotient_naive
 
 from repro.field.ntt import EvaluationDomain
 from repro.field.poly import Polynomial
@@ -135,3 +138,83 @@ class TestComputeHProperties:
         quotient, remainder = (u * v - w).divmod(t)
         assert remainder.is_zero()
         assert Polynomial(compute_h(cs, assignment)) == quotient
+
+
+# ------------------------------------------------------- reference quotient --
+
+_COEFFS = st.one_of(
+    st.sampled_from([1, 2, R - 1, R - 2]), st.integers(0, R - 1)
+)
+_VALUES = st.one_of(st.sampled_from([0, 1, R - 1]), st.integers(0, R - 1))
+
+
+@st.composite
+def _small_systems(draw, satisfied):
+    """A system of 1-9 constraints (domains 2, 4, 8 and 16, full and with
+    padding rows) over a handful of variables, with an assignment.
+
+    ``satisfied``: every constraint's ``c`` side is a fresh variable set to
+    the product of its ``a`` and ``b`` sides.  Otherwise all three sides
+    and the assignment are arbitrary, which almost never satisfies.
+    """
+    cs = ConstraintSystem()
+    assignment = [1]
+    for _ in range(draw(st.integers(1, 4))):
+        cs.allocate_private()
+        assignment.append(draw(_VALUES))
+
+    def side():
+        lc = LC()
+        for _ in range(draw(st.integers(0, 3))):
+            lc = lc + LC.variable(
+                draw(st.integers(0, cs.num_variables - 1)), draw(_COEFFS)
+            )
+        return lc
+
+    for _ in range(draw(st.integers(1, 9))):
+        a, b = side(), side()
+        if satisfied:
+            c = LC.variable(cs.allocate_private())
+            assignment.append(
+                a.evaluate(assignment) * b.evaluate(assignment) % R
+            )
+        else:
+            c = side()
+        cs.enforce(a, b, c)
+    return cs, assignment
+
+
+class TestAgainstReferenceQuotient:
+    """``compute_h`` against schoolbook multiplication and long division by
+    ``X^n - 1`` (``tests/reference/qap.py``), which share no transform with
+    it -- on valid witnesses and on assignments that satisfy nothing."""
+
+    @staticmethod
+    def _reference(cs, assignment):
+        domain = qap_domain(cs)
+        return quotient_naive(
+            cs, assignment, int(domain.omega), int(domain.coset_shift)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(_small_systems(satisfied=True))
+    def test_valid_witness(self, case):
+        cs, assignment = case
+        assert cs.is_satisfied(assignment)
+        h = [int(c) for c in compute_h(cs, assignment)]
+        assert h == self._reference(cs, assignment)
+        assert h[-1] == 0  # deg h <= n - 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(_small_systems(satisfied=False))
+    def test_any_assignment(self, case):
+        cs, assignment = case
+        h = [int(c) for c in compute_h(cs, assignment)]
+        assert h == self._reference(cs, assignment)
+
+    def test_textbook_example(self):
+        cs, assignment = cubic_cs()
+        assert compute_h(cs, assignment) == self._reference(cs, assignment)
+        bad = list(assignment)
+        bad[2] = 4
+        assert compute_h(cs, bad) == self._reference(cs, bad)
