@@ -16,7 +16,7 @@ benchmark isolates exactly that kernel:
 
 Every row lands in ``BENCH_msm_kernels.json`` together with the window
 sizes the heuristic picked, so regressions in either the kernels or the
-tuning are visible from artifacts alone.  The multi-claim ``prove_batch``
+window table are visible from artifacts alone.  The multi-claim ``prove_batch``
 comparison lives here too: serial vs process backend over one shared
 prepared key.
 

@@ -37,12 +37,6 @@ def _active_field_backend() -> str:
     return active_field_backend()
 
 
-def _profile_metadata() -> dict:
-    from repro.tuning.profile import active_profile_metadata
-
-    return active_profile_metadata()
-
-
 def _json_report_for(module: str) -> dict:
     """The mutable JSON payload for one benchmark module.
 
@@ -64,9 +58,6 @@ def _json_report_for(module: str) -> dict:
             "workers_env": os.environ.get("ZKROWNN_WORKERS"),
             "field_backend_env": os.environ.get("ZKROWNN_FIELD_BACKEND", "auto"),
             "field_backend": _active_field_backend(),
-            # The machine profile (if any) whose tuned knobs were active
-            # while these numbers were measured; see ``zkrownn tune``.
-            "machine_profile": _profile_metadata(),
             "msm_kernel": "glv+signed-window+batch-affine",
             "ntt_kernel": "cached-twiddle-registry",
             "test_seconds": {},

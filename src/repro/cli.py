@@ -516,57 +516,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_tune(args: argparse.Namespace) -> int:
-    """Measure this host's performance knobs; persist a machine profile."""
-    import json as _json
-
-    from .tuning.profile import default_profile_path
-    from .tuning.tuner import Tuner
-
-    tuner = Tuner(
-        quick=args.quick,
-        repeats=args.repeats,
-        log=lambda message: print(message, file=sys.stderr),
-    )
-    result = tuner.run()
-    out = args.out or default_profile_path()
-    if args.dry_run:
-        print(_json.dumps(result.profile.to_dict(), indent=2, sort_keys=True))
-    else:
-        path = result.profile.save(out)
-        print(f"wrote machine profile: {path}")
-    profile = result.profile
-    print(
-        "compute:        "
-        + (profile.compute_backend or "serial")
-        + (f" x{profile.workers}" if profile.workers else "")
-    )
-    print(f"max_batch:      {profile.max_batch}")
-    if profile.min_msm_chunk is not None:
-        print(f"min_msm_chunk:  {profile.min_msm_chunk}")
-    for kind, rows in sorted(profile.pippenger_windows.items()):
-        table = ", ".join(f">={n}: c={c}" for n, c in rows)
-        print(f"windows ({kind}): {table}")
-    if result.baseline_seconds and result.tuned_seconds:
-        print(
-            f"reference workload: {result.baseline_seconds:.3f}s default -> "
-            f"{result.tuned_seconds:.3f}s tuned "
-            f"({result.speedup:.2f}x)"
-        )
-    if args.bench_json:
-        payload = {
-            "benchmark": "bench_tune",
-            "profile": profile.to_dict(),
-            "baseline_seconds": result.baseline_seconds,
-            "tuned_seconds": result.tuned_seconds,
-            "speedup": result.speedup,
-        }
-        with open(args.bench_json, "w") as fh:
-            _json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"wrote before/after delta: {args.bench_json}")
-    return 0
-
-
 def _cmd_bench_report(args: argparse.Namespace) -> int:
     """Aggregate BENCH_*.json artifacts into one trend table."""
     from .tuning.report import render_report
@@ -772,23 +721,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     add_url(trace)
     trace.add_argument("claim_id")
     trace.set_defaults(func=_cmd_trace)
-
-    tune = sub.add_parser(
-        "tune",
-        help="measure this host's performance knobs into a machine profile",
-    )
-    tune.add_argument("--quick", action="store_true",
-                      help="small workloads / grids (CI smoke; less accurate)")
-    tune.add_argument("--repeats", type=int, default=None,
-                      help="timing repetitions per point (default 3, 1 with "
-                           "--quick)")
-    tune.add_argument("--out", default=None,
-                      help="profile path (default ~/.zkrownn/profile.json)")
-    tune.add_argument("--dry-run", action="store_true",
-                      help="print the profile JSON instead of writing it")
-    tune.add_argument("--bench-json", default=None,
-                      help="also write a before/after delta JSON here")
-    tune.set_defaults(func=_cmd_tune)
 
     bench_report = sub.add_parser(
         "bench-report",

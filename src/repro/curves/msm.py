@@ -104,16 +104,7 @@ def pippenger_window_size(n: int) -> int:
     were measured on the signed-digit batch-affine pipeline, where cheap
     bucket adds shift the optimum up by roughly one window width compared
     to textbook Jacobian bucketing (see ``benchmarks/bench_msm_kernels.py``).
-
-    When a machine profile is loaded (``zkrownn tune``), its measured
-    per-size window overrides take precedence over these static
-    dev-box breakpoints; the table below is the fallback.
     """
-    from ..tuning.profile import pippenger_window_override
-
-    override = pippenger_window_override(n)
-    if override is not None:
-        return override
     # Best c measured (see bench_msm_kernels): 5 at 32 pairs, 6 at 128,
     # 7 at 512, 9 at 2048, 10 at 8192.
     if n < 8:

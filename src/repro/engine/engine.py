@@ -143,11 +143,9 @@ class ProvingEngine:
 
     ``backend`` chooses where the prover's parallelizable kernels run: by
     default the environment is consulted (``ZKROWNN_BACKEND`` /
-    ``ZKROWNN_WORKERS``), then the tuned machine profile written by
-    ``zkrownn tune`` (:mod:`repro.tuning.profile`), falling back to the
-    serial backend; pass a :class:`~repro.parallel.backend.ComputeBackend`
-    to pin it.  Proofs are byte-identical across backends given equal
-    seeds.
+    ``ZKROWNN_WORKERS``), falling back to the serial backend; pass a
+    :class:`~repro.parallel.backend.ComputeBackend` to pin it.  Proofs are
+    byte-identical across backends given equal seeds.
     """
 
     def __init__(
@@ -412,7 +410,31 @@ class ProvingEngine:
         setup_seed: Optional[int] = None,
     ) -> Proof:
         """Prove a witness against the cached keypair for this circuit."""
-        keypair = self.setup(compiled, seed=setup_seed)
+        keypair = self._keypair_for_proving(compiled, setup_seed)
+        return self._prove_with(compiled, keypair, synthesis, seed=seed)
+
+    def _keypair_for_proving(
+        self, compiled: CompiledCircuit, setup_seed: Optional[int]
+    ) -> Groth16Keypair:
+        """The keypair a proof runs on.  A key already in memory is read
+        without counting a setup hit: ``setup_hits`` counts :meth:`setup`
+        requests the cache answered, and a proof is not one."""
+        with self._lock:
+            keypair = self._keypairs.get(compiled.digest)
+        if keypair is None:
+            keypair = self.setup(compiled, seed=setup_seed)
+        return keypair
+
+    def _prove_with(
+        self,
+        compiled: CompiledCircuit,
+        keypair: Groth16Keypair,
+        synthesis: Union[SynthesisResult, Sequence[int]],
+        *,
+        seed: Optional[int],
+    ) -> Proof:
+        """:meth:`prove` for a caller that already holds the keypair, so
+        the setup cache is consulted (and counted) once per proof."""
         prepared = self._prepared_proving_key(compiled, keypair)
         assignment = (
             synthesis.assignment
@@ -504,7 +526,7 @@ class ProvingEngine:
         """
         if budget_seconds is None:
             budget_seconds = self.prove_budget_seconds
-        keypair = self.setup(compiled, seed=setup_seed)
+        keypair = self._keypair_for_proving(compiled, setup_seed)
         prepared = self._prepared_proving_key(compiled, keypair)
         started = time.monotonic()
 
@@ -642,7 +664,7 @@ class ProvingEngine:
         timings["setup_seconds"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        proof = self.prove(compiled, synthesis, seed=seed)
+        proof = self._prove_with(compiled, keypair, synthesis, seed=seed)
         timings["prove_seconds"] = time.perf_counter() - t0
 
         return ProofJob(

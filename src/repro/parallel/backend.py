@@ -20,9 +20,9 @@ lock, the log stream lock, a buffered stream's lock) into a child that has
 no thread left to release them.  A spawned worker is a fresh interpreter:
 it imports :mod:`repro.parallel.workers`, receives its inputs pickled
 (about 5 MB and 0.1 s for a 4.7k-constraint key) and resolves the field
-backend and machine profile from the environment it inherits -- no lock,
-thread or cache state of the parent crosses.  Entry-point scripts need the
-usual ``if __name__ == "__main__":`` guard, as with any spawned pool.
+backend from the environment it inherits -- no lock, thread or cache
+state of the parent crosses.  Entry-point scripts need the usual
+``if __name__ == "__main__":`` guard, as with any spawned pool.
 
 Streaming: :meth:`ComputeBackend.prove_stream` consumes an *iterator* of
 ``(assignment, seed)`` pairs.  The process backend pulls it only while
@@ -460,12 +460,9 @@ class ProcessBackend(ComputeBackend):
 
 
 def _resolve_workers(workers_count: Optional[int]) -> int:
-    """argument > ``$ZKROWNN_WORKERS`` > profile ``workers`` > usable CPUs."""
-    from ..tuning.profile import profile_workers
-
+    """argument > ``$ZKROWNN_WORKERS`` > usable CPUs."""
     if workers_count is None:
-        env_workers = os.environ.get("ZKROWNN_WORKERS")
-        workers_count = int(env_workers) if env_workers else profile_workers()
+        workers_count = int(os.environ.get("ZKROWNN_WORKERS") or 0)
     return workers_count or usable_cpus()
 
 
@@ -475,38 +472,22 @@ def get_backend(
     *,
     default: str = "serial",
 ) -> ComputeBackend:
-    """Build a backend by name, falling back to environment then profile.
+    """Build a backend by name, falling back to the environment.
 
-    Uniform knob precedence (see :mod:`repro.tuning.profile`): explicit
-    argument > environment variable > tuned machine profile > the
-    caller's default.  ``name`` falls back ``$ZKROWNN_BACKEND`` -> profile
-    ``compute_backend`` -> ``default``; ``workers_count`` falls back
-    ``$ZKROWNN_WORKERS`` -> profile ``workers`` -> :func:`usable_cpus`;
-    the process backend's ``min_msm_chunk`` falls back profile -> 1024.
+    Precedence: explicit argument > environment variable > the caller's
+    default.  ``name`` falls back ``$ZKROWNN_BACKEND`` -> ``default``;
+    ``workers_count`` falls back ``$ZKROWNN_WORKERS`` ->
+    :func:`usable_cpus`.
 
     ``default`` stays ``"serial"`` for library callers: with nothing set,
     proving runs on the calling thread, which is what the e2e harness
     measures (it reads that thread's CPU clock and records this name).
     """
-    from ..tuning.profile import (
-        profile_compute_backend,
-        profile_min_msm_chunk,
-    )
-
-    name = (
-        name
-        or os.environ.get("ZKROWNN_BACKEND")
-        or profile_compute_backend()
-        or default
-    ).lower()
+    name = (name or os.environ.get("ZKROWNN_BACKEND") or default).lower()
     if name == "serial":
         return SerialBackend()
     if name == "process":
-        workers_count = _resolve_workers(workers_count)
-        chunk = profile_min_msm_chunk()
-        if chunk is not None:
-            return ProcessBackend(workers_count, min_msm_chunk=chunk)
-        return ProcessBackend(workers_count)
+        return ProcessBackend(_resolve_workers(workers_count))
     raise ValueError(
         f"unknown backend {name!r}: expected 'serial' or 'process'"
     )
@@ -519,12 +500,12 @@ def machine_backend(
     sized from the machine instead of ``"serial"``.
 
     The worker count is resolved first (argument > ``$ZKROWNN_WORKERS`` >
-    profile > :func:`usable_cpus`).  With two or more, the fallback is a
-    process backend of that size, so same-shape claims prove side by side
-    and the service starts as many dispatch threads
+    :func:`usable_cpus`).  With two or more, the fallback is a process
+    backend of that size, so same-shape claims prove side by side and the
+    service starts as many dispatch threads
     (:attr:`ComputeBackend.workers`); with one it is the serial backend
-    and a single dispatch thread.  An explicit name, ``$ZKROWNN_BACKEND``
-    and the profile still win, as everywhere.
+    and a single dispatch thread.  An explicit name and
+    ``$ZKROWNN_BACKEND`` still win, as everywhere.
     """
     workers_count = _resolve_workers(workers_count)
     return get_backend(

@@ -3,12 +3,12 @@
 Workers are spawned: each is a fresh interpreter that imports this module
 by name and receives everything else pickled, so nothing here may be a
 closure or a lambda, and nothing relies on state the parent built up (the
-field backend and machine profile are resolved again from the inherited
-environment on first use).  Heavy shared state -- the prepared proving key
-and constraint system -- is shipped once per worker through the pool
-initializer and pinned in a *keyed* cache, so a pool that outlives one
-batch (the proof service serving many batches for one circuit digest)
-never re-receives its key material.
+field backend is resolved again from the inherited environment on first
+use).  Heavy shared state -- the prepared proving key and constraint
+system -- is shipped once per worker through the pool initializer and
+pinned in a *keyed* cache, so a pool that outlives one batch (the proof
+service serving many batches for one circuit digest) never re-receives
+its key material.
 """
 
 from __future__ import annotations

@@ -111,10 +111,10 @@ class ProofService:
     The service sizes itself from the machine: its own engine gets
     :func:`~repro.parallel.backend.machine_backend` (a process pool on two
     or more usable CPUs, the serial backend on one; ``ZKROWNN_BACKEND`` /
-    ``ZKROWNN_WORKERS`` and the machine profile still win), and unless
-    ``scheduler_workers`` says otherwise it starts one dispatch thread per
-    backend worker, so same-shape claims that arrive a moment apart prove
-    side by side instead of queueing behind each other.
+    ``ZKROWNN_WORKERS`` still win), and unless ``scheduler_workers`` says
+    otherwise it starts one dispatch thread per backend worker, so
+    same-shape claims that arrive a moment apart prove side by side
+    instead of queueing behind each other.
     """
 
     def __init__(
@@ -123,7 +123,7 @@ class ProofService:
         *,
         engine: Optional[ProvingEngine] = None,
         scheduler: Optional[ProofScheduler] = None,
-        max_batch: Optional[int] = None,
+        max_batch: int = 8,
         scheduler_workers: Optional[int] = None,
         cache_dir: Optional[str] = None,
         max_queue_depth: Optional[int] = None,
@@ -135,12 +135,6 @@ class ProofService:
     ):
         self.registry = registry
         self.faults = faults if faults is not None else _faults.active_plan()
-        if max_batch is None:
-            # Explicit argument > tuned machine profile > static default
-            # (the same precedence every knob follows; see repro.tuning).
-            from ..tuning.profile import profile_max_batch
-
-            max_batch = profile_max_batch() or 8
         if engine is None:
             engine = ProvingEngine(
                 cache_dir=cache_dir or str(registry.root / "engine-cache"),

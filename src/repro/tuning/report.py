@@ -3,12 +3,13 @@
 Every benchmark session writes per-module ``BENCH_<name>.json`` payloads
 (:mod:`benchmarks.conftest`): per-test wall times, richer per-entry
 metrics (proof sizes, constraint counts, kernel ratios) and the backend
-plus machine-profile configuration the numbers were produced under.
-This module consolidates any number of those files into a readable
-report -- and, given a baseline directory (an earlier run, another
-branch's CI artifact), a before/after delta table.
+configuration the numbers were produced under.  This module
+consolidates any number of those files into a readable report -- and,
+given a baseline directory (an earlier run, another branch's CI
+artifact), a before/after delta table.  Keys it does not show (older
+payloads carry a ``machine_profile``) are ignored.
 
-Stdlib-only, like the rest of :mod:`repro.tuning`.
+Stdlib-only.
 """
 
 from __future__ import annotations
@@ -92,7 +93,6 @@ def summarize_report(payload: dict) -> Dict[str, Any]:
     for test, seconds in test_seconds.items():
         if seconds >= slowest[1]:
             slowest = (test, seconds)
-    profile = payload.get("machine_profile") or {}
     metrics: Dict[str, float] = {}
     for entry_name, entry in (payload.get("entries") or {}).items():
         if not isinstance(entry, dict):
@@ -108,8 +108,6 @@ def summarize_report(payload: dict) -> Dict[str, Any]:
         "scale": payload.get("scale"),
         "field_backend": payload.get("field_backend"),
         "backend_env": payload.get("backend_env"),
-        "profile_loaded": bool(profile.get("loaded")),
-        "profile_created_at": profile.get("created_at"),
         "metrics": metrics,
     }
 
@@ -179,7 +177,6 @@ def render_report(
                     f"{s['slowest_seconds']:.2f}",
                     s["slowest_test"][:48],
                     str(s["field_backend"] or "-"),
-                    "yes" if s["profile_loaded"] else "no",
                 ]
             )
         sections.append(
@@ -192,7 +189,6 @@ def render_report(
                     "max_s",
                     "slowest test",
                     "field",
-                    "profile",
                 ],
                 rows,
             )

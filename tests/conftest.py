@@ -23,23 +23,6 @@ settings.register_profile(
 settings.load_profile("repro")
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _isolate_machine_profile():
-    """Keep an ambient ``~/.zkrownn/profile.json`` out of the test run.
-
-    A machine profile written by ``zkrownn tune`` on the dev box would
-    otherwise steer field-backend and window selection mid-suite; tests
-    that exercise profile loading opt back in with monkeypatch.
-    """
-    import os
-
-    os.environ.setdefault("ZKROWNN_PROFILE", "off")
-    from repro.tuning.profile import clear_profile_cache
-
-    clear_profile_cache()
-    yield
-
-
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)

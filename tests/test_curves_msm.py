@@ -114,6 +114,23 @@ class TestWindowHeuristic:
     def test_small_inputs(self):
         assert pippenger_window_size(1) >= 1
 
+    # The measured static table is the only source of window widths: pin
+    # both sides of every breakpoint so a moved edge shows up here.
+    @pytest.mark.parametrize(
+        "n, width",
+        [
+            (0, 3), (7, 3),
+            (8, 5), (63, 5),
+            (64, 6), (255, 6),
+            (256, 7), (1023, 7),
+            (1024, 9), (4095, 9),
+            (4096, 10), (32767, 10),
+            (32768, 12), (10**6, 12),
+        ],
+    )
+    def test_static_table(self, n, width):
+        assert pippenger_window_size(n) == width
+
 
 # -- the one pipeline against the naive reference ------------------------------
 #

@@ -128,6 +128,24 @@ class TestEngineCaching:
         bad_public[0] = (bad_public[0] + 1) % 97
         assert not engine.verify(job2.compiled, bad_public, job2.proof)
 
+    def test_prove_job_consults_the_setup_cache_once(self):
+        engine = ProvingEngine()
+        engine.prove_job("k", _chain_synth(3, 5), seed=2, setup_seed=1)
+        assert engine.stats.setup_misses == 1
+        assert engine.stats.setup_hits == 0
+        engine.prove_job("k", _chain_synth(4, 9), seed=3)
+        assert engine.stats.setup_misses == 1
+        assert engine.stats.setup_hits == 1
+
+    def test_prove_after_setup_counts_no_setup_hit(self):
+        """Setup, then prove: one setup request, so one miss and no hit."""
+        engine = ProvingEngine()
+        compiled, synthesis = engine.synthesize("k", _chain_synth(3, 5))
+        engine.setup(compiled, seed=1)
+        proof = engine.prove(compiled, synthesis, seed=2)
+        assert engine.verify(compiled, synthesis.public_values, proof)
+        assert (engine.stats.setup_misses, engine.stats.setup_hits) == (1, 0)
+
     def test_trace_divergence_falls_back_to_rebuild(self):
         engine = ProvingEngine()
         engine.synthesize("k", _chain_synth(3, 5, length=8))

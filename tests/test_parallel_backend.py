@@ -1,5 +1,6 @@
 """Tests for the compute-backend subsystem and engine batch proving."""
 
+import json
 import multiprocessing
 import os
 import signal
@@ -12,7 +13,7 @@ import pytest
 
 from repro.curves.bn254 import R
 from repro.curves.g1 import G1Point, jac_to_affine_many
-from repro.curves.msm import naive_msm_g1
+from repro.curves.msm import naive_msm_g1, pippenger_window_size
 from repro.engine import ProvingEngine
 from repro.obs import logging as obs_logging
 from repro.obs import metrics as obs_metrics
@@ -74,6 +75,140 @@ class TestBackendSelection:
         monkeypatch.setattr(backend_mod, "usable_cpus", lambda: 5)
         assert ProcessBackend().workers == 5
         assert ProcessBackend(3).workers == 3
+
+    @pytest.mark.parametrize("value, name", [
+        ("SERIAL", "serial"), ("Serial", "serial"),
+        ("PROCESS", "process"), ("Process", "process"),
+    ])
+    def test_env_name_is_case_insensitive(self, monkeypatch, value, name):
+        monkeypatch.setenv("ZKROWNN_BACKEND", value)
+        monkeypatch.setenv("ZKROWNN_WORKERS", "2")
+        backend = get_backend()
+        assert backend.name == name
+        backend.close()
+
+    def test_unknown_env_backend_rejected(self, monkeypatch):
+        monkeypatch.setenv("ZKROWNN_BACKEND", "gpu")
+        with pytest.raises(ValueError, match="gpu"):
+            get_backend()
+
+    def test_explicit_process_wins_over_env_serial(self, monkeypatch):
+        monkeypatch.setenv("ZKROWNN_BACKEND", "serial")
+        backend = get_backend("process", 2)
+        assert isinstance(backend, ProcessBackend) and backend.workers == 2
+        backend.close()
+
+    def test_empty_env_backend_means_the_default(self, monkeypatch):
+        monkeypatch.setenv("ZKROWNN_BACKEND", "")
+        assert get_backend().name == "serial"
+        monkeypatch.setattr(backend_mod, "usable_cpus", lambda: 3)
+        backend = get_backend(default="process")
+        assert backend.name == "process" and backend.workers == 3
+        backend.close()
+
+    def test_explicit_workers_win_over_env(self, monkeypatch):
+        monkeypatch.setenv("ZKROWNN_WORKERS", "5")
+        backend = get_backend("process", 2)
+        assert backend.workers == 2
+        backend.close()
+
+    @pytest.mark.parametrize("value", ["", "0"])
+    def test_unset_or_zero_env_workers_mean_usable_cpus(
+        self, monkeypatch, value
+    ):
+        monkeypatch.setenv("ZKROWNN_WORKERS", value)
+        monkeypatch.setattr(backend_mod, "usable_cpus", lambda: 6)
+        backend = get_backend("process")
+        assert backend.workers == 6
+        backend.close()
+
+    def test_malformed_env_workers_rejected(self, monkeypatch):
+        monkeypatch.setenv("ZKROWNN_WORKERS", "two")
+        with pytest.raises(ValueError):
+            get_backend("process")
+
+    def test_process_backend_chunks_at_the_constructor_default(
+        self, monkeypatch
+    ):
+        """No per-host chunk size exists: ``get_backend`` builds the pool
+        with the constructor's 1024."""
+        monkeypatch.delenv("ZKROWNN_WORKERS", raising=False)
+        backend = get_backend("process", 2)
+        assert backend.min_msm_chunk == 1024
+        backend.close()
+
+
+_STRAY_PROFILE_SCRIPT = """
+import json, tempfile
+from repro.curves.msm import pippenger_window_size
+from repro.parallel import get_backend
+from repro.service import ClaimRegistry, ProofService
+
+service = ProofService(ClaimRegistry(tempfile.mkdtemp()))
+try:
+    print(json.dumps({
+        "window": pippenger_window_size(4096),
+        "backend": get_backend().name,
+        "max_batch": service.scheduler.max_batch,
+    }))
+finally:
+    service.close()
+"""
+
+
+class TestNoMachineProfile:
+    def test_a_stray_profile_file_steers_nothing(self, tmp_path, monkeypatch):
+        """A profile file left by an older version -- at the path its
+        variable named or in the home directory -- is never read: a fresh
+        process sees the static window table, the serial library
+        default and the service's constant batch size."""
+        static_width = pippenger_window_size(4096)
+        stray = json.dumps({
+            "compute_backend": "process", "workers": 2, "max_batch": 3,
+            "pippenger_windows": {"signed": [[0, 13]]},
+        })
+        named = tmp_path / "profile.json"
+        named.write_text(stray)
+        home = tmp_path / "home"
+        (home / ".zkrownn").mkdir(parents=True)
+        (home / ".zkrownn" / "profile.json").write_text(stray)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
+                   HOME=str(home), ZKROWNN_PROFILE=str(named))
+        env.pop("ZKROWNN_BACKEND", None)
+        env.pop("ZKROWNN_WORKERS", None)
+        done = subprocess.run(
+            [sys.executable, "-c", _STRAY_PROFILE_SCRIPT], env=env,
+            timeout=120, stdout=subprocess.PIPE, text=True, check=True,
+        )
+        seen = json.loads(done.stdout.splitlines()[-1])
+        assert seen == {
+            "window": static_width, "backend": "serial", "max_batch": 8,
+        }
+
+    def test_profile_metadata_reports_nothing_loaded(self, tmp_path,
+                                                     monkeypatch):
+        """What benchmark payloads record: never a loaded profile, even
+        with a profile file at the path its variable used to name."""
+        from repro.tuning.profile import active_profile_metadata
+
+        named = tmp_path / "profile.json"
+        named.write_text(json.dumps({"compute_backend": "process"}))
+        monkeypatch.setenv("ZKROWNN_PROFILE", str(named))
+        assert active_profile_metadata() == {"loaded": False}
+
+    def test_profile_metadata_is_a_fresh_dict_per_call(self):
+        from repro.tuning.profile import active_profile_metadata
+
+        first = active_profile_metadata()
+        first["loaded"] = True
+        assert active_profile_metadata() == {"loaded": False}
+
+    def test_the_tuner_is_gone(self):
+        import importlib
+
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.tuning.tuner")
 
 
 class TestMachineBackend:

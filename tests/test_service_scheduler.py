@@ -117,6 +117,13 @@ class TestServiceSizesItselfFromTheMachine:
         )
         assert self._sizes(threads) == ("process", 4, 3)
 
+    def test_batch_size_is_eight_unless_given(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(backend_mod, "usable_cpus", lambda: 1)
+        default = ProofService(ClaimRegistry(tmp_path / "a"))
+        assert default.scheduler.max_batch == 8
+        explicit = ProofService(ClaimRegistry(tmp_path / "b"), max_batch=5)
+        assert explicit.scheduler.max_batch == 5
+
 
 class TestBatching:
     def test_same_shape_jobs_share_one_batch(self, scheduler):
