@@ -12,6 +12,8 @@ Layers (each usable on its own):
 
 * :mod:`repro.service.wire` -- canonical, versioned, length-prefixed
   binary frames for requests, claims, proofs, verifying keys, models;
+* :mod:`repro.service.lifecycle` -- the claim lifecycle as one
+  ``(state, event)`` table that every state change goes through;
 * :mod:`repro.service.registry` -- the durable
   :class:`~repro.service.registry.ClaimRegistry` with audit log;
 * :mod:`repro.service.scheduler` -- the
@@ -34,8 +36,9 @@ from .faults import (
     injected,
     install_plan,
 )
+from .lifecycle import JobState, TransitionRefused
 from .registry import ClaimRecord, ClaimRegistry, RegistryError
-from .scheduler import JobState, ProofScheduler, ProofTask
+from .scheduler import ProofScheduler, ProofTask
 from .server import ProofServer, ProofService, ServiceUnavailable
 from .wire import (
     ClaimRequest,
@@ -75,6 +78,7 @@ __all__ = [
     "ServiceError",
     "ServiceUnavailable",
     "SimulatedCrash",
+    "TransitionRefused",
     "WireFormatError",
     "injected",
     "install_plan",

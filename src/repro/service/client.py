@@ -47,11 +47,9 @@ from ..zkrownn.artifacts import OwnershipClaim
 from ..zkrownn.circuit import CircuitConfig
 from ..zkrownn.verifier import OwnershipVerifier, VerificationReport
 from . import wire
+from .lifecycle import TERMINAL_STATES  # the claim states that end a wait()
 
 __all__ = ["CircuitBreaker", "RetryPolicy", "ServiceClient", "ServiceError"]
-
-# Claim states that end a wait().
-TERMINAL_STATES = ("done", "failed", "revoked", "quarantined")
 
 
 class ServiceError(RuntimeError):

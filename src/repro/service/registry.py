@@ -35,9 +35,13 @@ exactly one replica wins the right to transition a claim to ``proving``.
 Leases expire (a crashed owner's claims become reclaimable) and are
 released on terminal states.
 
-Every mutation appends an audit event; :meth:`ClaimRegistry.audit_entries`
-replays the trail for dispute resolution ("when was this claim proved,
-with which key, and who revoked it?").
+A claim's state changes only through :meth:`ClaimRegistry.transition`,
+which checks the :mod:`~repro.service.lifecycle` table against the record
+on disk under the registry lock: a late event from any replica or thread
+can never move a settled claim.  Every transition appends its audit
+events; :meth:`ClaimRegistry.audit_entries` replays the trail for dispute
+resolution ("when was this claim proved, with which key, and who revoked
+it?").
 
 All writes go through a temp file + ``os.replace`` so a crash mid-write
 leaves either the old record or the new one, never a torn file.  Public
@@ -65,12 +69,26 @@ from typing import Dict, Iterator, List, Optional, Union
 
 from ..obs import get_logger
 from . import faults as _faults
+from . import lifecycle
 
 __all__ = ["ClaimRecord", "ClaimRegistry", "RegistryError"]
 
 logger = get_logger("registry")
 
 _SAFE_NAME_RE = re.compile(r"[^A-Za-z0-9_.-]")
+
+# What each audit event records beside the claim id, read off the record
+# its transition just wrote (the audit log's schema).
+_AUDIT_FIELDS = {
+    "registered": lambda r: {"model_digest": r.model_digest},
+    "state": lambda r: {"state": r.state, "error": r.error},
+    "revoked": lambda r: {"reason": r.revoked_reason},
+    "quarantined": lambda r: {"attempts": r.attempts, "error": r.error},
+    "proved": lambda r: {"circuit_digest": r.circuit_digest,
+                         "batch_size": int(r.timings.get("batch_size", 1))},
+    "rescued": lambda r: {},
+    "recovered": lambda r: {},
+}
 
 # How long a proving lease lasts before other replicas may reclaim the
 # claim.  Generous: a lease only needs to outlive one proving batch.
@@ -93,7 +111,7 @@ class ClaimRecord:
 
     claim_id: str
     model_digest: str
-    state: str = "queued"  # JobState values, plus "revoked"
+    state: str = lifecycle.JobState.QUEUED
     priority: int = 0
     shape_key: str = ""
     circuit_digest: str = ""
@@ -255,24 +273,24 @@ class ClaimRegistry:
         with self._lock:
             existing = self._records.get(record.claim_id)
             if existing is None:
-                path = self._claims_dir / f"{record.claim_id}.json"
                 try:
-                    existing = ClaimRecord.from_json(path.read_text())
-                    self._records[record.claim_id] = existing
-                except FileNotFoundError:
-                    existing = None
-                except (ValueError, TypeError, KeyError) as exc:
-                    logger.warning(
-                        "registry.unreadable_record_on_register",
-                        claim_id=record.claim_id, error=str(exc),
-                    )
-                    existing = None
+                    existing = self.reload(record.claim_id)
+                except RegistryError as exc:  # absent, or torn (logged)
+                    if (self._claims_dir / f"{record.claim_id}.json").exists():
+                        logger.warning(
+                            "registry.unreadable_record_on_register",
+                            claim_id=record.claim_id, error=str(exc),
+                        )
             if existing is not None:
                 return existing.snapshot()
+            step = lifecycle.transition(None, lifecycle.SUBMIT)
+            if record.state != step.state:
+                raise ValueError(
+                    f"a claim registers {step.state}, not {record.state!r}: "
+                    "every later state comes from transition()"
+                )
             record.created_at = time.time()
-            self._write(record)
-            self.audit("registered", claim_id=record.claim_id,
-                       model_digest=record.model_digest)
+            self._commit(record, step)
             return record.snapshot()
 
     def get(self, claim_id: str) -> ClaimRecord:
@@ -283,33 +301,78 @@ class ClaimRegistry:
         with self._lock:
             return claim_id in self._records
 
+    @staticmethod
+    def _set_fields(record: ClaimRecord, fields: dict) -> None:
+        if "state" in fields:
+            raise TypeError("a claim's state changes only through transition()")
+        for name, value in fields.items():
+            if not hasattr(record, name):
+                raise AttributeError(f"ClaimRecord has no field {name!r}")
+            setattr(record, name, value)
+
     def update(self, claim_id: str, **fields) -> ClaimRecord:
-        """Mutate record fields (state transitions, timings, errors)."""
+        """Mutate record fields other than the state (trace id, owner...)."""
         with self._lock:
             record = self._get_live(claim_id)
-            for name, value in fields.items():
-                if not hasattr(record, name):
-                    raise AttributeError(f"ClaimRecord has no field {name!r}")
-                setattr(record, name, value)
+            self._set_fields(record, fields)
             self._write(record)
-            if "state" in fields:
-                self.audit("state", claim_id=claim_id, state=record.state,
-                           error=record.error)
             return record.snapshot()
+
+    def transition(self, claim_id: str, event: str, *,
+                   claim_frame: Optional[bytes] = None,
+                   **fields) -> lifecycle.Transition:
+        """Apply one lifecycle event to the durable record; returns its row.
+
+        Under the lock the record is re-read from disk (another replica
+        may have moved it) and the table consulted: a pair it does not
+        hold raises :class:`~repro.service.lifecycle.TransitionRefused`
+        with the durable state, and nothing is written.  Otherwise the
+        proved claim (``claim_frame``, for ``prove``), the record and the
+        row's audit events are written, and the persisted request frame
+        discarded if the row says so.  The lease is the caller's to
+        release: it alone knows when it stops proving.
+        """
+        with self._lock:
+            durable = self._records[claim_id] = self._read_record(claim_id)
+            step = lifecycle.transition(durable.state, event)
+            record = durable.snapshot()  # cached only once written
+            self._set_fields(record, fields)
+            if claim_frame is not None:
+                self.store_claim_bytes(claim_id, claim_frame)
+            self._commit(record, step, proved=claim_frame is not None)
+            if step.discard:
+                self.discard_request_bytes(claim_id)
+            return step
+
+    def _commit(self, record: ClaimRecord, step: lifecycle.Transition, *,
+                proved: bool = False) -> None:
+        """Write ``record`` in the row's state, then the row's audit events."""
+        record.state = step.state
+        self._write(record)
+        for event in step.audit:
+            # A proof with no claim to store (a generic circuit driven
+            # straight through the scheduler) is not a proved claim.
+            if event != "proved" or proved:
+                self.audit(event, claim_id=record.claim_id,
+                           **_AUDIT_FIELDS[event](record))
+
+    def _read_record(self, claim_id: str) -> ClaimRecord:
+        """The record as it is on disk now."""
+        try:
+            return ClaimRecord.from_json(
+                (self._claims_dir / f"{claim_id}.json").read_text()
+            )
+        except FileNotFoundError:
+            raise RegistryError(f"unknown claim {claim_id!r}") from None
+        except (ValueError, TypeError, KeyError) as exc:
+            raise RegistryError(
+                f"unreadable record for claim {claim_id!r}: {exc}"
+            ) from exc
 
     def reload(self, claim_id: str) -> ClaimRecord:
         """Re-read one record from disk (another replica may have moved it)."""
-        path = self._claims_dir / f"{claim_id}.json"
         with self._lock:
-            try:
-                record = ClaimRecord.from_json(path.read_text())
-            except FileNotFoundError:
-                raise RegistryError(f"unknown claim {claim_id!r}") from None
-            except (ValueError, TypeError, KeyError) as exc:
-                raise RegistryError(
-                    f"unreadable record for claim {claim_id!r}: {exc}"
-                ) from exc
-            self._records[claim_id] = record
+            record = self._records[claim_id] = self._read_record(claim_id)
             return record.snapshot()
 
     def list(
@@ -331,15 +394,11 @@ class ClaimRegistry:
         return records
 
     def revoke(self, claim_id: str, reason: str = "") -> ClaimRecord:
-        """Mark a claim revoked (e.g. lost a dispute); bytes are retained
-        so the audit trail stays replayable."""
+        """The ``revoke`` event (a lost dispute); bytes are retained so
+        the audit trail stays replayable."""
         with self._lock:
-            record = self._get_live(claim_id)
-            record.state = "revoked"
-            record.revoked_reason = reason
-            self._write(record)
-            self.audit("revoked", claim_id=claim_id, reason=reason)
-            return record.snapshot()
+            self.transition(claim_id, lifecycle.REVOKE, revoked_reason=reason)
+            return self.get(claim_id)
 
     # ----------------------------------------------------- ownership leases --
 
@@ -390,7 +449,6 @@ class ClaimRegistry:
                             continue  # owner vanished mid-check; retry
                         if lease.get("owner") == self.owner_token:
                             _atomic_write(path, payload, mode=0o600)  # refresh
-                            self._note_owner(claim_id)
                             return True
                         if lease.get("expires_at", 0.0) > time.time():
                             return False  # live lease held elsewhere
@@ -402,7 +460,6 @@ class ClaimRegistry:
                         except FileNotFoundError:
                             pass
                     else:
-                        self._note_owner(claim_id)
                         return True
                 return False
             finally:
@@ -410,13 +467,6 @@ class ClaimRegistry:
                     os.remove(tmp)
                 except FileNotFoundError:
                     pass
-
-    def _note_owner(self, claim_id: str) -> None:
-        """Record the lease holder on the claim record (best-effort)."""
-        record = self._records.get(claim_id)
-        if record is not None and record.owner_token != self.owner_token:
-            record.owner_token = self.owner_token
-            self._write(record)
 
     def release(self, claim_id: str) -> None:
         """Drop this replica's lease on a claim (no-op if not held)."""

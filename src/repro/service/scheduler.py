@@ -15,34 +15,32 @@ the generator handed to :meth:`~repro.engine.engine.ProvingEngine.prove_stream`
 replays each job's trace only when the backend pulls it, so synthesis of
 claim *i+1* overlaps the proving of claim *i*.
 
-Job lifecycle: ``queued -> proving -> done | failed`` (plus ``revoked``
-applied later by the registry, and ``yielded`` when another replica's
-registry lease wins the claim).  Every transition is mirrored to the
-:class:`~repro.service.registry.ClaimRegistry`, which is the durable
-record; the scheduler's own queue is in-memory and rebuilt empty on
-restart -- :meth:`~repro.service.server.ProofService.start` re-enqueues
-still-``queued`` registry records from their persisted request frames,
-so a killed server resumes proving without resubmission.
+Job lifecycle: every state change is a row of the table in
+:mod:`~repro.service.lifecycle`.  For a registered claim the registry
+applies the row to the durable record and the scheduler's in-memory state
+follows; when the registry refuses -- the claim was revoked, quarantined
+by the watchdog, or settled by another replica meanwhile -- the scheduler
+adopts the durable state instead of overwriting it.  Before a task is
+``proving`` the scheduler must win the claim's registry lease (an
+``O_EXCL`` compare-and-set) and the table must accept ``dispatch`` on the
+durable record; a task that loses either is *yielded* (local state
+only: the owner's transitions are the durable record).  The queue itself
+is in-memory: :meth:`~repro.service.server.ProofService.start` re-enqueues
+pending records from their persisted request frames after a restart.
 
-Before a dispatched task transitions to ``proving``, the scheduler must
-win the claim's registry lease (:meth:`ClaimRegistry.acquire`, an
-``O_EXCL`` compare-and-set).  Tasks whose lease is held by another
-replica are *yielded*: dropped from this scheduler with local state
-``yielded``, never mirrored -- the owning replica's transitions are the
-durable record.  Leases are released (and the persisted request frame
-discarded) when a task reaches ``done`` or ``failed``.
-
-While a batch proves, a *renewal heartbeat* thread re-acquires the lease
-of every task still in ``proving`` at a configurable interval (default:
-a third of the lease length), so even a **single proof** longer than the
+While batches prove, one *monitor* thread re-acquires the lease of every
+in-flight task still ``proving`` at a configurable interval (default: a
+third of the lease length), so even a **single proof** longer than the
 lease -- where the per-task refresh at batch boundaries never runs --
-cannot expire mid-prove and invite a takeover by another replica.
+cannot expire mid-prove and invite a takeover by another replica; with a
+prove budget it also quarantines batches wedged past twice the budget.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -54,30 +52,12 @@ from ..snark.errors import ConstraintViolation
 from ..zkrownn.artifacts import OwnershipClaim, model_digest
 from ..zkrownn.circuit import CircuitConfig
 from . import faults as _faults
-from . import wire
+from . import lifecycle, wire
 from .faults import SimulatedCrash
+from .lifecycle import JobState, TransitionRefused
 from .registry import DEFAULT_LEASE_SECONDS, ClaimRegistry
 
 __all__ = ["JobState", "ProofScheduler", "ProofTask", "SchedulerStats"]
-
-
-class JobState:
-    """String states a claim job moves through (stored in the registry)."""
-
-    QUEUED = "queued"
-    PROVING = "proving"
-    DONE = "done"
-    FAILED = "failed"
-    REVOKED = "revoked"
-    # Poison claim: failed ``max_attempts`` dispatches (or was killed by
-    # the watchdog); parked with its error chain in the registry instead
-    # of crash-looping a worker.  Resubmitting the claim requeues it.
-    QUARANTINED = "quarantined"
-    # Local-only: another replica holds the claim's proving lease; poll
-    # the registry (or the HTTP status endpoint) for the real outcome.
-    YIELDED = "yielded"
-
-    TERMINAL = (DONE, FAILED, REVOKED, QUARANTINED, YIELDED)
 
 
 @dataclass
@@ -170,12 +150,9 @@ class ProofScheduler:
         self.registry = registry
         self.max_batch = max_batch
         self.workers = workers
-        # Retryable batch failures requeue a task up to max_attempts
-        # dispatches, then quarantine it (poison-claim protection).
         self.max_attempts = max_attempts
-        # Wall-clock budget for one proving batch: enforced cooperatively
-        # by the engine between stream pulls, and by the watchdog thread
-        # (at 2x the budget) for proves wedged inside a single proof.
+        # Wall-clock budget for one proving batch: the engine checks it
+        # between stream pulls, the monitor (at 2x) inside one proof.
         self.prove_budget_seconds = prove_budget_seconds
         self.faults = faults if faults is not None else _faults.active_plan()
         # Proving-lease length for this scheduler's acquisitions (None =
@@ -184,7 +161,7 @@ class ProofScheduler:
         self.lease_seconds = lease_seconds
         # Lease-renewal cadence while proving: a third of the lease keeps
         # two renewal opportunities ahead of every expiry.  <= 0 disables
-        # the heartbeat (tests of the takeover path rely on that).
+        # the renewals (tests of the takeover path rely on that).
         self.heartbeat_seconds = (
             (lease_seconds or DEFAULT_LEASE_SECONDS) / 3.0
             if heartbeat_seconds is None
@@ -196,35 +173,38 @@ class ProofScheduler:
         # same traces/<claim_id>.jsonl).
         self.tracer = Tracer(sink=registry.store_trace_span)
         metrics = get_metrics()
-        self._m_claims = metrics.counter(
-            "zkrownn_claims_total",
-            "claims reaching a terminal state, by state",
-        )
         self._m_queue_depth = metrics.gauge(
             "zkrownn_queue_depth", "jobs waiting for a proving worker",
-        )
-        self._m_retries = metrics.counter(
-            "zkrownn_retries_total", "tasks requeued after retryable failures",
-        )
-        self._m_quarantines = metrics.counter(
-            "zkrownn_quarantines_total", "tasks parked as poison claims",
-        )
-        self._m_lease_renewals = metrics.counter(
-            "zkrownn_lease_renewals_total",
-            "heartbeat lease re-acquisitions during long proves",
-        )
-        self._m_watchdog_kills = metrics.counter(
-            "zkrownn_watchdog_kills_total",
-            "tasks quarantined by the hung-prove watchdog",
-        )
-        self._m_deadline_shed = metrics.counter(
-            "zkrownn_deadline_shed_total",
-            "tasks dropped at dispatch past their deadline",
         )
         self._m_batch_size = metrics.histogram(
             "zkrownn_batch_size", "same-shape jobs proved per dispatch",
             buckets=(1, 2, 4, 8, 16, 32, 64),
         )
+        # The zkrownn_* series each SchedulerStats counter is mirrored to;
+        # _count() is the one place either moves.  Claims reaching a
+        # state are counted under that state's label.
+        claims = metrics.counter(
+            "zkrownn_claims_total", "claims reaching a terminal state, by state",
+        )
+        self._series = {
+            name: [(claims, {"state": name})]
+            for name in ("done", "failed", "yielded", "quarantined")
+        }
+        for name, metric, help_text in (
+            ("quarantined", "zkrownn_quarantines_total",
+             "tasks parked as poison claims"),
+            ("retried", "zkrownn_retries_total",
+             "tasks requeued after retryable failures"),
+            ("lease_renewals", "zkrownn_lease_renewals_total",
+             "heartbeat lease re-acquisitions during long proves"),
+            ("watchdog_kills", "zkrownn_watchdog_kills_total",
+             "tasks quarantined by the hung-prove watchdog"),
+            ("deadline_shed", "zkrownn_deadline_shed_total",
+             "tasks dropped at dispatch past their deadline"),
+        ):
+            self._series.setdefault(name, []).append(
+                (metrics.counter(metric, help_text), {})
+            )
         self.processed_order: List[str] = []  # claim ids in dispatch order
         self._queue: List[ProofTask] = []
         self._states: Dict[str, str] = {}
@@ -234,11 +214,10 @@ class ProofScheduler:
         self._running = False
         self._stopped = False  # stop() was called at least once
         self._sequence = 0
-        self._inflight: Dict[int, dict] = {}  # live batches (watchdog)
+        self._inflight: Dict[int, dict] = {}  # live batches, by id()
         self._inflight_lock = threading.Lock()
-        self._batch_counter = 0
-        self._watchdog_stop = threading.Event()
-        self._watchdog_thread: Optional[threading.Thread] = None
+        self._monitor_stop = threading.Event()
+        self._monitor_thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------ lifecycle --
 
@@ -255,14 +234,17 @@ class ProofScheduler:
             ]
         for thread in self._threads:
             thread.start()
-        if self.prove_budget_seconds is not None and (
-            self._watchdog_thread is None or not self._watchdog_thread.is_alive()
+        monitored = self.prove_budget_seconds is not None or (
+            self.heartbeat_seconds is not None and self.heartbeat_seconds > 0
+        )
+        if monitored and (
+            self._monitor_thread is None or not self._monitor_thread.is_alive()
         ):
-            self._watchdog_stop.clear()
-            self._watchdog_thread = threading.Thread(
-                target=self._watchdog, name="proof-watchdog", daemon=True
+            self._monitor_stop.clear()
+            self._monitor_thread = threading.Thread(
+                target=self._monitor, name="proof-monitor", daemon=True
             )
-            self._watchdog_thread.start()
+            self._monitor_thread.start()
         return self
 
     def stop(self, *, timeout: float = 10.0) -> None:
@@ -277,13 +259,13 @@ class ProofScheduler:
             self._running = False
             self._stopped = True
             self._cv.notify_all()
-        self._watchdog_stop.set()
+        self._monitor_stop.set()
         for thread in self._threads:
             thread.join(timeout=timeout)
         self._threads = []
-        if self._watchdog_thread is not None:
-            self._watchdog_thread.join(timeout=timeout)
-            self._watchdog_thread = None
+        if self._monitor_thread is not None:
+            self._monitor_thread.join(timeout=timeout)
+            self._monitor_thread = None
 
     @property
     def stopping(self) -> bool:
@@ -300,21 +282,24 @@ class ProofScheduler:
     # --------------------------------------------------------------- submit --
 
     def submit(self, task: ProofTask) -> str:
-        """Enqueue a job; returns its claim id immediately."""
+        """Enqueue a job; returns its claim id immediately.
+
+        Idempotent: the table takes a claim into the queue only when this
+        scheduler has never seen it (``submit``) or holds it failed,
+        quarantined or yielded (``requeue``).
+        """
+        claim_id = task.claim_id
         with self._cv:
-            if task.claim_id in self._states and self._states[
-                task.claim_id
-            ] not in (JobState.FAILED, JobState.QUARANTINED):
-                return task.claim_id  # idempotent resubmission
+            prior = self._states.get(claim_id)
+            event = lifecycle.SUBMIT if prior is None else lifecycle.REQUEUE
+            if self._advance(claim_id, event) is None:
+                return claim_id  # already queued, proving or settled here
             self._sequence += 1
             task.sequence = self._sequence
             self._queue.append(task)
-            self._states[task.claim_id] = JobState.QUEUED
-            self._errors.pop(task.claim_id, None)
-            self.stats.submitted += 1
+            self._errors.pop(claim_id, None)
             self._m_queue_depth.set(len(self._queue))
-            self._cv.notify_all()
-        return task.claim_id
+        return claim_id
 
     def state(self, claim_id: str) -> Optional[str]:
         with self._cv:
@@ -353,6 +338,88 @@ class ProofScheduler:
         with self._cv:
             return self.stats.as_dict()
 
+    # ---------------------------------------------------------- transitions --
+
+    def _count(self, name: str) -> None:
+        """Bump one scheduler counter and the series that mirror it."""
+        with self._cv:
+            setattr(self.stats, name, getattr(self.stats, name) + 1)
+        for metric, labels in self._series.get(name, ()):
+            metric.inc(**labels)
+
+    def _advance(
+        self, claim_id: str, event: str, *, error: str = "",
+        decided: Optional[lifecycle.Transition] = None, counter: str = "",
+    ) -> Optional[lifecycle.Transition]:
+        """Move the local state by one event (None: the table refuses).
+
+        ``decided`` is the registry's row, when a durable record was asked.
+        Counters (the row's, and ``counter`` for the event's cause) move
+        with the state, so a waiter it wakes already sees them counted.
+        """
+        with self._cv:
+            step = decided
+            if step is None:
+                try:
+                    step = lifecycle.transition(self._states.get(claim_id), event)
+                except TransitionRefused:
+                    return None
+            self._states[claim_id] = step.state
+            if error:
+                self._errors[claim_id] = error
+            for name in (step.counter, counter):
+                if name:
+                    self._count(name)
+            self._cv.notify_all()
+        return step
+
+    def _step(self, task: ProofTask, event: str, *, error: str = "",
+              counter: str = "", **fields) -> bool:
+        """Take one lifecycle event for a dispatched task; False if refused.
+
+        The durable record decides.  A refusal means someone else (a
+        revoke, the watchdog, another replica) settled the claim first:
+        the local state adopts the durable one and this thread lets go of
+        its lease.  With no record to ask (a generic circuit, or a
+        registry that keeps failing to write) the table decides locally.
+        The lease goes last: renewals gate on the local state.
+        """
+        claim_id = task.claim_id
+        decided = None
+        # Transient write failures are retried briefly: losing a ``done``
+        # to one flaky write would leave a proved claim ``proving``
+        # forever.  (A SimulatedCrash is not an OSError: it propagates.)
+        for delay in (0.0, 0.05, 0.2):
+            if delay:
+                time.sleep(delay)
+            try:
+                decided = self.registry.transition(
+                    claim_id, event, error=error, **fields
+                )
+                break
+            except TransitionRefused as exc:
+                adopted = lifecycle.Transition(lifecycle.adopted(exc.state))
+                self._advance(claim_id, event, decided=adopted)
+                self.registry.release(claim_id)
+                return False
+            except KeyError:
+                break  # no durable record
+            except OSError:
+                continue
+        step = self._advance(
+            claim_id, event, error=error, decided=decided, counter=counter
+        )
+        if step is None:
+            return False
+        if step.release:
+            self.registry.release(claim_id)
+        return True
+
+    def _proving(self, claim_id: str) -> bool:
+        """True while a proof could still land on the claim here."""
+        with self._cv:
+            return lifecycle.allows(self._states.get(claim_id), lifecycle.PROVE)
+
     # --------------------------------------------------------------- worker --
 
     def _take_batch(self) -> List[ProofTask]:
@@ -374,26 +441,28 @@ class ProofScheduler:
         return batch
 
     def _own_task(self, task: ProofTask) -> bool:
-        """Win the registry lease for a registered claim (CAS).
+        """Win the registry lease (CAS), then ``dispatch`` the record.
 
-        Tasks with no registry record (generic circuits driven straight
-        through the scheduler) have nothing to contend for.  Acquiring is
-        not enough on its own: another replica may have proved the claim
-        and *released* its lease already, so after winning we re-read the
-        durable record -- a claim already in a terminal state is yielded,
-        never proved twice.
+        The lease alone is not enough: another replica may have proved the
+        claim and *released* its lease already, so the table must accept
+        ``dispatch`` on the durable record too -- a settled claim is
+        yielded, never proved twice.  Generic circuits with no record have
+        nothing to contend for.
         """
         if task.claim_id not in self.registry:
             return True
         if not self._acquire(task.claim_id):
             return False
         try:
-            state = self.registry.reload(task.claim_id).state
-        except KeyError:
-            state = None
-        if state in (JobState.DONE, JobState.FAILED, JobState.REVOKED):
+            self.registry.transition(
+                task.claim_id, lifecycle.DISPATCH, error="",
+                owner_token=self.registry.owner_token,
+            )
+        except TransitionRefused:
             self.registry.release(task.claim_id)
             return False
+        except KeyError:
+            pass  # the record went unreadable: prove, decided locally
         return True
 
     def _worker(self) -> None:
@@ -404,35 +473,18 @@ class ProofScheduler:
                 if not self._running:
                     return
                 batch = self._take_batch()
-            # Deadline shed: work the client has already given up on is
-            # failed here instead of burning a proving slot on it.
-            live: List[ProofTask] = []
-            for task in batch:
-                if (
-                    task.deadline is not None
-                    and time.monotonic() > task.deadline
-                ):
-                    with self._cv:
-                        self.stats.deadline_shed += 1
-                    self._m_deadline_shed.inc()
-                    self._finish(
-                        task, JobState.FAILED,
-                        error="deadline exceeded before dispatch",
-                    )
-                else:
-                    live.append(task)
-            batch = live
-            if not batch:
-                continue
-            # Lease acquisition does file I/O: outside the queue lock.
-            # A transient I/O failure there is retryable for that one
-            # task -- it must neither kill the worker nor strand the
-            # task as yielded.  (SimulatedCrash is a RuntimeError, not
-            # an OSError: crashes still propagate.)
+            # Lease acquisition does file I/O, outside the queue lock; a
+            # transient I/O failure there is a retryable attempt of that
+            # one task.  (A SimulatedCrash is not an OSError: it propagates.)
             owned: List[ProofTask] = []
-            yielded: List[ProofTask] = []
-            deferred: List[tuple] = []
             for task in batch:
+                if task.deadline is not None and time.monotonic() > task.deadline:
+                    # Work the client has already given up on is failed
+                    # here instead of burning a proving slot on it.
+                    self._step(task, lifecycle.FAIL,
+                               error="deadline exceeded before dispatch",
+                               counter="deadline_shed")
+                    continue
                 # The queue-wait span covers submission (its backdated
                 # start) through this dispatch pass picking the task up.
                 self.tracer.finish(self.tracer.span(
@@ -450,38 +502,28 @@ class ProofScheduler:
                     self.tracer.finish(
                         lease_span, outcome="error", error=str(exc)
                     )
-                    deferred.append((task, exc))
+                    self._failed_attempt(
+                        task, f"lease acquisition failed: {exc}", retry=True
+                    )
                     continue
                 self.tracer.finish(
                     lease_span, outcome="owned" if mine else "yielded"
                 )
-                (owned if mine else yielded).append(task)
-            for task, exc in deferred:
-                self._retry_or_quarantine(
-                    [task], f"lease acquisition failed: {exc}"
-                )
-            with self._cv:
-                for task in yielded:
-                    self._states[task.claim_id] = JobState.YIELDED
-                    self.stats.yielded += 1
-                for task in owned:
-                    self._states[task.claim_id] = JobState.PROVING
-                    self.processed_order.append(task.claim_id)
-                if owned:
-                    self.stats.batches += 1
-                    self.stats.batched_jobs += len(owned)
-                    self.stats.largest_batch = max(
-                        self.stats.largest_batch, len(owned)
-                    )
-                self._cv.notify_all()
-            for task in yielded:
-                self._m_claims.inc(state=JobState.YIELDED)
-            if owned:
-                self._m_batch_size.observe(len(owned))
+                if mine:
+                    owned.append(task)
+                    self._advance(task.claim_id, lifecycle.DISPATCH)
+                else:
+                    self._advance(task.claim_id, lifecycle.YIELD)
             if not owned:
                 continue
-            for task in owned:
-                self._mirror(task.claim_id, JobState.PROVING)
+            with self._cv:
+                self.processed_order.extend(t.claim_id for t in owned)
+                self.stats.batches += 1
+                self.stats.batched_jobs += len(owned)
+                self.stats.largest_batch = max(
+                    self.stats.largest_batch, len(owned)
+                )
+            self._m_batch_size.observe(len(owned))
             try:
                 self._prove_batch(owned)
             except SimulatedCrash:
@@ -492,207 +534,50 @@ class ProofScheduler:
             except ProveBudgetExceeded as exc:
                 # A budget-blown prove would very likely blow it again:
                 # straight to quarantine, no retry.
-                self._quarantine_tasks(owned, f"prove budget exceeded: {exc}")
+                for task in owned:
+                    self._failed_attempt(
+                        task, f"prove budget exceeded: {exc}", retry=False
+                    )
             except Exception as exc:  # noqa: BLE001 - a batch must never kill the worker
-                self._retry_or_quarantine(
-                    owned, f"batch proving failed: {exc}"
-                )
-
-    def _mirror(self, claim_id: str, state: str, *, error: str = "",
-                **fields) -> None:
-        """Best-effort registry update (the registry may lag, never block).
-
-        Transient I/O failures are retried briefly: losing a ``done``
-        mirror to one flaky write would leave a proved claim looking
-        ``proving`` forever.  (A :class:`SimulatedCrash` is not an
-        ``OSError`` and still propagates -- crashes are not retryable.)
-        """
-        for delay in (0.0, 0.05, 0.2):
-            if delay:
-                time.sleep(delay)
-            try:
-                self.registry.update(
-                    claim_id, state=state, error=error, **fields
-                )
-                return
-            except KeyError:
-                return  # direct scheduler use without registered records
-            except OSError:
-                continue
-
-    def _finish(self, task: ProofTask, state: str, *, error: str = "",
-                **fields) -> None:
-        with self._cv:
-            if self._states.get(task.claim_id) in JobState.TERMINAL:
-                # Already resolved -- e.g. the watchdog quarantined this
-                # task while a wedged prove thread limped to completion.
-                # A terminal state is never downgraded.
-                return
-        self._mirror(task.claim_id, state, error=error, **fields)
-        # Local terminal state FIRST, lease release after: the renewal
-        # heartbeat gates on the local state, so this order (plus its own
-        # post-acquire re-check) keeps it from re-creating a lease for a
-        # claim that has already been released.
-        with self._cv:
-            self._states[task.claim_id] = state
-            if error:
-                self._errors[task.claim_id] = error
-            if state == JobState.DONE:
-                self.stats.done += 1
-            else:
-                self.stats.failed += 1
-            self._cv.notify_all()
-        self._m_claims.inc(state=state)
-        if state in (JobState.DONE, JobState.FAILED):
-            # Terminal: the persisted request frame (prover secrets) has
-            # served its recovery purpose, and the proving lease is free.
-            self.registry.discard_request_bytes(task.claim_id)
-            self.registry.release(task.claim_id)
-
-    def _fail_tasks(self, tasks: List[ProofTask], error: str) -> None:
-        for task in tasks:
-            with self._cv:
-                already = self._states.get(task.claim_id)
-            if already not in JobState.TERMINAL:
-                self._finish(task, JobState.FAILED, error=error)
+                for task in owned:
+                    self._failed_attempt(
+                        task, f"batch proving failed: {exc}", retry=True
+                    )
 
     # --------------------------------------------------- retry + quarantine --
 
-    def _append_error_chain(self, claim_id: str, entry: str) -> List[str]:
-        """The claim's durable error chain with ``entry`` appended."""
+    def _failed_attempt(self, task: ProofTask, error: str, *, retry: bool,
+                        note: str = "", counter: str = "") -> bool:
+        """One failed dispatch of ``task``: ``retry`` it (requeued) or, past
+        ``max_attempts`` or with ``retry`` off, ``quarantine`` it as a
+        poison claim with its error chain.  False when the table refuses
+        (synthesis already failed it, a revoke landed, another replica
+        settled it)."""
+        attempts = task.attempts + 1
+        event = lifecycle.QUARANTINE
+        if retry and attempts < self.max_attempts:
+            event = lifecycle.RETRY
         try:
-            chain = list(self.registry.get(claim_id).error_chain)
+            chain = list(self.registry.get(task.claim_id).error_chain)
         except (KeyError, OSError):
             chain = []
-        chain.append(entry)
-        return chain
-
-    def _retry_or_quarantine(self, tasks: List[ProofTask], error: str) -> None:
-        """Requeue tasks after a retryable batch failure, or quarantine.
-
-        Each task's attempt counter survives requeues; a task that has
-        burned ``max_attempts`` dispatches is a poison claim -- parked as
-        ``quarantined`` with its full error chain in the registry instead
-        of crash-looping the worker forever.
-        """
-        for task in tasks:
-            with self._cv:
-                already = self._states.get(task.claim_id)
-            if already in JobState.TERMINAL:
-                continue  # e.g. synthesis already failed it individually
-            task.attempts += 1
-            entry = f"attempt {task.attempts}: {error}"
-            if task.attempts >= self.max_attempts:
-                self._quarantine(task, error, entry=entry)
-                continue
-            self.tracer.finish(self.tracer.span(
-                task.trace_id, "retry", claim_id=task.claim_id,
-                parent_id=task.parent_span_id,
-                attempt=task.attempts, error=error,
-            ))
-            self._m_retries.inc()
-            self._mirror(
-                task.claim_id, JobState.QUEUED, error=error,
-                attempts=task.attempts,
-                error_chain=self._append_error_chain(task.claim_id, entry),
-            )
-            self.registry.release(task.claim_id)
+        chain.append(f"attempt {attempts}: {note or error}")
+        if not self._step(task, event, error=error, counter=counter,
+                          attempts=attempts, error_chain=chain):
+            return False
+        task.attempts = attempts
+        self.tracer.finish(self.tracer.span(
+            task.trace_id, event, claim_id=task.claim_id,
+            parent_id=task.parent_span_id, attempt=attempts, error=error,
+        ))
+        if event == lifecycle.RETRY:
             with self._cv:
                 self._sequence += 1
                 task.sequence = self._sequence
                 self._queue.append(task)
-                self._states[task.claim_id] = JobState.QUEUED
-                self.stats.retried += 1
                 self._m_queue_depth.set(len(self._queue))
                 self._cv.notify_all()
-
-    def _quarantine_tasks(self, tasks: List[ProofTask], error: str) -> None:
-        for task in tasks:
-            with self._cv:
-                already = self._states.get(task.claim_id)
-            if already not in JobState.TERMINAL:
-                task.attempts += 1
-                self._quarantine(
-                    task, error,
-                    entry=f"attempt {task.attempts}: {error}",
-                )
-
-    def _quarantine(
-        self, task: ProofTask, error: str, *, entry: str,
-        release: bool = True,
-    ) -> None:
-        """Park a poison claim: terminal locally, ``quarantined`` durably.
-
-        The persisted request frame is deliberately KEPT (unlike
-        done/failed) so an operator can requeue the claim by resubmitting
-        it -- or a restarted replica can inspect it.  ``release=False``
-        (the watchdog path) leaves the proving lease to expire naturally:
-        a wedged prove thread may still be running, and freeing the lease
-        would invite another replica to double-prove against it.
-        """
-        self.tracer.finish(self.tracer.span(
-            task.trace_id, "quarantine", claim_id=task.claim_id,
-            parent_id=task.parent_span_id,
-            attempt=task.attempts, error=error,
-        ))
-        self._m_quarantines.inc()
-        self._m_claims.inc(state=JobState.QUARANTINED)
-        self._mirror(
-            task.claim_id, JobState.QUARANTINED, error=error,
-            attempts=task.attempts,
-            error_chain=self._append_error_chain(task.claim_id, entry),
-        )
-        try:
-            self.registry.audit(
-                "quarantined", claim_id=task.claim_id,
-                attempts=task.attempts, error=error,
-            )
-        except OSError:
-            pass
-        with self._cv:
-            self._states[task.claim_id] = JobState.QUARANTINED
-            self._errors[task.claim_id] = error
-            self.stats.quarantined += 1
-            self._cv.notify_all()
-        if release:
-            self.registry.release(task.claim_id)
-
-    def _watchdog(self) -> None:
-        """Quarantine batches wedged past twice the prove budget.
-
-        The engine's cooperative check fires between stream pulls; this
-        thread catches the case it cannot -- a prove stuck *inside* one
-        proof (or a hung backend) that never pulls again.
-        """
-        budget = self.prove_budget_seconds
-        limit = budget * 2.0
-        interval = max(0.02, budget / 4.0)
-        while not self._watchdog_stop.wait(interval):
-            now = time.monotonic()
-            with self._inflight_lock:
-                wedged = [
-                    entry for entry in self._inflight.values()
-                    if now - entry["started"] > limit
-                ]
-            for batch_entry in wedged:
-                for task in batch_entry["tasks"]:
-                    with self._cv:
-                        state = self._states.get(task.claim_id)
-                    if state != JobState.PROVING:
-                        continue
-                    with self._cv:
-                        self.stats.watchdog_kills += 1
-                    self._m_watchdog_kills.inc()
-                    task.attempts += 1
-                    self._quarantine(
-                        task,
-                        f"watchdog: prove wedged past {limit:.3f}s wall clock",
-                        entry=(
-                            f"attempt {task.attempts}: watchdog kill after "
-                            f"{now - batch_entry['started']:.3f}s"
-                        ),
-                        release=False,
-                    )
+        return True
 
     # -------------------------------------------------------------- proving --
 
@@ -704,58 +589,56 @@ class ProofScheduler:
 
     def _refresh_lease(self, task: ProofTask) -> None:
         """Extend our proving lease at task boundaries within a batch, so
-        a long batch does not silently outlive the lease and invite a
-        takeover mid-prove.  (A single proof longer than the lease is
-        covered by the renewal heartbeat -- see :meth:`_start_heartbeat`.)"""
+        a long batch does not outlive it (one long proof: :meth:`_monitor`)."""
         if task.claim_id in self.registry:
             self._acquire(task.claim_id)
 
-    def _start_heartbeat(self, tasks: List[ProofTask]) -> threading.Event:
-        """Renew the proving leases of in-flight tasks on a timer.
+    def _monitor(self) -> None:
+        """Renew the leases of in-flight claims; quarantine wedged batches.
 
-        Runs for the lifetime of one :meth:`_prove_batch` call: every
-        ``heartbeat_seconds`` each task still locally ``proving`` gets its
-        registry lease re-acquired (an owner's ``acquire`` is a refresh),
-        so a single proof longer than the lease can no longer expire it
-        and invite a mid-prove takeover.  Returns the stop event; the
-        caller sets it when the batch resolves.
+        Every ``heartbeat_seconds`` each in-flight task still ``proving``
+        has its lease re-acquired (an owner's ``acquire`` is a refresh), so
+        a single proof longer than the lease cannot expire it mid-prove.
+        With a prove budget, a batch wedged past twice the budget -- stuck
+        *inside* one proof, where the engine's check between stream pulls
+        cannot see it -- is quarantined; whatever its thread reports later
+        is refused by the table.
         """
-        stop = threading.Event()
-        interval = self.heartbeat_seconds
-        if interval is None or interval <= 0:
-            stop.set()
-            return stop
-
-        def renew() -> None:
-            while not stop.wait(interval):
-                for task in tasks:
-                    with self._cv:
-                        state = self._states.get(task.claim_id)
-                    if state != JobState.PROVING:
+        beat = max(self.heartbeat_seconds or 0.0, 0.0)  # 0: no renewals
+        budget = self.prove_budget_seconds
+        watchdog = budget is not None and max(0.02, budget / 4.0)
+        next_beat = time.monotonic() + beat
+        while not self._monitor_stop.wait(min(t for t in (beat, watchdog) if t)):
+            now = time.monotonic()
+            renew = bool(beat) and now >= next_beat
+            if renew:
+                next_beat = now + beat
+            with self._inflight_lock:
+                batches = list(self._inflight.values())
+            for batch in batches:
+                age = now - batch["started"]
+                for task in batch["tasks"]:
+                    if not self._proving(task.claim_id):
                         continue
-                    if task.claim_id not in self.registry:
-                        continue
-                    if self._acquire(task.claim_id):
-                        # The task may have reached a terminal state (and
-                        # released its lease) between the check above and
-                        # this acquire; undo rather than leave a dangling
-                        # lease on a finished claim.
-                        with self._cv:
-                            still_proving = (
-                                self._states.get(task.claim_id)
-                                == JobState.PROVING
-                            )
-                            if still_proving:
-                                self.stats.lease_renewals += 1
-                        if still_proving:
-                            self._m_lease_renewals.inc()
+                    if budget is not None and age > 2.0 * budget:
+                        self._failed_attempt(
+                            task,
+                            f"watchdog: prove wedged past {2.0 * budget:.3f}s "
+                            "wall clock",
+                            retry=False, counter="watchdog_kills",
+                            note=f"watchdog kill after {age:.3f}s",
+                        )
+                    elif (
+                        renew and task.claim_id in self.registry
+                        and self._acquire(task.claim_id)
+                    ):
+                        # The task may have settled (and released its
+                        # lease) since the check above; undo rather than
+                        # leave a dangling lease on a finished claim.
+                        if self._proving(task.claim_id):
+                            self._count("lease_renewals")
                         else:
                             self.registry.release(task.claim_id)
-
-        threading.Thread(
-            target=renew, name="proof-lease-heartbeat", daemon=True
-        ).start()
-        return stop
 
     def _record_audit_rejection(self, task: ProofTask, exc: Exception) -> None:
         """Mirror a strict-mode circuit-audit rejection to the audit log.
@@ -767,7 +650,7 @@ class ProofScheduler:
         if not isinstance(exc, CircuitAuditError):
             return
         report = exc.report
-        try:
+        with suppress(OSError):
             self.registry.audit(
                 "circuit_audit_rejected",
                 claim_id=task.claim_id,
@@ -776,22 +659,35 @@ class ProofScheduler:
                 counts={k: v for k, v in report.counts().items() if v},
                 worst=report.worst(),
             )
-        except OSError:
-            pass
 
     def _synthesize(self, task: ProofTask):
-        """(compiled, synthesis) for one task, with the validity check."""
-        compiled, synthesis = self.engine.synthesize(
-            task.shape_key, task.synthesize, name="zkrownn-extraction"
+        """``(compiled, synthesis, seconds)`` for one task, or None once a
+        failed synthesis (or validity check) has failed the task."""
+        t0 = time.perf_counter()
+        span = self.tracer.span(
+            task.trace_id, "synthesize", claim_id=task.claim_id,
+            parent_id=task.parent_span_id,
         )
-        if task.require_valid and synthesis.assignment[
-            synthesis.aux.valid_output.index
-        ] != 1:
-            raise ValueError(
-                "watermark does not extract from this model within theta; "
-                "refusing to prove a non-ownership claim"
+        try:
+            compiled, synthesis = self.engine.synthesize(
+                task.shape_key, task.synthesize, name="zkrownn-extraction"
             )
-        return compiled, synthesis
+            if task.require_valid and synthesis.assignment[
+                synthesis.aux.valid_output.index
+            ] != 1:
+                raise ValueError(
+                    "watermark does not extract from this model within theta; "
+                    "refusing to prove a non-ownership claim"
+                )
+        except (ConstraintViolation, TraceDivergence, OverflowError,
+                ValueError) as exc:
+            self.tracer.finish(span, outcome="error", error=str(exc))
+            self._record_audit_rejection(task, exc)
+            self._step(task, lifecycle.FAIL,
+                       error=f"witness synthesis failed: {exc}")
+            return None
+        self.tracer.finish(span)
+        return compiled, synthesis, time.perf_counter() - t0
 
     def _prove_batch(self, batch: List[ProofTask]) -> None:
         # The dispatch span (on the head task's trace) is *active* for the
@@ -808,90 +704,52 @@ class ProofScheduler:
                 if self.faults is not None:
                     self.faults.fire("scheduler.dispatch")
                 with self._inflight_lock:
-                    self._batch_counter += 1
-                    batch_id = self._batch_counter
-                    self._inflight[batch_id] = {
+                    self._inflight[id(batch)] = {
                         "tasks": batch, "started": time.monotonic(),
                     }
-                heartbeat_stop = self._start_heartbeat(batch)
                 try:
                     self._prove_batch_inner(batch)
                 finally:
-                    heartbeat_stop.set()
                     with self._inflight_lock:
-                        self._inflight.pop(batch_id, None)
+                        del self._inflight[id(batch)]
             finally:
                 self.tracer.finish(dispatch_span)
 
     def _prove_batch_inner(self, batch: List[ProofTask]) -> None:
         # The batch head compiles (or cache-hits) the shape; later tasks
-        # replay the trace lazily inside the generator below.
-        head_task = batch[0]
-        t0 = time.perf_counter()
-        head_synth_span = self.tracer.span(
-            head_task.trace_id, "synthesize", claim_id=head_task.claim_id,
-            parent_id=head_task.parent_span_id,
-        )
-        try:
-            compiled, head_synthesis = self._synthesize(head_task)
-        except (ConstraintViolation, TraceDivergence, OverflowError,
-                ValueError) as exc:
-            self.tracer.finish(head_synth_span, outcome="error",
-                               error=str(exc))
-            self._record_audit_rejection(head_task, exc)
-            self._finish(head_task, JobState.FAILED,
-                         error=f"witness synthesis failed: {exc}")
-            rest = batch[1:]
-            if rest:
-                # Inner call: the enclosing _prove_batch's heartbeat
-                # already covers every task of this batch.
-                self._prove_batch_inner(rest)
+        # replay the trace lazily inside the generator below.  A head that
+        # fails synthesis passes the role on (the batch stays in flight,
+        # so the monitor still covers every task of it).
+        head = self._synthesize(batch[0])
+        if head is None:
+            if len(batch) > 1:
+                self._prove_batch_inner(batch[1:])
             return
-        self.tracer.finish(head_synth_span)
-        head_elapsed = time.perf_counter() - t0
-
-        proved: List[ProofTask] = []
-        synth_seconds: List[float] = []
+        compiled = head[0]
+        proved = [(batch[0], head[2])]  # (task, synthesis seconds)
 
         def pairs():
-            proved.append(head_task)
-            synth_seconds.append(head_elapsed)
-            yield head_synthesis, head_task.seed
+            yield head[1], batch[0].seed
             for task in batch[1:]:
                 if self.faults is not None:
                     self.faults.fire("scheduler.prove")
                 self._refresh_lease(task)
-                t1 = time.perf_counter()
-                synth_span = self.tracer.span(
-                    task.trace_id, "synthesize", claim_id=task.claim_id,
-                    parent_id=task.parent_span_id,
-                )
-                try:
-                    _, synthesis = self._synthesize(task)
-                except (ConstraintViolation, TraceDivergence, OverflowError,
-                        ValueError) as exc:
-                    self.tracer.finish(synth_span, outcome="error",
-                                       error=str(exc))
-                    self._record_audit_rejection(task, exc)
-                    self._finish(task, JobState.FAILED,
-                                 error=f"witness synthesis failed: {exc}")
-                    continue
-                self.tracer.finish(synth_span)
-                proved.append(task)
-                synth_seconds.append(time.perf_counter() - t1)
-                yield synthesis, task.seed
+                synthesized = self._synthesize(task)
+                if synthesized is not None:
+                    proved.append((task, synthesized[2]))
+                    yield synthesized[1], task.seed
 
         t0 = time.perf_counter()
         prove_started_mono = time.monotonic()
         proofs = self.engine.prove_stream(
-            compiled, pairs(), setup_seed=head_task.setup_seed,
+            compiled, pairs(), setup_seed=batch[0].setup_seed,
             budget_seconds=self.prove_budget_seconds,
         )
         prove_elapsed = time.perf_counter() - t0
         # One prove span per claim, all sharing the batch's start/duration
         # (the whole point of batching: each claim's prove cost IS the
         # batch's), closed here so packaging time below is not included.
-        for task in proved:
+        for task, _ in proved:
             self.tracer.finish(self.tracer.span(
                 task.trace_id, "prove", claim_id=task.claim_id,
                 parent_id=task.parent_span_id,
@@ -903,24 +761,18 @@ class ProofScheduler:
         vk_bytes = keypair.verifying_key.to_bytes()
         self.registry.store_verifying_key(compiled.digest, vk_bytes)
 
-        for task, proof, synth_s in zip(proved, proofs, synth_seconds):
+        for (task, synth_s), proof in zip(proved, proofs):
             persist_span = self.tracer.span(
                 task.trace_id, "persist", claim_id=task.claim_id,
                 parent_id=task.parent_span_id,
             )
             with self.tracer.active(persist_span):
+                claim_frame = None
                 if task.model is not None and task.keys is not None:
-                    claim = self._package(task, proof)
-                    self.registry.store_claim_bytes(
-                        task.claim_id, wire.encode_claim(claim)
-                    )
-                    self.registry.audit(
-                        "proved", claim_id=task.claim_id,
-                        circuit_digest=compiled.digest,
-                        batch_size=len(proved),
-                    )
-                self._finish(
-                    task, JobState.DONE,
+                    claim_frame = wire.encode_claim(self._package(task, proof))
+                self._step(
+                    task, lifecycle.PROVE,
+                    claim_frame=claim_frame,
                     circuit_digest=compiled.digest,
                     timings={
                         "synthesize_seconds": synth_s,

@@ -13,6 +13,8 @@ Endpoints (all JSON unless noted)::
     POST /claims/<id>/revoke  mark a claim revoked ({"reason": ...})
     POST /verify              verify server-side ({"claim_id": ...} or a
                               binary claim frame)
+    POST /verify-batch        audit many stored claims, batched per VK
+    POST /admin/drain         stop admitting; in-flight batches finish
     GET  /claims/<id>/trace   the claim's span tree (submit -> queue-wait
                               -> ... -> verify), JSON
     GET  /vks                 the signed key-transparency log (JSON)
@@ -21,20 +23,17 @@ Endpoints (all JSON unless noted)::
     GET  /stats               engine + scheduler + registry counters
     GET  /metrics             Prometheus text exposition
 
-Observability: ``POST /claims`` honors an ``X-Trace-Id`` header (the
-client-minted trace id); every lifecycle stage the claim passes through
-becomes a persisted span served back at ``GET /claims/<id>/trace``.
-Without the header the server mints a trace id itself (when
-observability is enabled).  The HTTP access log goes through the
-structured JSONL logger at ``info`` -- quiet under the default
-``ZKROWNN_LOG_LEVEL=warning``.
+Observability: ``POST /claims`` honors an ``X-Trace-Id`` header (else,
+with observability on, the server mints one); every lifecycle stage
+becomes a persisted span served at ``GET /claims/<id>/trace``.  Access
+lines go to the structured JSONL logger at ``info``.
 
 Submission is asynchronous: ``POST /claims`` returns ``202 Accepted``
 with the content-addressed claim id; clients poll ``GET /claims/<id>``
-(or use :meth:`~repro.service.client.ServiceClient.wait`) until the job
-is ``done``, then fetch the ~200-byte claim frame.  An identical
-resubmission returns the existing record instead of re-proving --
-content addressing makes submission idempotent.
+(or :meth:`~repro.service.client.ServiceClient.wait`) until it settles,
+then fetch the ~200-byte claim frame.  A resubmission is idempotent
+unless the lifecycle table lets it requeue a failed claim or rescue one
+stranded by a dead replica.
 
 :class:`ProofService` is the transport-free core (used directly by the
 in-process example and the tests); :class:`ProofServer` binds it to a
@@ -50,6 +49,7 @@ import json
 import signal
 import threading
 import time
+from contextlib import suppress
 from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
@@ -64,10 +64,11 @@ from ..zkrownn.planning import extraction_structure_key
 from ..zkrownn.circuit import extraction_synthesizer
 from ..zkrownn.verifier import OwnershipVerifier
 from . import faults as _faults
-from . import wire
+from . import lifecycle, wire
 from .faults import InjectedConnectionReset, SimulatedCrash
+from .lifecycle import JobState, TransitionRefused
 from .registry import ClaimRecord, ClaimRegistry, RegistryError
-from .scheduler import JobState, ProofScheduler, ProofTask
+from .scheduler import ProofScheduler, ProofTask
 
 __all__ = [
     "ProofServer",
@@ -205,22 +206,18 @@ class ProofService:
             first = not self.draining
             self.draining = True
         if first:
-            try:
+            with suppress(OSError):
                 self.registry.audit(
                     "drain-started", owner=self.registry.owner_token,
                     queue_depth=self.scheduler.pending(),
                 )
-            except OSError:
-                pass
 
             def _finish_drain() -> None:
                 self.scheduler.stop()
-                try:
+                with suppress(OSError):
                     self.registry.audit(
                         "drain-complete", owner=self.registry.owner_token
                     )
-                except OSError:
-                    pass
                 self._drained.set()
 
             if wait:
@@ -286,12 +283,11 @@ class ProofService:
     def _recover_pending(self) -> List[str]:
         """Re-enqueue claims the previous process died holding.
 
-        ``queued`` records, and ``proving`` records whose lease expired
-        with their owner (a crash mid-batch), are rebuilt from their
-        persisted request frames -- no resubmission needed.  Records with
-        no recoverable frame are marked ``failed`` with a clear error
-        rather than silently stranded.  Runs before the scheduler starts,
-        so recovered same-shape claims land in one batch.
+        Every record the table lets ``recover`` and no live replica holds
+        (its owner crashed) is rebuilt from its persisted request frame;
+        one with no recoverable frame fails rather than sit stranded.
+        Runs before the scheduler starts, so recovered same-shape claims
+        land in one batch.
         """
         recovered: List[str] = []
         # Oldest first to keep submission order; claim_id breaks the tie
@@ -301,14 +297,11 @@ class ProofService:
             self.registry.list(), key=lambda r: (r.created_at, r.claim_id)
         )
         for record in pending:
-            if record.state == JobState.QUEUED:
-                pass
-            elif record.state == JobState.PROVING:
-                owner = self.registry.lease_owner(record.claim_id)
-                if owner is not None and owner != self.registry.owner_token:
-                    continue  # a live replica is proving it right now
-            else:
+            if not lifecycle.allows(record.state, lifecycle.RECOVER):
                 continue
+            owner = self.registry.lease_owner(record.claim_id)
+            if owner is not None and owner != self.registry.owner_token:
+                continue  # a live replica holds it right now
             try:
                 persisted = wire.decode_persisted_request(
                     self.registry.request_bytes(record.claim_id)
@@ -318,16 +311,12 @@ class ProofService:
                         f"frame is for claim {persisted.claim_id!r}"
                     )
             except (RegistryError, wire.WireFormatError) as exc:
-                self.registry.update(
-                    record.claim_id, state=JobState.FAILED,
+                self._transition(
+                    record.claim_id, lifecycle.FAIL,
                     error=f"unrecoverable after restart: {exc}",
                 )
                 continue
-            if record.state == JobState.PROVING:
-                self.registry.release(record.claim_id)
-                self.registry.update(
-                    record.claim_id, state=JobState.QUEUED, error=""
-                )
+            self._transition(record.claim_id, lifecycle.RECOVER, error="")
             # The recovered claim keeps its original trace: the restart
             # shows up as a "recovered" span between queue-waits.
             self.tracer.finish(self.tracer.span(
@@ -338,9 +327,13 @@ class ProofService:
                 record.claim_id, persisted.request,
                 trace_id=record.trace_id,
             ))
-            self.registry.audit("recovered", claim_id=record.claim_id)
             recovered.append(record.claim_id)
         return recovered
+
+    def _transition(self, claim_id: str, event: str, **fields) -> None:
+        """One lifecycle event on the durable record, lease side included."""
+        if self.registry.transition(claim_id, event, **fields).release:
+            self.registry.release(claim_id)
 
     # --------------------------------------------------------------- submit --
 
@@ -412,90 +405,72 @@ class ProofService:
 
         # Freshen from the shared root first: another replica may have
         # registered (or proved) this claim since our in-memory load.
+        event = None
         try:
             record = self.registry.reload(claim_id)
         except RegistryError:
-            record = None
-        if record is not None:
-            # First writer wins: the trace id stored at registration is
-            # the claim's trace; later submissions append to it.
-            if record.trace_id:
-                trace_id = record.trace_id
-            elif trace_id:
-                record = self.registry.update(claim_id, trace_id=trace_id)
-            if record.state in (JobState.QUEUED, JobState.PROVING):
-                active_here = self.scheduler.state(claim_id) in (
-                    JobState.QUEUED, JobState.PROVING,
-                )
-                if not active_here and \
-                        self.registry.lease_owner(claim_id) is None:
-                    # Stranded: the owner died (lease expired) and nobody
-                    # holds the job.  A resubmission rescues it instead
-                    # of bouncing off the stale pending state forever.
-                    if record.state == JobState.PROVING:
-                        self.registry.update(
-                            claim_id, state=JobState.QUEUED, error=""
-                        )
-                    self.registry.store_request_bytes(
-                        claim_id,
-                        wire.encode_persisted_request(claim_id, request),
-                    )
-                    self.tracer.finish(self.tracer.span(
-                        trace_id, "rescued", claim_id=claim_id,
-                        prior_state=record.state,
-                    ))
-                    self.scheduler.submit(self._task_for(
-                        claim_id, request,
-                        deadline_seconds=deadline_seconds,
-                        trace_id=trace_id,
-                    ))
-                    self.registry.audit("rescued", claim_id=claim_id)
-                    return {"claim_id": claim_id, "state": JobState.QUEUED,
-                            "resubmission": True}
-            if record.state not in (JobState.FAILED, JobState.QUARANTINED):
-                self.tracer.finish(self.tracer.span(
-                    trace_id, "resubmit", claim_id=claim_id,
-                    state=record.state,
-                ))
-                return {
-                    "claim_id": claim_id,
-                    "state": record.state,
-                    "resubmission": True,
-                }
-        self.registry.store_model_bytes(mdigest, wire.encode_model(request.model))
-        record = self.registry.register(
-            ClaimRecord(
-                claim_id=claim_id,
-                model_digest=mdigest,
-                state=JobState.QUEUED,
-                priority=request.priority,
-                shape_key=shape_key,
-                trace_id=trace_id,
+            self.registry.store_model_bytes(
+                mdigest, wire.encode_model(request.model)
             )
-        )
+            record = self.registry.register(ClaimRecord(
+                claim_id=claim_id, model_digest=mdigest,
+                priority=request.priority, shape_key=shape_key,
+                trace_id=trace_id,
+            ))
+            event = lifecycle.SUBMIT
+        # First writer wins: the trace id stored at registration is the
+        # claim's trace; later submissions append to it.
         if record.trace_id:
-            trace_id = record.trace_id  # pre-existing record's trace wins
+            trace_id = record.trace_id
         elif trace_id:
-            self.registry.update(claim_id, trace_id=trace_id)
+            record = self.registry.update(claim_id, trace_id=trace_id)
+        if lifecycle.allows(record.state, lifecycle.REQUEUE):
+            # A failed/quarantined claim: status/wait must see 'queued',
+            # not the stale terminal state, while the job sits in the
+            # queue.  Its attempt budget starts over (the operator
+            # resubmitting IS the requeue decision); its error chain is
+            # kept for the post-mortem.
+            event = lifecycle.REQUEUE
+        elif event is None and (
+            lifecycle.allows(record.state, lifecycle.RESCUE)
+            and self.scheduler.state(claim_id) not in lifecycle.ACTIVE_STATES
+            and self.registry.lease_owner(claim_id) is None
+        ):
+            # Stranded: the owner died (lease expired) and nobody holds
+            # the job.  A resubmission rescues it instead of bouncing off
+            # the stale pending state forever.
+            event = lifecycle.RESCUE
+        elif event is None:
+            self.tracer.finish(self.tracer.span(
+                trace_id, "resubmit", claim_id=claim_id, state=record.state,
+            ))
+            return {"claim_id": claim_id, "state": record.state,
+                    "resubmission": True}
+        persisted = wire.encode_persisted_request(claim_id, request)
+        if event == lifecycle.RESCUE:
+            self.registry.store_request_bytes(claim_id, persisted)
+            self._transition(claim_id, lifecycle.RESCUE, error="")
+            self.tracer.finish(self.tracer.span(
+                trace_id, "rescued", claim_id=claim_id,
+                prior_state=record.state,
+            ))
+            self.scheduler.submit(self._task_for(
+                claim_id, request, deadline_seconds=deadline_seconds,
+                trace_id=trace_id,
+            ))
+            return {"claim_id": claim_id, "state": JobState.QUEUED,
+                    "resubmission": True}
         submit_span = self.tracer.span(
             trace_id, "submit", claim_id=claim_id, priority=request.priority,
         )
         with self.tracer.active(submit_span):
-            if record.state in (JobState.FAILED, JobState.QUARANTINED):
-                # Retry of a failed/quarantined claim: register() returned the
-                # old record, so reset it -- status/wait must see 'queued',
-                # not the stale terminal state, while the job sits in the
-                # queue.  A quarantined claim's attempt budget starts over
-                # (the operator resubmitting IS the requeue decision), but
-                # its error chain is kept for the post-mortem.
-                self.registry.update(
-                    claim_id, state=JobState.QUEUED, error="", attempts=0
+            if event == lifecycle.REQUEUE:
+                self._transition(
+                    claim_id, lifecycle.REQUEUE, error="", attempts=0
                 )
             # Persist the canonical frame FIRST: once a client has been told
             # "queued", a crash must not lose the job.
-            self.registry.store_request_bytes(
-                claim_id, wire.encode_persisted_request(claim_id, request)
-            )
+            self.registry.store_request_bytes(claim_id, persisted)
             self.scheduler.submit(self._task_for(
                 claim_id, request, deadline_seconds=deadline_seconds,
                 trace_id=trace_id, parent_span_id=submit_span.span_id,
@@ -540,9 +515,12 @@ class ProofService:
         return self.record_payload(record)
 
     def claim_frame(self, claim_id: str) -> bytes:
-        record = self.registry.get(claim_id)
-        if record.state == JobState.REVOKED:
-            raise RegistryError(f"claim {claim_id!r} has been revoked")
+        # Fresh from disk, like status(): the poll that saw 'done' may
+        # have been answered by another replica.
+        record = self.registry.reload(claim_id)
+        refusal = lifecycle.unverifiable(record.state, record.revoked_reason)
+        if refusal:
+            raise RegistryError(f"claim {claim_id!r}: {refusal}")
         return self.registry.claim_bytes(claim_id)
 
     def verifying_key_frame(self, claim_id: str) -> bytes:
@@ -611,12 +589,11 @@ class ProofService:
             record.trace_id, "verify", claim_id=claim_id,
         )
         with self.tracer.active(span):
-            if record.state == JobState.REVOKED:
-                report = {"accepted": False,
-                          "reason": f"claim revoked: {record.revoked_reason}"}
-            elif record.state != JobState.DONE:
-                report = {"accepted": False,
-                          "reason": f"claim is {record.state}, not proved"}
+            refusal = lifecycle.unverifiable(
+                record.state, record.revoked_reason
+            )
+            if refusal:
+                report = {"accepted": False, "reason": refusal}
             else:
                 claim = wire.decode_claim(self.registry.claim_bytes(claim_id))
                 report = self._verify_claim(claim, record.circuit_digest)
@@ -688,36 +665,28 @@ class ProofService:
         """
         verdicts: List[wire.BatchClaimVerdict] = []
         by_digest: Dict[str, List[Tuple[str, object]]] = {}
+
+        def refuse(claim_id: str, reason: str, status: int) -> None:
+            verdicts.append(wire.BatchClaimVerdict(
+                claim_id=claim_id, accepted=False, reason=reason, status=status,
+            ))
+
         for claim_id in claim_ids:
             try:
                 record = self.registry.reload(claim_id)
             except RegistryError as exc:
-                verdicts.append(wire.BatchClaimVerdict(
-                    claim_id=claim_id, accepted=False,
-                    reason=str(exc), status=404,
-                ))
+                refuse(claim_id, str(exc), 404)
                 continue
-            if record.state == JobState.REVOKED:
-                verdicts.append(wire.BatchClaimVerdict(
-                    claim_id=claim_id, accepted=False,
-                    reason=f"claim revoked: {record.revoked_reason}",
-                    status=409,
-                ))
-                continue
-            if record.state != JobState.DONE:
-                verdicts.append(wire.BatchClaimVerdict(
-                    claim_id=claim_id, accepted=False,
-                    reason=f"claim is {record.state}, not proved",
-                    status=409,
-                ))
+            refusal = lifecycle.unverifiable(
+                record.state, record.revoked_reason
+            )
+            if refusal:
+                refuse(claim_id, refusal, 409)
                 continue
             try:
                 claim = wire.decode_claim(self.registry.claim_bytes(claim_id))
             except (RegistryError, wire.WireFormatError) as exc:
-                verdicts.append(wire.BatchClaimVerdict(
-                    claim_id=claim_id, accepted=False,
-                    reason=f"stored claim unreadable: {exc}", status=400,
-                ))
+                refuse(claim_id, f"stored claim unreadable: {exc}", 400)
                 continue
             by_digest.setdefault(record.circuit_digest, []).append(
                 (claim_id, claim)
@@ -730,10 +699,7 @@ class ProofService:
                 verifier = self._verifier_for(circuit_digest)
             except (RegistryError, wire.WireFormatError) as exc:
                 for claim_id, _ in members:
-                    verdicts.append(wire.BatchClaimVerdict(
-                        claim_id=claim_id, accepted=False,
-                        reason=f"verifying key unavailable: {exc}", status=404,
-                    ))
+                    refuse(claim_id, f"verifying key unavailable: {exc}", 404)
                 groups.append(wire.BatchGroupVerdict(
                     circuit_digest=circuit_digest,
                     claim_ids=[claim_id for claim_id, _ in members],
@@ -749,10 +715,7 @@ class ProofService:
                         self.registry.model_bytes(claim.model_sha256)
                     )
                 except (RegistryError, wire.WireFormatError) as exc:
-                    verdicts.append(wire.BatchClaimVerdict(
-                        claim_id=claim_id, accepted=False,
-                        reason=f"stored model unavailable: {exc}", status=404,
-                    ))
+                    refuse(claim_id, f"stored model unavailable: {exc}", 404)
                     continue
                 cases.append((model, claim))
                 batched_ids.append(claim_id)
@@ -889,10 +852,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     # -- helpers --------------------------------------------------------------
 
-    # The stdlib handler prints access lines to stderr; previously this
-    # swallowed them entirely.  Now they flow through the structured
-    # logger instead: quiet under the default ZKROWNN_LOG_LEVEL=warning,
-    # one JSON line per request at info, errors at warning.
+    # Access lines go through the structured logger instead of stderr:
+    # quiet under the default ZKROWNN_LOG_LEVEL=warning, one JSON line
+    # per request at info, errors at warning.
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         _http_log.info("http.message", message=format % args)
@@ -910,36 +872,25 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             path=getattr(self, "path", "?"), code=code_val,
         )
 
-    def _send_json(
+    def _send(
         self,
-        payload: Dict,
+        body: bytes,
+        content_type: str = "application/octet-stream",
         status: int = 200,
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode()
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_bytes(self, body: bytes, status: int = 200) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", "application/octet-stream")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, text: str, content_type: str,
-                   status: int = 200) -> None:
-        body = text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def _send_json(self, payload: Dict, status: int = 200,
+                   headers: Optional[Dict[str, str]] = None) -> None:
+        body = json.dumps(payload, sort_keys=True).encode()
+        self._send(body, "application/json", status, headers)
 
     def _error(self, status: int, message: str) -> None:
         self._send_json({"error": message}, status=status)
@@ -967,10 +918,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     def _drop_connection(self) -> None:
         """Abandon the socket without a response (injected reset/crash)."""
         self.close_connection = True
-        try:
+        with suppress(OSError):
             self.connection.close()
-        except OSError:
-            pass
 
     def _body(self) -> bytes:
         """Read exactly ``Content-Length`` bytes (or fail loudly).
@@ -1012,8 +961,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             if path == "/stats":
                 return self._send_json(self.service.stats())
             if path == "/metrics":
-                return self._send_text(
-                    self.service.metrics_text(),
+                return self._send(
+                    self.service.metrics_text().encode(),
                     "text/plain; version=0.0.4; charset=utf-8",
                 )
             if path == "/claims":
@@ -1028,7 +977,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 return self._send_json(self.service.key_log())
             parts = path.strip("/").split("/")
             if len(parts) == 2 and parts[0] == "vks":
-                return self._send_bytes(
+                return self._send(
                     self.service.verifying_key_frame_by_digest(parts[1])
                 )
             if len(parts) >= 2 and parts[0] == "claims":
@@ -1036,9 +985,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 if len(parts) == 2:
                     return self._send_json(self.service.status(claim_id))
                 if parts[2] == "proof":
-                    return self._send_bytes(self.service.claim_frame(claim_id))
+                    return self._send(self.service.claim_frame(claim_id))
                 if parts[2] == "vk":
-                    return self._send_bytes(
+                    return self._send(
                         self.service.verifying_key_frame(claim_id)
                     )
                 if parts[2] == "audit":
@@ -1111,7 +1060,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 result = self.service.verify_batch(
                     request.claim_ids, seed=request.seed
                 )
-                return self._send_bytes(wire.encode_verify_batch_result(result))
+                return self._send(wire.encode_verify_batch_result(result))
             parts = path.strip("/").split("/")
             if len(parts) == 3 and parts[0] == "claims" and parts[2] == "revoke":
                 payload = json.loads(body.decode() or "{}")
@@ -1123,6 +1072,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             self._drop_connection()
         except ServiceUnavailable as exc:
             self._unavailable(exc)
+        except TransitionRefused as exc:
+            self._error(409, str(exc))
         except wire.WireFormatError as exc:
             self._error(400, f"bad wire frame: {exc}")
         except RegistryError as exc:

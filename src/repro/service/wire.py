@@ -350,23 +350,29 @@ def _unpack_keys(data: bytes, offset: int) -> Tuple[WatermarkKeys, int]:
 
 
 def _pack_config(config: CircuitConfig) -> bytes:
+    # The trailing byte is "weights are public inputs", which they always
+    # are: a claim whose instance names no model is one no verifier accepts.
     return struct.pack(
         ">dHHHB",
         config.theta,
         config.fixed_point.frac_bits,
         config.fixed_point.total_bits,
         config.sigmoid_degree,
-        1 if config.weights_public else 0,
+        1,
     )
 
 
 def _unpack_config(data: bytes, offset: int) -> Tuple[CircuitConfig, int]:
     theta, frac, total, sigmoid, public = struct.unpack_from(">dHHHB", data, offset)
+    if public != 1:
+        raise WireFormatError(
+            f"circuit config with private weights (flag {public}) is not "
+            "supported: the model weights must be public inputs"
+        )
     config = CircuitConfig(
         theta=theta,
         fixed_point=FixedPointFormat(frac_bits=frac, total_bits=total),
         sigmoid_degree=sigmoid,
-        weights_public=bool(public),
     )
     return config, offset + struct.calcsize(">dHHHB")
 

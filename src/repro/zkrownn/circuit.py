@@ -63,7 +63,6 @@ class CircuitConfig:
     theta: float = 0.0
     fixed_point: FixedPointFormat = DEFAULT_EXTRACTION_FORMAT
     sigmoid_degree: int = 9
-    weights_public: bool = True
 
 
 @dataclass
@@ -121,9 +120,8 @@ def public_inputs_for(
     config = config or CircuitConfig(theta=theta)
     fmt = config.fixed_point
     values: List[int] = [1, mismatch_budget(wm_bits, theta)]
-    if config.weights_public:
-        for _, weights in _model_weights_in_order(model, upto_layer):
-            values.extend(fmt.encode_array(weights))
+    for _, weights in _model_weights_in_order(model, upto_layer):
+        values.extend(fmt.encode_array(weights))
     return values
 
 
@@ -203,15 +201,14 @@ def _allocate_weight_wires(
     fmt: FixedPointFormat,
     model: Sequential,
     upto_layer: int,
-    public: bool,
 ) -> dict:
-    """Allocate wires for every weight tensor (public by default).
+    """Allocate a public input wire for every weight.
 
     Returns ``{layer_index: (W wires, b wires)}`` with W as a nested list
     matching the layer type (matrix for Dense, 4-D for Conv2D).
     Allocation order must match :func:`public_inputs_for`.
     """
-    alloc = builder.public_input if public else builder.private_input
+    alloc = builder.public_input
     wires: dict = {}
     for i, layer in enumerate(model.layers[: upto_layer + 1]):
         if isinstance(layer, Dense):
@@ -289,9 +286,7 @@ def _synthesize_extraction(
     budget_wire = builder.public_input(
         "ber_budget", mismatch_budget(keys.num_bits, config.theta)
     )
-    weight_wires = _allocate_weight_wires(
-        builder, fmt, model, keys.embed_layer, config.weights_public
-    )
+    weight_wires = _allocate_weight_wires(builder, fmt, model, keys.embed_layer)
 
     # -- private phase: Algorithm 1's private inputs.
     trigger_wires: List[List[Wire]] = []

@@ -45,7 +45,6 @@ class CircuitCostEstimate:
 
     num_constraints: int
     num_public_inputs: int
-    num_private_weights: int
 
     @property
     def estimated_vk_bytes(self) -> int:
@@ -158,7 +157,10 @@ def extraction_structure_key(
         f"|theta={config.theta}|frac={config.fixed_point.frac_bits}"
         f"|total={config.fixed_point.total_bits}"
         f"|sigmoid={config.sigmoid_degree}"
-        f"|public={config.weights_public}".encode()
+        # The weights are always public inputs; the field stays in the
+        # key so structure keys (and the keys cached under them) are
+        # stable across versions.
+        "|public=True".encode()
     )
     return h.hexdigest()
 
@@ -196,14 +198,7 @@ def estimate_extraction_cost(
     num_weights = sum(
         arr.size for _, arr in _model_weights_in_order(model, keys.embed_layer)
     )
-    if config.weights_public:
-        num_public = 2 + num_weights  # valid + budget + weights
-        private_weights = 0
-    else:
-        num_public = 2
-        private_weights = num_weights
     return CircuitCostEstimate(
         num_constraints=total,
-        num_public_inputs=num_public,
-        num_private_weights=private_weights,
+        num_public_inputs=2 + num_weights,  # valid + budget + weights
     )

@@ -20,6 +20,14 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# CI's chaos job (``--hypothesis-profile=chaos``): more and longer runs
+# of the service state machines.
+settings.register_profile(
+    "chaos",
+    parent=settings.get_profile("repro"),
+    max_examples=150,
+    stateful_step_count=80,
+)
 settings.load_profile("repro")
 
 
@@ -117,3 +125,7 @@ def ownership_setup(watermarked_mlp):
     circuit = build_extraction_circuit(model, keys, config)
     keypair = setup(circuit.constraint_system, seed=7)
     return config, circuit, keypair
+
+
+# The small-claim shape's session engine lives with the shape itself.
+from shapes import small_claim_engine  # noqa: E402,F401

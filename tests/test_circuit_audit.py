@@ -527,10 +527,9 @@ class TestServiceIntegration:
         service.engine._store.save_constraint_system(
             compiled.digest, compiled.cs
         )
-        registry.register(ClaimRecord(
-            claim_id="c1", model_digest="m", state="done",
-            circuit_digest=compiled.digest,
-        ))
+        registry.register(ClaimRecord(claim_id="c1", model_digest="m"))
+        registry.transition("c1", "dispatch")
+        registry.transition("c1", "prove", circuit_digest=compiled.digest)
         payload = service.circuit_audit("c1")
         assert payload["available"]
         assert payload["circuit_digest"] == compiled.digest

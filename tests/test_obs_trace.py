@@ -36,6 +36,7 @@ from repro.service import (
     ServiceError,
 )
 from repro.zkrownn import CircuitConfig
+from shapes import SMALL_SETUP_SEED, small_claim
 
 
 @pytest.fixture()
@@ -267,17 +268,11 @@ class TestTraceSurvivesFailover:
     @pytest.mark.filterwarnings(
         "ignore::pytest.PytestUnhandledThreadExceptionWarning"
     )
-    def test_trace_id_intact_across_replica_death(
-        self, tmp_path, watermarked_mlp
-    ):
+    def test_trace_id_intact_across_replica_death(self, tmp_path):
         """Replica A crashes at dispatch; the client's rescue resubmission
         gets the claim proved by replica B -- and every span, on either
         replica, lands on the one client-minted trace."""
-        model, keys, _ = watermarked_mlp
-        config = CircuitConfig(
-            theta=0.0,
-            fixed_point=FixedPointFormat(frac_bits=14, total_bits=40),
-        )
+        model, keys, config = small_claim()
         root = tmp_path / "registry"
 
         plan_a = FaultPlan(seed=0, specs=[
@@ -310,7 +305,7 @@ class TestTraceSurvivesFailover:
                 rescue_after=0.75,
             )
             submitted = client.submit_claim(
-                model, keys, config, seed=5, setup_seed=99
+                model, keys, config, seed=5, setup_seed=SMALL_SETUP_SEED
             )
             claim_id = submitted["claim_id"]
             minted = client.trace_id(claim_id)

@@ -36,7 +36,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.circuit import FixedPointFormat
 from repro.engine import ProvingEngine
 from repro.engine.engine import ProveBudgetExceeded
 from repro.nn.layers import Dense, ReLU, Sigmoid
@@ -53,6 +52,7 @@ from repro.service import (
     ProofServer,
     ProofService,
     ProofTask,
+    RegistryError,
     RetryPolicy,
     ServiceClient,
     ServiceError,
@@ -63,7 +63,7 @@ from repro.service import (
 )
 from repro.service.faults import plan_from_env
 from repro.watermark import WatermarkKeys
-from repro.zkrownn import CircuitConfig
+from shapes import SMALL_SETUP_SEED, direct_proof_bytes, small_claim
 
 CHAOS_SEEDS = [
     int(s) for s in os.environ.get("ZKROWNN_CHAOS_SEEDS", "0,1,2").split(",")
@@ -529,6 +529,60 @@ class TestWatchdogAndBudget:
             sched.stop()
         _record_summary("watchdog_kill", plan)
 
+    def test_watchdog_quarantined_claim_is_not_proved(
+        self, tmp_path, small_claim_engine
+    ):
+        """The thread the watchdog abandoned still finishes its proof: the
+        table refuses ``prove`` against the quarantined record, so no
+        claim frame is stored and no ``proved`` event written -- and the
+        resubmission that requeues the claim proves it exactly once."""
+        model, keys, config = small_claim()
+        frame = wire.encode_claim_request(wire.ClaimRequest(
+            model=model, keys=keys, config=config,
+            seed=3, setup_seed=SMALL_SETUP_SEED,
+        ))
+        root = tmp_path / "reg"
+        engine = ProvingEngine()
+        synthesize = engine.synthesize
+        slow_once = [1.5]
+
+        def slow_head(*args, **kwargs):
+            if slow_once:
+                time.sleep(slow_once.pop())  # wedged past 2 x the budget
+            return synthesize(*args, **kwargs)
+
+        engine.synthesize = slow_head
+        wedged = ProofService(
+            ClaimRegistry(root), engine=engine, prove_budget_seconds=0.2,
+        )
+        try:
+            wedged.start()
+            claim_id = wedged.submit(frame)["claim_id"]
+            assert wedged.scheduler.wait(
+                claim_id, timeout=60
+            ) == JobState.QUARANTINED
+        finally:
+            wedged.scheduler.stop(timeout=120)  # the wedged thread returns
+            wedged.close()
+        assert engine.stats.proofs == 1  # ...having proved
+        registry = ClaimRegistry(root)
+        assert registry.get(claim_id).state == JobState.QUARANTINED
+        with pytest.raises(RegistryError):
+            registry.claim_bytes(claim_id)
+        events = [e["event"] for e in registry.audit_entries(claim_id)]
+        assert "proved" not in events, events
+
+        healthy = ProofService(registry, engine=small_claim_engine)
+        try:
+            assert healthy.submit(frame)["state"] == JobState.QUEUED
+            healthy.scheduler.start()
+            assert healthy.scheduler.wait(claim_id, timeout=120) == JobState.DONE
+        finally:
+            healthy.scheduler.stop()
+        events = [e["event"] for e in registry.audit_entries(claim_id)]
+        assert events.count("proved") == 1, events
+        assert wire.decode_claim(registry.claim_bytes(claim_id)).proof_bytes
+
 
 class TestProveWorkerLoss:
     def test_killed_prove_worker_costs_a_retry_not_a_dispatch_thread(
@@ -539,8 +593,6 @@ class TestProveWorkerLoss:
         retryable and both claims reach ``done`` on a fresh pool, with the
         bytes an undisturbed run gives and no lease left behind -- not sit
         in ``proving`` under a heartbeat that renews the lease for good."""
-        from test_service_http import _small_claim
-
         from repro.parallel import SerialBackend
         from repro.snark.groth16 import prepare_proving_key
         from repro.zkrownn import (
@@ -548,7 +600,7 @@ class TestProveWorkerLoss:
             extraction_synthesizer,
         )
 
-        model, keys, config = _small_claim()
+        model, keys, config = small_claim()
         shape_key = extraction_structure_key(model, keys, config)
         synthesizer = extraction_synthesizer(model, keys, config)
         before = {p.pid for p in multiprocessing.active_children()}
@@ -616,6 +668,76 @@ class TestProveWorkerLoss:
         finally:
             sched.stop()
             backend.close()
+
+
+class TestCountersAgree:
+    def test_stats_and_metrics_scrape_agree_after_chaos(
+        self, tmp_path, chaos_seed, small_claim_engine
+    ):
+        """``/stats`` and ``/metrics`` read the same counters: after a seeded
+        chaos run, every scheduler counter equals its Prometheus series."""
+        from repro.obs import reinit_metrics_after_fork, set_obs_enabled
+        from test_obs_metrics import parse_exposition
+
+        previous = set_obs_enabled(True)
+        reinit_metrics_after_fork()
+        plan = FaultPlan(seed=chaos_seed, specs=[
+            FaultSpec(site="scheduler.dispatch", kind="error",
+                      error="RuntimeError", probability=0.5),
+        ])
+        service = ProofService(
+            ClaimRegistry(tmp_path / "reg"), engine=small_claim_engine,
+            max_attempts=2, faults=plan,
+        )
+        model, keys, config = small_claim()
+        frames = [
+            wire.encode_claim_request(_tiny_request(seed=i)) for i in range(3)
+        ] + [wire.encode_claim_request(wire.ClaimRequest(
+            model=model, keys=keys, config=config,
+            seed=1, setup_seed=SMALL_SETUP_SEED,
+        ))]
+        try:
+            service.start()
+            claim_ids = [service.submit(frame)["claim_id"] for frame in frames]
+            claim_ids.append(service.submit(
+                wire.encode_claim_request(_tiny_request(seed=9)),
+                deadline_seconds=0.0,
+            )["claim_id"])
+            for claim_id in claim_ids:
+                service.scheduler.wait(claim_id, timeout=120)
+            stats = service.stats()["scheduler"]
+            scrape = parse_exposition(service.metrics_text())
+        finally:
+            service.scheduler.stop()
+            set_obs_enabled(previous)
+        _record_summary("counters_agree", plan)
+
+        def series(name, labels=""):
+            return scrape.get((name, labels), 0.0)
+
+        def claims(state):
+            return series("zkrownn_claims_total", f'{{state="{state}"}}')
+
+        mirrored = {
+            "done": [claims("done")],
+            "failed": [claims("failed")],
+            "yielded": [claims("yielded")],
+            "quarantined": [
+                claims("quarantined"), series("zkrownn_quarantines_total"),
+            ],
+            "retried": [series("zkrownn_retries_total")],
+            "lease_renewals": [series("zkrownn_lease_renewals_total")],
+            "watchdog_kills": [series("zkrownn_watchdog_kills_total")],
+            "deadline_shed": [series("zkrownn_deadline_shed_total")],
+        }
+        for name, values in mirrored.items():
+            assert all(stats[name] == value for value in values), (
+                name, stats[name], values,
+            )
+        assert stats["deadline_shed"] == 1
+        assert stats["done"] + stats["failed"] + stats["quarantined"] == len(
+            claim_ids
+        )
 
 
 # -- graceful degradation ------------------------------------------------------
@@ -892,17 +1014,13 @@ class TestTwoReplicaFailover:
         "ignore::pytest.PytestUnhandledThreadExceptionWarning"
     )
     def test_client_survives_replica_death_mid_prove(
-        self, tmp_path, watermarked_mlp
+        self, tmp_path, small_claim_engine
     ):
         """Replica A accepts a real ownership claim and 'dies' as it
         dispatches; the client -- with no manual intervention -- must get
         the claim proved by replica B with bytes identical to an
         uninterrupted direct-engine run."""
-        model, keys, _ = watermarked_mlp
-        config = CircuitConfig(
-            theta=0.0,
-            fixed_point=FixedPointFormat(frac_bits=14, total_bits=40),
-        )
+        model, keys, config = small_claim()
         root = tmp_path / "registry"
 
         # Replica A: crashes at its first dispatch, short lease so its
@@ -937,7 +1055,7 @@ class TestTwoReplicaFailover:
                 rescue_after=0.75,
             )
             submitted = client.submit_claim(
-                model, keys, config, seed=5, setup_seed=99
+                model, keys, config, seed=5, setup_seed=SMALL_SETUP_SEED
             )
             claim_id = submitted["claim_id"]
 
@@ -965,19 +1083,10 @@ class TestTwoReplicaFailover:
             assert len(proved_events) == 1
 
             # Byte-identical to an uninterrupted run.
-            from repro.zkrownn import (
-                extraction_structure_key,
-                extraction_synthesizer,
-            )
-
-            direct = ProvingEngine().prove_job(
-                extraction_structure_key(model, keys, config),
-                extraction_synthesizer(model, keys, config),
-                seed=5,
-                setup_seed=99,
-            )
             claim = client.fetch_claim(claim_id)
-            assert direct.proof.to_bytes() == claim.proof_bytes
+            assert direct_proof_bytes(
+                small_claim_engine, seed=5
+            ) == claim.proof_bytes
             assert client.verify_local(claim_id, model).accepted
         finally:
             server_b.stop()

@@ -9,13 +9,9 @@ scheduled batch) with a concurrent same-shape submission.
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.circuit import FixedPointFormat
-from repro.engine import ProvingEngine
-from repro.nn.layers import Dense, ReLU, Sigmoid
-from repro.nn.model import Sequential
 from repro.parallel import usable_cpus
 from repro.service import (
     ClaimRegistry,
@@ -25,8 +21,8 @@ from repro.service import (
     ServiceError,
     ServiceUnavailable,
 )
-from repro.watermark import WatermarkKeys
 from repro.zkrownn import CircuitConfig
+from shapes import SMALL_SETUP_SEED, direct_proof_bytes, small_claim
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +35,10 @@ def claim_setup(watermarked_mlp):
 
 
 class TestEndToEnd:
-    def test_submit_prove_fetch_verify_restart(self, tmp_path, claim_setup):
-        model, keys, config = claim_setup
+    def test_submit_prove_fetch_verify_restart(
+        self, tmp_path, small_claim_engine
+    ):
+        model, keys, config = small_claim()
         root = tmp_path / "registry"
         server = ProofServer(ProofService(ClaimRegistry(root))).start()
         try:
@@ -50,7 +48,7 @@ class TestEndToEnd:
 
             # -- submit and prove claim 1 --------------------------------
             submitted = client.submit_claim(
-                model, keys, config, seed=5, setup_seed=99
+                model, keys, config, seed=5, setup_seed=SMALL_SETUP_SEED
             )
             claim_id = submitted["claim_id"]
             assert submitted["state"] == "queued"
@@ -63,18 +61,9 @@ class TestEndToEnd:
             assert len(claim.proof_bytes) == 128
 
             # -- byte-identical to the direct in-process engine path -----
-            from repro.zkrownn import (
-                extraction_structure_key,
-                extraction_synthesizer,
-            )
-
-            direct = ProvingEngine().prove_job(
-                extraction_structure_key(model, keys, config),
-                extraction_synthesizer(model, keys, config),
-                seed=5,
-                setup_seed=99,
-            )
-            assert direct.proof.to_bytes() == claim.proof_bytes
+            assert direct_proof_bytes(
+                small_claim_engine, seed=5
+            ) == claim.proof_bytes
 
             # -- verify: server-side and trustless client-side -----------
             assert client.verify_remote(claim_id)["accepted"]
@@ -82,7 +71,7 @@ class TestEndToEnd:
 
             # -- second same-shape claim: compile + setup are cache hits --
             second = client.submit_claim(
-                model, keys, config, seed=6, setup_seed=99
+                model, keys, config, seed=6, setup_seed=SMALL_SETUP_SEED
             )
             assert client.wait(second["claim_id"], timeout=300)["state"] == "done"
             stats = client.stats()
@@ -93,7 +82,9 @@ class TestEndToEnd:
             assert stats["scheduler"]["done"] == 2
 
             # -- idempotent resubmission (content addressing) ------------
-            again = client.submit_claim(model, keys, config, seed=5, setup_seed=99)
+            again = client.submit_claim(
+                model, keys, config, seed=5, setup_seed=SMALL_SETUP_SEED
+            )
             assert again["claim_id"] == claim_id
             assert again["resubmission"] is True
 
@@ -166,25 +157,6 @@ class TestEndToEnd:
             server.stop()
 
 
-def _small_claim():
-    """A claim that proves in under half a second (1.4k constraints):
-    untrained weights and random keys, valid because ``theta = 1`` accepts
-    any bit error rate."""
-    rng = np.random.default_rng(7)
-    model = Sequential(
-        [Dense(4, 3, rng=rng), ReLU(), Dense(3, 4, rng=rng), Sigmoid()],
-        name="small-mlp",
-    )
-    keys = WatermarkKeys(
-        embed_layer=1,
-        target_class=2,
-        trigger_inputs=rng.normal(size=(1, 4)),
-        projection=rng.normal(size=(3, 2)),
-        signature=(rng.random(2) < 0.5).astype(np.int64),
-    )
-    return model, keys, CircuitConfig(theta=1.0)
-
-
 class TestMachineSizedService:
     @pytest.mark.skipif(
         usable_cpus() < 2,
@@ -197,7 +169,7 @@ class TestMachineSizedService:
         must not wait a whole prove behind the first."""
         monkeypatch.delenv("ZKROWNN_BACKEND", raising=False)
         monkeypatch.delenv("ZKROWNN_WORKERS", raising=False)
-        model, keys, config = _small_claim()
+        model, keys, config = small_claim()
         server = ProofServer(ProofService(ClaimRegistry(tmp_path / "reg"))).start()
         try:
             client = ServiceClient(server.url)

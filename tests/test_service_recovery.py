@@ -7,7 +7,7 @@ re-proving a known shape must perform zero fresh Groth16 setups (the
 engine's disk cache and the registry share a root).  The cheap tests at
 the top drive :meth:`ProofService.start` recovery decisions directly
 with tiny synthetic requests; the end-of-file e2e uses the session
-watermarked MLP over real localhost HTTP.
+small claim of ``tests/shapes.py`` over real localhost HTTP.
 """
 
 import time
@@ -15,8 +15,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.circuit import FixedPointFormat
-from repro.engine import ProvingEngine
 from repro.nn.layers import Dense, ReLU, Sigmoid
 from repro.nn.model import Sequential
 from repro.service import (
@@ -32,7 +30,8 @@ from repro.service import (
     wire,
 )
 from repro.watermark import WatermarkKeys
-from repro.zkrownn import CircuitConfig, OwnershipVerifier
+from repro.zkrownn import OwnershipVerifier
+from shapes import SMALL_SETUP_SEED, direct_proof_bytes, small_claim
 
 
 def _tiny_request(seed=0):
@@ -87,7 +86,7 @@ class TestRecoveryDecisions:
         # Simulate a crash mid-batch: the record is 'proving' under a
         # lease whose owner died.
         registry1.acquire(claim_id, lease_seconds=0.05)
-        registry1.update(claim_id, state=JobState.PROVING)
+        registry1.transition(claim_id, "dispatch")
         time.sleep(0.1)
 
         service2 = ProofService(ClaimRegistry(root, owner_token="fresh"))
@@ -105,7 +104,7 @@ class TestRecoveryDecisions:
             wire.encode_claim_request(_tiny_request())
         )["claim_id"]
         registry1.acquire(claim_id)  # default lease: still live
-        registry1.update(claim_id, state=JobState.PROVING)
+        registry1.transition(claim_id, "dispatch")
 
         service2 = ProofService(ClaimRegistry(root, owner_token="fresh"))
         try:
@@ -148,7 +147,7 @@ class TestInjectedMidPersistCrashes:
         ])
         dying = ClaimRegistry(root, faults=plan)
         with pytest.raises(SimulatedCrash):
-            dying.update(claim_id, state=JobState.PROVING)
+            dying.transition(claim_id, "dispatch")
         # The temp file was written but never installed: a reopened
         # registry (ignoring the debris) still reads the old record.
         reopened = ClaimRegistry(root)
@@ -174,7 +173,7 @@ class TestInjectedMidPersistCrashes:
         ])
         dying = ClaimRegistry(root, faults=plan)
         with pytest.raises(SimulatedCrash):
-            dying.update(claim_id, state=JobState.PROVING)
+            dying.transition(claim_id, "dispatch")
         # The replace happened: durably 'proving', owner dead, no lease
         # -- the exact shape restart recovery requeues.
         reopened = ClaimRegistry(root)
@@ -196,12 +195,9 @@ class TestRestartEndToEnd:
     setup is on disk -- with zero fresh Groth16 setups."""
 
     def test_restart_recovers_queued_claims_and_setup_cache(
-        self, tmp_path, watermarked_mlp
+        self, tmp_path, small_claim_engine
     ):
-        model, keys, _ = watermarked_mlp
-        config = CircuitConfig(
-            theta=0.0, fixed_point=FixedPointFormat(frac_bits=14, total_bits=40)
-        )
+        model, keys, config = small_claim()
         root = tmp_path / "registry"
 
         # -- phase 1: accept claims, die before proving any ---------------
@@ -209,8 +205,12 @@ class TestRestartEndToEnd:
             ProofService(ClaimRegistry(root))
         ).start(start_service=False)  # HTTP up, scheduler never started
         client = ServiceClient(server1.url)
-        first = client.submit_claim(model, keys, config, seed=5, setup_seed=99)
-        second = client.submit_claim(model, keys, config, seed=6, setup_seed=99)
+        first = client.submit_claim(
+            model, keys, config, seed=5, setup_seed=SMALL_SETUP_SEED
+        )
+        second = client.submit_claim(
+            model, keys, config, seed=6, setup_seed=SMALL_SETUP_SEED
+        )
         assert client.health()["queue_depth"] == 2
         server1.stop()  # the "kill": both claims still queued on disk
 
@@ -225,19 +225,10 @@ class TestRestartEndToEnd:
 
             # Byte-identical to an uninterrupted run (same seeds through
             # the direct engine path).
-            from repro.zkrownn import (
-                extraction_structure_key,
-                extraction_synthesizer,
-            )
-
-            direct = ProvingEngine().prove_job(
-                extraction_structure_key(model, keys, config),
-                extraction_synthesizer(model, keys, config),
-                seed=5,
-                setup_seed=99,
-            )
             claim = client2.fetch_claim(first["claim_id"])
-            assert direct.proof.to_bytes() == claim.proof_bytes
+            assert direct_proof_bytes(
+                small_claim_engine, seed=5
+            ) == claim.proof_bytes
 
             stats2 = client2.stats()
             assert stats2["engine"]["setup_misses"] == 1  # cold disk cache
@@ -262,7 +253,7 @@ class TestRestartEndToEnd:
             ProofService(ClaimRegistry(root))
         ).start(start_service=False)
         third = ServiceClient(server3.url).submit_claim(
-            model, keys, config, seed=7, setup_seed=99
+            model, keys, config, seed=7, setup_seed=SMALL_SETUP_SEED
         )
         server3.stop()
 
@@ -294,7 +285,7 @@ class TestStrandedClaimRescue:
         service1 = ProofService(registry1)
         claim_id = service1.submit(frame)["claim_id"]
         registry1.acquire(claim_id, lease_seconds=0.05)
-        registry1.update(claim_id, state=JobState.PROVING)
+        registry1.transition(claim_id, "dispatch")
         time.sleep(0.1)  # the owner "died"; its lease expires
 
         # A fresh service that did NOT recover it (simulates the restart-
@@ -319,7 +310,7 @@ class TestStrandedClaimRescue:
         service1 = ProofService(registry1)
         claim_id = service1.submit(frame)["claim_id"]
         registry1.acquire(claim_id)  # live lease
-        registry1.update(claim_id, state=JobState.PROVING)
+        registry1.transition(claim_id, "dispatch")
 
         service2 = ProofService(ClaimRegistry(root, owner_token="fresh"))
         try:

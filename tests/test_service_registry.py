@@ -13,6 +13,12 @@ def _record(claim_id="c" * 64, model_digest="m" * 64, **kwargs):
     return ClaimRecord(claim_id=claim_id, model_digest=model_digest, **kwargs)
 
 
+def _prove(registry, claim_id, **fields):
+    """Move a registered claim to ``done`` the only way there is."""
+    registry.transition(claim_id, "dispatch")
+    registry.transition(claim_id, "prove", **fields)
+
+
 class TestRecords:
     def test_register_get_round_trip(self, tmp_path):
         registry = ClaimRegistry(tmp_path)
@@ -26,7 +32,7 @@ class TestRecords:
     def test_register_is_idempotent(self, tmp_path):
         registry = ClaimRegistry(tmp_path)
         first = registry.register(_record())
-        registry.update(first.claim_id, state="done")
+        _prove(registry, first.claim_id)
         again = registry.register(_record())
         assert again.state == "done"  # existing record wins
         assert len(registry) == 1
@@ -45,7 +51,7 @@ class TestRecords:
         registry = ClaimRegistry(tmp_path)
         registry.register(_record(claim_id="a" * 64, model_digest="m1"))
         registry.register(_record(claim_id="b" * 64, model_digest="m2"))
-        registry.update("b" * 64, state="done")
+        _prove(registry, "b" * 64)
         assert {r.claim_id for r in registry.list()} == {"a" * 64, "b" * 64}
         assert [r.claim_id for r in registry.list(model_digest="m1")] == ["a" * 64]
         assert [r.claim_id for r in registry.list(state="done")] == ["b" * 64]
@@ -64,8 +70,8 @@ class TestPersistence:
     def test_restart_restores_everything(self, tmp_path):
         registry = ClaimRegistry(tmp_path)
         registry.register(_record(shape_key="shape-z"))
-        registry.update("c" * 64, state="done", circuit_digest="d" * 64,
-                        timings={"batch_prove_seconds": 1.5})
+        _prove(registry, "c" * 64, circuit_digest="d" * 64,
+               timings={"batch_prove_seconds": 1.5})
         registry.store_claim_bytes("c" * 64, b"the-claim")
         registry.store_verifying_key("d" * 64, b"the-vk")
         registry.store_model_bytes("m" * 64, b"the-model")
@@ -102,8 +108,8 @@ class TestAudit:
     def test_trail_records_lifecycle(self, tmp_path):
         registry = ClaimRegistry(tmp_path)
         registry.register(_record())
-        registry.update("c" * 64, state="proving")
-        registry.update("c" * 64, state="done")
+        registry.transition("c" * 64, "dispatch")
+        registry.transition("c" * 64, "prove")
         registry.revoke("c" * 64, "dispute")
         events = [e["event"] for e in registry.audit_entries("c" * 64)]
         assert events == ["registered", "state", "state", "revoked"]
@@ -138,7 +144,7 @@ class TestConcurrency:
 
         def register(i):
             registry.register(_record(claim_id=f"{i:064d}"))
-            registry.update(f"{i:064d}", state="done")
+            _prove(registry, f"{i:064d}")
 
         threads = [threading.Thread(target=register, args=(i,)) for i in range(16)]
         for t in threads:
@@ -161,16 +167,16 @@ class TestConcurrency:
         def writer():
             i = 0
             while not stop.is_set():
-                # state and error always move together; observing a
+                # shape_key and error always move together; observing a
                 # mismatched pair means a torn read.
-                registry.update("c" * 64, state=f"s-{i}", error=f"e-{i}")
+                registry.update("c" * 64, shape_key=f"s-{i}", error=f"e-{i}")
                 i += 1
 
         def reader():
             while not stop.is_set():
                 for record in [registry.get("c" * 64)] + registry.list():
-                    if record.state.split("-")[-1] != record.error.split("-")[-1]:
-                        torn.append((record.state, record.error))
+                    if record.shape_key.split("-")[-1] != record.error.split("-")[-1]:
+                        torn.append((record.shape_key, record.error))
 
         threads = [threading.Thread(target=writer)] + [
             threading.Thread(target=reader) for _ in range(3)
@@ -217,7 +223,7 @@ class TestSchemaEvolution:
             "another_new_field": 7,
         }
         # A rewrite by this (older) version preserves the foreign fields.
-        reopened.update("c" * 64, state="done")
+        _prove(reopened, "c" * 64)
         rewritten = json.loads(path.read_text())
         assert rewritten["from_the_future"] == {"new": "field"}
         assert rewritten["another_new_field"] == 7
@@ -304,11 +310,18 @@ class TestOwnershipLeases:
         assert wins["replica-a"] | wins["replica-b"] == set(claims)
         assert wins["replica-a"] & wins["replica-b"] == set()
 
-    def test_acquire_records_the_owner_on_the_record(self, tmp_path):
+    def test_dispatch_records_the_owner_on_the_record(self, tmp_path):
+        from repro.engine import ProvingEngine
+        from repro.service import ProofScheduler, ProofTask
+
         registry = ClaimRegistry(tmp_path, owner_token="replica-a")
         registry.register(_record())
-        assert registry.acquire("c" * 64)
+        scheduler = ProofScheduler(ProvingEngine(), registry)
+        task = ProofTask(claim_id="c" * 64, shape_key="s", synthesize=None)
+        assert scheduler._own_task(task)
+        assert registry.lease_owner("c" * 64) == "replica-a"
         assert registry.get("c" * 64).owner_token == "replica-a"
+        assert registry.get("c" * 64).state == "proving"
 
     def test_register_sees_records_written_by_another_replica(self, tmp_path):
         """A replica must not overwrite a record another replica created
@@ -316,7 +329,7 @@ class TestOwnershipLeases:
         b = ClaimRegistry(tmp_path, owner_token="replica-b")  # loads empty
         a = ClaimRegistry(tmp_path, owner_token="replica-a")
         a.register(_record())
-        a.update("c" * 64, state="done", circuit_digest="d" * 64)
+        _prove(a, "c" * 64, circuit_digest="d" * 64)
 
         returned = b.register(_record())  # same claim id, fresh record
         assert returned.state == "done"  # the existing record wins

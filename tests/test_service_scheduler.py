@@ -397,6 +397,65 @@ class TestLeaseHeartbeat:
         assert sched.stats.lease_renewals == 0
 
 
+class TestRevocationIsFinal:
+    """A revoke that lands while a claim is in flight is its outcome: the
+    proof or retry that follows is refused by the table, never written
+    over the revocation."""
+
+    @staticmethod
+    def _run(tmp_path, synthesize, started, revoked):
+        registry = ClaimRegistry(tmp_path)
+        registry.register(ClaimRecord(claim_id="disputed", model_digest="m" * 64))
+        sched = ProofScheduler(ProvingEngine(), registry, max_attempts=3)
+        sched.submit(ProofTask(
+            claim_id="disputed", shape_key="revoked-chain",
+            synthesize=synthesize, seed=1, require_valid=False,
+        ))
+        try:
+            sched.start()
+            assert started.wait(timeout=30)
+            registry.revoke("disputed", "dispute lost")
+            revoked.set()
+            assert sched.wait("disputed", timeout=60) == JobState.REVOKED
+        finally:
+            sched.stop(timeout=10.0)
+        record = ClaimRegistry(tmp_path).get("disputed")
+        assert record.state == JobState.REVOKED
+        assert record.revoked_reason == "dispute lost"
+        events = [
+            (e["event"], e.get("state"))
+            for e in registry.audit_entries("disputed")
+        ]
+        after = events[events.index(("revoked", None)) + 1:]
+        assert ("state", JobState.DONE) not in after, events
+        assert [e for e, _ in after if e == "state"] == [], events
+        assert registry.lease_owner("disputed") is None
+
+    def test_revoke_during_prove_is_not_overwritten_by_done(self, tmp_path):
+        started, revoked = threading.Event(), threading.Event()
+
+        def synthesize(b):
+            started.set()
+            time.sleep(0.5)  # the revoke lands here
+            _chain_synthesizer(8)(b)
+
+        self._run(tmp_path, synthesize, started, revoked)
+
+    def test_revoke_before_a_retry_is_not_requeued(self, tmp_path):
+        from repro.parallel import ProveWorkerLost
+
+        started, revoked = threading.Event(), threading.Event()
+
+        def synthesize(b):
+            if not started.is_set():
+                started.set()
+                assert revoked.wait(timeout=30)
+                raise ProveWorkerLost("a prove worker was lost")
+            _chain_synthesizer(8)(b)
+
+        self._run(tmp_path, synthesize, started, revoked)
+
+
 class TestOwnershipClaimBatch:
     """Real extraction circuits end to end through scheduler + registry."""
 

@@ -145,7 +145,6 @@ class TestClaimRequestCodec:
                 theta=0.25,
                 fixed_point=FixedPointFormat(frac_bits=12, total_bits=36),
                 sigmoid_degree=7,
-                weights_public=False,
             ),
             priority=3,
             seed=1234567890123456789,
@@ -167,6 +166,19 @@ class TestClaimRequestCodec:
         # Canonical: re-encoding reproduces the exact frame (the content
         # address the service dedupes on).
         assert wire.encode_claim_request(decoded) == frame
+
+    def test_private_weights_flag_is_refused(self):
+        """The config's weights-public byte is always 1; a frame asking for
+        private weights (a claim no verifier could accept) is refused."""
+        request = wire.ClaimRequest(model=_small_model(), keys=_keys())
+        payload = wire._pack_claim_request(request)
+        config = wire._pack_config(request.config)
+        assert config[-1] == 1
+        at = payload.index(config) + len(config) - 1
+        private = payload[:at] + b"\x00" + payload[at + 1:]
+        frame = wire.encode_frame(wire.MSG_CLAIM_REQUEST, private)
+        with pytest.raises(WireFormatError, match="private weights"):
+            wire.decode_claim_request(frame)
 
     def test_negative_seed_round_trips(self):
         request = wire.ClaimRequest(

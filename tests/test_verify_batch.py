@@ -454,9 +454,10 @@ def audit_service(tmp_path_factory):
         registry.register(ClaimRecord(
             claim_id=claim_id,
             model_digest=model_digest(model, keys.embed_layer),
-            state=state,
-            circuit_digest=digest if state == "done" else "",
         ))
+        if state == "done":
+            registry.transition(claim_id, "dispatch")
+            registry.transition(claim_id, "prove", circuit_digest=digest)
         if claim is not None:
             registry.store_claim_bytes(claim_id, wire.encode_claim(claim))
         claim_ids[tag] = claim_id
@@ -566,9 +567,9 @@ class TestServiceBatchVerify:
         registry.register(ClaimRecord(
             claim_id=claim_id,
             model_digest=model_digest(model, keys.embed_layer),
-            state="done",
-            circuit_digest=digest,
         ))
+        registry.transition(claim_id, "dispatch")
+        registry.transition(claim_id, "prove", circuit_digest=digest)
         registry.store_claim_bytes(claim_id, wire.encode_claim(claim))
         service = ProofService(registry)
 

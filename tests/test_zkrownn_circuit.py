@@ -127,22 +127,3 @@ class TestSigmoidDegreeOption:
             c_low.constraint_system.num_constraints
             < c_base.constraint_system.num_constraints
         )
-
-
-class TestPrivateWeightsMode:
-    def test_private_weights_shrink_instance(self, watermarked_mlp):
-        """weights_public=False: tiny instance, same constraint count order.
-
-        (The paper's setting has them public; the private mode exists for
-        the VK-size ablation.)"""
-        model, keys, _ = watermarked_mlp
-        pub = build_extraction_circuit(
-            model, keys, CircuitConfig(theta=0.0, fixed_point=FMT)
-        )
-        priv = build_extraction_circuit(
-            model, keys,
-            CircuitConfig(theta=0.0, fixed_point=FMT, weights_public=False),
-        )
-        assert priv.constraint_system.num_public == 2  # valid + budget
-        assert pub.constraint_system.num_public > 200
-        assert priv.valid

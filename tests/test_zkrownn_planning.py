@@ -89,15 +89,6 @@ class TestSpatialModels:
 
 
 class TestEstimateProperties:
-    def test_private_weights_mode(self):
-        rng = np.random.default_rng(7)
-        model = Sequential([Dense(6, 4, rng=rng), ReLU()])
-        keys = _keys(model, 6, embed_layer=1)
-        config = CircuitConfig(theta=1.0, fixed_point=FMT, weights_public=False)
-        circuit, estimate = assert_estimate_exact(model, keys, config)
-        assert estimate.num_public_inputs == 2
-        assert estimate.num_private_weights == 6 * 4 + 4
-
     def test_vk_size_formula(self, watermarked_mlp):
         """The VK byte estimate matches a real setup's key."""
         from repro.snark import setup
@@ -113,7 +104,7 @@ class TestEstimateProperties:
         assert keypair.verifying_key.size_bytes() == estimate.estimated_vk_bytes + 4
 
     def test_proof_size_always_128(self):
-        estimate = CircuitCostEstimate(1, 1, 0)
+        estimate = CircuitCostEstimate(1, 1)
         assert estimate.estimated_proof_bytes == 128
 
     def test_unsupported_layer_raises(self):
