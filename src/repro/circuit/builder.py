@@ -36,8 +36,6 @@ Conventions:
 from __future__ import annotations
 
 import hashlib
-import os
-import sys
 from contextlib import contextmanager
 from typing import Iterator, List, Optional, Sequence
 
@@ -82,16 +80,13 @@ class PublicOutput:
 class CircuitBuilder:
     """Builds an R1CS constraint system and its witness simultaneously."""
 
-    def __init__(self, name: str = "circuit", *, capture_sites: Optional[bool] = None):
+    def __init__(self, name: str = "circuit"):
         self.name = name
         self.cs = ConstraintSystem()
         self.assignment: List[int] = [1]
         self.trace = bytearray()
         self._one_wire: Optional[Wire] = None
         self._scope_stack: List[str] = []
-        if capture_sites is None:
-            capture_sites = bool(os.environ.get("ZKROWNN_AUDIT_SITES"))
-        self.capture_sites = capture_sites
 
     # ------------------------------------------------------------- provenance --
 
@@ -110,24 +105,8 @@ class CircuitBuilder:
             self._scope_stack.pop()
 
     def _site(self) -> str:
-        """Current allocation site: scope path, plus file:line if enabled.
-
-        Call-site capture walks the stack and is off by default
-        (``ZKROWNN_AUDIT_SITES=1`` or ``capture_sites=True`` enables it);
-        the scope path alone is cheap enough to record always.
-        """
-        site = ">".join(self._scope_stack)
-        if self.capture_sites:
-            frame = sys._getframe(1)
-            here = os.path.dirname(os.path.abspath(__file__))
-            while frame is not None:
-                filename = frame.f_code.co_filename
-                if os.path.dirname(os.path.abspath(filename)) != here:
-                    loc = f"{os.path.basename(filename)}:{frame.f_lineno}"
-                    site = f"{site}@{loc}" if site else f"@{loc}"
-                    break
-                frame = frame.f_back
-        return site
+        """Current allocation site: the gadget scope path."""
+        return ">".join(self._scope_stack)
 
     def _expect_boolean(self, w: Wire) -> None:
         """Record that a gadget consumed ``w`` assuming it is boolean.

@@ -40,7 +40,15 @@ import argparse
 import sys
 from typing import List, Optional
 
+from .config import AUDIT_MODES, BACKENDS, ConfigError
+
 __all__ = ["main"]
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return int(text)
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -575,10 +583,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="directory for the persistent claim registry")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
-    serve.add_argument("--backend", choices=["serial", "process"], default=None,
+    serve.add_argument("--backend", choices=BACKENDS, default=None,
                        help="compute backend (default: ZKROWNN_BACKEND, else "
                             "process with two or more workers, else serial)")
-    serve.add_argument("--workers", type=int, default=None,
+    serve.add_argument("--workers", type=_positive_int, default=None,
                        help="claims proved at the same time: prove-pool "
                             "processes and dispatch threads (default: "
                             "ZKROWNN_WORKERS, else the usable CPUs)")
@@ -596,7 +604,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve.add_argument("--max-attempts", type=int, default=3,
                        help="proving attempts before a claim is "
                             "quarantined (default 3)")
-    serve.add_argument("--circuit-audit", choices=["off", "warn", "strict"],
+    serve.add_argument("--circuit-audit", choices=AUDIT_MODES,
                        default=None,
                        help="static circuit-soundness auditing: 'warn' logs "
                             "findings, 'strict' rejects claims whose circuit "
@@ -738,7 +746,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     bench_report.set_defaults(func=_cmd_bench_report)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"zkrownn: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

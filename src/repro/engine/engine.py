@@ -24,12 +24,12 @@ tests) can assert which stages actually ran.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Union
 
+from .. import config
 from ..analysis import (
     AuditReport,
     CircuitAuditError,
@@ -64,9 +64,8 @@ SynthesisFn = Callable[[CircuitBuilder], Any]
 def _observe_stage(stage: str, seconds: float) -> None:
     """Feed one engine stage duration into the process metrics registry.
 
-    Resolved through :func:`get_metrics` on every call (not cached on the
-    engine) so a forked worker lands in its own registry; a dict lookup
-    per *stage* -- not per kernel -- is noise next to the stage itself.
+    A dict lookup per *stage* -- not per kernel -- is noise next to the
+    stage itself.
     """
     if not _obs_metrics.obs_enabled():
         return
@@ -146,6 +145,10 @@ class ProvingEngine:
     ``ZKROWNN_WORKERS``), falling back to the serial backend; pass a
     :class:`~repro.parallel.backend.ComputeBackend` to pin it.  Proofs are
     byte-identical across backends given equal seeds.
+
+    ``audit`` (``off`` | ``warn`` | ``strict``) defaults to
+    ``ZKROWNN_CIRCUIT_AUDIT``, else ``off``; :attr:`audit_mode` may be
+    reassigned later and is checked by the same rule.
     """
 
     def __init__(
@@ -157,13 +160,7 @@ class ProvingEngine:
         audit: Optional[str] = None,
     ):
         self.prove_budget_seconds = prove_budget_seconds
-        if audit is None:
-            audit = os.environ.get("ZKROWNN_CIRCUIT_AUDIT", "off")
-        if audit not in ("off", "warn", "strict"):
-            raise ValueError(
-                f"audit mode must be 'off', 'warn', or 'strict', not {audit!r}"
-            )
-        self.audit_mode = audit
+        self.audit_mode = config.setting("circuit_audit") if audit is None else audit
         self._audit_reports: Dict[str, AuditReport] = {}
         self._compiled: Dict[str, CompiledCircuit] = {}
         self._keypairs: Dict[str, Groth16Keypair] = {}
@@ -174,6 +171,14 @@ class ProvingEngine:
         self._lock = threading.RLock()
         self.backend = backend if backend is not None else get_backend()
         self.stats = EngineStats()
+
+    @property
+    def audit_mode(self) -> str:
+        return self._audit_mode
+
+    @audit_mode.setter
+    def audit_mode(self, mode: str) -> None:
+        self._audit_mode = config.choice("audit mode", mode, config.AUDIT_MODES)
 
     def stats_snapshot(self) -> Dict[str, int]:
         """One locked, mutually-consistent copy of the stage counters.

@@ -10,7 +10,6 @@ Public surface:
 """
 
 from .backend import (
-    FIELD_BACKEND_ENV,
     FieldOps,
     Gmpy2FieldOps,
     PythonFieldOps,
@@ -37,7 +36,6 @@ from .ntt import EvaluationDomain, intt, next_power_of_two, ntt
 from .poly import Polynomial
 
 __all__ = [
-    "FIELD_BACKEND_ENV",
     "FieldOps",
     "Gmpy2FieldOps",
     "PythonFieldOps",

@@ -12,7 +12,8 @@ between the two representations a benchmark justifies:
 
 Selection mirrors the compute-backend convention: the
 ``ZKROWNN_FIELD_BACKEND`` environment variable (``python`` | ``gmpy2`` |
-``auto``), overridable per process via :func:`set_field_backend`.  The
+``auto``, read through :mod:`repro.config` on first use), overridable per
+process via :func:`set_field_backend`.  The
 default is ``auto``: gmpy2 when importable, else stdlib -- something the
 code can observe, so there is nothing to tune and the pure-Python path
 never needs a new dependency.
@@ -28,21 +29,20 @@ several times faster than CPython, and every kernel in the repo is written
 against *native* residues, so ``mpz`` coordinates flow through MSM, NTT,
 tower and pairing arithmetic without per-operation conversions.
 
-Fork safety: backend state is keyed by PID.  A worker process created by
-``multiprocessing`` (fork or spawn) re-resolves its backend from the
-environment on first use, so gmpy2 state never silently crosses a
-``fork`` and ``ZKROWNN_FIELD_BACKEND`` changes in the parent are picked
-up by fresh pools (see ``repro.parallel.workers``).
+Worker processes are spawned (``repro.parallel.backend``): each starts
+with no backend state and resolves its own from the environment it
+inherits, so a :func:`set_field_backend` pin in the parent does not
+reach it.
 """
 
 from __future__ import annotations
 
 import importlib.util
-import os
 from typing import Dict, List, Optional, Sequence
 
+from .. import config
+
 __all__ = [
-    "FIELD_BACKEND_ENV",
     "FieldOps",
     "PythonFieldOps",
     "Gmpy2FieldOps",
@@ -52,12 +52,8 @@ __all__ = [
     "active_field_backend",
     "set_field_backend",
     "get_field_ops",
-    "reinit_field_backend_after_fork",
     "invmod",
 ]
-
-FIELD_BACKEND_ENV = "ZKROWNN_FIELD_BACKEND"
-
 
 class FieldOps:
     """Element-level modular arithmetic over one prime modulus.
@@ -226,18 +222,13 @@ def resolve_field_backend(name: Optional[str] = None) -> str:
     ``auto`` picks gmpy2 when importable, else stdlib.  Naming ``gmpy2``
     explicitly without the library installed is an error rather than a
     silent downgrade, and so is any name outside ``_BACKEND_CLASSES``
-    (the error lists the valid ones).
+    (:func:`repro.config.choice`'s error lists the valid ones).
     """
     if name is None:
-        name = os.environ.get(FIELD_BACKEND_ENV) or "auto"
-    name = name.strip().lower()
+        name = config.setting("field_backend")
+    name = config.choice("field backend", name, config.FIELD_BACKENDS)
     if name == "auto":
         return "gmpy2" if gmpy2_available() else "python"
-    if name not in _BACKEND_CLASSES:
-        valid = ", ".join(repr(n) for n in [*_BACKEND_CLASSES, "auto"])
-        raise ValueError(
-            f"unknown field backend {name!r}: expected one of {valid}"
-        )
     if name == "gmpy2" and not gmpy2_available():
         raise ValueError(
             "field backend 'gmpy2' requested but gmpy2 is not importable; "
@@ -247,26 +238,16 @@ def resolve_field_backend(name: Optional[str] = None) -> str:
     return name
 
 
-# Process-local backend state.  ``pid`` makes the registry fork-aware:
-# the first lookup in a child process discards inherited ops instances and
-# re-resolves the backend from the environment.
-_STATE: Dict[str, object] = {"pid": os.getpid(), "name": None, "ops": {}}
-
-
-def _ensure_fresh() -> None:
-    pid = os.getpid()
-    if _STATE["pid"] != pid:
-        _STATE["pid"] = pid
-        _STATE["name"] = None
-        _STATE["ops"] = {}
+_NAME: Optional[str] = None  # None: resolve from the environment
+_OPS: Dict[int, FieldOps] = {}
 
 
 def active_field_backend() -> str:
     """The name of the backend currently serving :func:`get_field_ops`."""
-    _ensure_fresh()
-    if _STATE["name"] is None:
-        _STATE["name"] = resolve_field_backend()
-    return _STATE["name"]  # type: ignore[return-value]
+    global _NAME
+    if _NAME is None:
+        _NAME = resolve_field_backend()
+    return _NAME
 
 
 def set_field_backend(name: Optional[str]) -> Optional[str]:
@@ -277,34 +258,21 @@ def set_field_backend(name: Optional[str]) -> Optional[str]:
     the switch takes effect everywhere at once (the NTT domain registry is
     keyed by backend name and needs no invalidation).
     """
-    _ensure_fresh()
-    previous = _STATE["name"]
-    _STATE["name"] = resolve_field_backend(name) if name is not None else None
-    _STATE["ops"] = {}
-    return previous  # type: ignore[return-value]
+    global _NAME, _OPS
+    previous = _NAME
+    _NAME = resolve_field_backend(name) if name is not None else None
+    _OPS = {}
+    return previous
 
 
 def get_field_ops(modulus: int) -> FieldOps:
     """The active backend's :class:`FieldOps` for ``modulus`` (cached)."""
-    _ensure_fresh()
     name = active_field_backend()
-    ops_by_modulus: Dict[int, FieldOps] = _STATE["ops"]  # type: ignore[assignment]
-    ops = ops_by_modulus.get(modulus)
+    ops = _OPS.get(modulus)
     if ops is None or ops.name != name:
         ops = _BACKEND_CLASSES[name](modulus)
-        ops_by_modulus[modulus] = ops
+        _OPS[modulus] = ops
     return ops
-
-
-def reinit_field_backend_after_fork() -> None:
-    """Drop inherited backend state; next use re-resolves from the env.
-
-    What the PID check on every lookup does by itself in a forked child,
-    made callable; pool workers (``repro.parallel.workers``) are spawned
-    and start without any state to drop.
-    """
-    _STATE["pid"] = -1
-    _ensure_fresh()
 
 
 def invmod(value, modulus: int):

@@ -3,9 +3,9 @@
 Three stdlib-only layers, threaded client -> server -> scheduler ->
 engine -> kernels:
 
-* :mod:`repro.obs.metrics` -- a thread-safe, fork-aware (PID-keyed, like
-  ``get_field_ops``) metrics registry with Counter / Gauge / Histogram
-  families, rendered in Prometheus text exposition format for
+* :mod:`repro.obs.metrics` -- a thread-safe metrics registry with
+  Counter / Gauge / Histogram families, rendered in Prometheus text
+  exposition format for
   ``GET /metrics``.  Also home to the opt-in MSM/NTT kernel-profiling
   switch (``ZKROWNN_PROFILE_KERNELS``).
 * :mod:`repro.obs.trace` -- a lightweight span tracer: every claim gets
@@ -23,13 +23,12 @@ Every hook is a cheap no-op when observability is disabled
 ``faults.injected()``: one global read, nothing allocated.
 """
 
-from .logging import configure as configure_logging, get_logger, log_level
+from .logging import configure as configure_logging, get_logger
 from .metrics import (
     MetricsRegistry,
     get_metrics,
     kernel_profiling_enabled,
     obs_enabled,
-    reinit_metrics_after_fork,
     set_kernel_profiling,
     set_obs_enabled,
 )
@@ -45,10 +44,8 @@ __all__ = [
     "get_logger",
     "get_metrics",
     "kernel_profiling_enabled",
-    "log_level",
     "new_trace_id",
     "obs_enabled",
-    "reinit_metrics_after_fork",
     "set_kernel_profiling",
     "set_obs_enabled",
 ]

@@ -24,35 +24,19 @@ from __future__ import annotations
 
 import json
 import logging as _stdlib_logging
-import os
 import sys
 import threading
 import time
 from typing import Dict, IO, Optional
 
-__all__ = ["LEVELS", "LOG_LEVEL_ENV", "Logger", "configure", "get_logger", "log_level"]
+from .. import config
 
-LOG_LEVEL_ENV = "ZKROWNN_LOG_LEVEL"
+__all__ = ["LEVELS", "Logger", "configure", "get_logger"]
 
-LEVELS: Dict[str, int] = {
-    "debug": 10,
-    "info": 20,
-    "warning": 30,
-    "error": 40,
-    "off": 100,
-}
-
-_DEFAULT_LEVEL = "warning"
-
-
-def _parse_level(raw: Optional[str]) -> int:
-    if not raw:
-        return LEVELS[_DEFAULT_LEVEL]
-    return LEVELS.get(raw.strip().lower(), LEVELS[_DEFAULT_LEVEL])
-
+LEVELS: Dict[str, int] = dict(zip(config.LOG_LEVELS, (10, 20, 30, 40, 100)))
 
 _LOCK = threading.Lock()
-_THRESHOLD: int = _parse_level(os.environ.get(LOG_LEVEL_ENV))
+_THRESHOLD: int = LEVELS[config.setting("log_level")]
 _STREAM: Optional[IO[str]] = None  # None -> sys.stderr at emit time
 _LOGGERS: Dict[str, "Logger"] = {}
 
@@ -60,14 +44,6 @@ _LOGGERS: Dict[str, "Logger"] = {}
 # would duplicate our stderr line) but still propagates to any handlers
 # the embedding application -- or pytest's caplog -- installs on root.
 _stdlib_logging.getLogger("zkrownn").addHandler(_stdlib_logging.NullHandler())
-
-
-def log_level() -> str:
-    """The active level name (``"warning"`` by default)."""
-    for name, value in LEVELS.items():
-        if value == _THRESHOLD:
-            return name
-    return _DEFAULT_LEVEL
 
 
 def configure(
@@ -82,11 +58,7 @@ def configure(
     global _THRESHOLD, _STREAM
     with _LOCK:
         if level is not None:
-            if level.strip().lower() not in LEVELS:
-                raise ValueError(
-                    f"unknown log level {level!r}; one of {sorted(LEVELS)}"
-                )
-            _THRESHOLD = _parse_level(level)
+            _THRESHOLD = LEVELS[config.choice("log level", level, config.LOG_LEVELS)]
         if stream is not None:
             _STREAM = stream
 
@@ -99,9 +71,6 @@ class Logger:
     def __init__(self, component: str):
         self.component = component
         self._mirror = _stdlib_logging.getLogger(f"zkrownn.{component}")
-
-    def enabled_for(self, level: str) -> bool:
-        return LEVELS.get(level, 0) >= _THRESHOLD
 
     def _emit(self, level: str, event: str, fields: Dict[str, object]) -> None:
         if LEVELS[level] < _THRESHOLD:

@@ -1,4 +1,4 @@
-"""A thread-safe, fork-aware metrics registry with Prometheus exposition.
+"""A thread-safe metrics registry with Prometheus exposition.
 
 Three metric families -- :class:`Counter` (monotone), :class:`Gauge`
 (settable), :class:`Histogram` (fixed log-spaced buckets, cumulative) --
@@ -7,11 +7,8 @@ all label-aware, all guarded by one registry lock, rendered by
 (``# HELP`` / ``# TYPE`` headers, ``_bucket{le=...}`` / ``_sum`` /
 ``_count`` series for histograms).
 
-The process-global registry (:func:`get_metrics`) is keyed by PID
-exactly like ``repro.field.backend.get_field_ops``: the first lookup in
-a forked worker discards the parent's registry, so child processes never
-double-count into inherited state and a fork-then-scrape never observes
-a torn snapshot.
+The process-global registry (:func:`get_metrics`) is one object per
+interpreter; worker processes are spawned, so each starts its own.
 
 Every mutation checks one module-global flag first: with
 :func:`set_obs_enabled` off, ``inc``/``set``/``observe`` return before
@@ -21,35 +18,31 @@ fault-injection hooks established.
 Kernel profiling (MSM/NTT duration histograms, bucketed by power-of-two
 operand count) is opt-in via ``ZKROWNN_PROFILE_KERNELS`` or
 :func:`set_kernel_profiling`; the kernels check
-:func:`kernel_profiling_enabled` before even reading a clock.
+:func:`kernel_profiling_enabled` before even reading a clock.  Both
+switches start from :mod:`repro.config`, read once at import.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 from typing import Dict, List, Sequence, Tuple
+
+from .. import config
 
 __all__ = [
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
     "Gauge",
     "Histogram",
-    "KERNEL_PROFILING_ENV",
     "MetricsRegistry",
-    "OBS_ENV",
     "get_metrics",
     "kernel_profiling_enabled",
     "obs_enabled",
     "observe_kernel",
-    "reinit_metrics_after_fork",
     "set_kernel_profiling",
     "set_obs_enabled",
 ]
-
-OBS_ENV = "ZKROWNN_OBS"
-KERNEL_PROFILING_ENV = "ZKROWNN_PROFILE_KERNELS"
 
 # Log-spaced 1-2.5-5 latency buckets from 1ms to 60s: wide enough for a
 # sub-millisecond queue wait and a minutes-long proving batch alike.
@@ -58,15 +51,10 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
     1.0, 2.5, 5.0, 10.0, 25.0, 60.0,
 )
 
-_OFF_VALUES = ("0", "off", "false", "no", "disabled")
-
 # Process-wide on/off switch for every hook in the codebase.  A module
 # global read is the entire disabled-path cost.
-_ENABLED: bool = os.environ.get(OBS_ENV, "").strip().lower() not in _OFF_VALUES
-_KERNEL_PROFILING: bool = (
-    os.environ.get(KERNEL_PROFILING_ENV, "").strip().lower()
-    not in ("", *_OFF_VALUES)
-)
+_ENABLED: bool = config.setting("obs")
+_KERNEL_PROFILING: bool = config.setting("profile_kernels")
 
 
 def obs_enabled() -> bool:
@@ -135,16 +123,12 @@ class _Metric:
         raise NotImplementedError
 
 
-class Counter(_Metric):
-    """A monotonically increasing count (per label set)."""
-
-    type_name = "counter"
+class _Scalar(_Metric):
+    """One number per label set: what counters and gauges share."""
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         if not _ENABLED:
             return
-        if amount < 0:
-            raise ValueError("counters only go up")
         key = _label_key(labels)
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + amount
@@ -162,7 +146,18 @@ class Counter(_Metric):
         ]
 
 
-class Gauge(_Metric):
+class Counter(_Scalar):
+    """A monotonically increasing count (per label set)."""
+
+    type_name = "counter"
+
+    def inc(self, amount: float = 1.0, **labels: str) -> None:
+        if amount < 0:
+            raise ValueError("counters only go up")
+        super().inc(amount, **labels)
+
+
+class Gauge(_Scalar):
     """A value that can go up and down (queue depth, claims by state)."""
 
     type_name = "gauge"
@@ -173,27 +168,8 @@ class Gauge(_Metric):
         with self._lock:
             self._series[_label_key(labels)] = float(value)
 
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        if not _ENABLED:
-            return
-        key = _label_key(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + amount
-
     def dec(self, amount: float = 1.0, **labels: str) -> None:
         self.inc(-amount, **labels)
-
-    def value(self, **labels: str) -> float:
-        with self._lock:
-            return float(self._series.get(_label_key(labels), 0.0))
-
-    def render(self) -> List[str]:
-        with self._lock:
-            series = sorted(self._series.items())
-        return [
-            f"{self.name}{_render_labels(key)} {_format_value(value)}"
-            for key, value in series
-        ]
 
 
 class Histogram(_Metric):
@@ -328,10 +304,6 @@ class MetricsRegistry:
             Histogram, name, help_text, buckets=buckets
         )
 
-    def names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._metrics)
-
     def render(self) -> str:
         """The registry in Prometheus text exposition format."""
         with self._lock:
@@ -345,29 +317,13 @@ class MetricsRegistry:
 
 
 # -- process-global registry ---------------------------------------------------
-#
-# PID-keyed, mirroring repro.field.backend._STATE: forked workers get a
-# fresh registry on first use instead of mutating inherited counters.
 
-_STATE: Dict[str, object] = {"pid": os.getpid(), "registry": None}
-_STATE_LOCK = threading.Lock()
+_REGISTRY = MetricsRegistry()
 
 
 def get_metrics() -> MetricsRegistry:
-    """This process's metrics registry (fork-aware, created on demand)."""
-    with _STATE_LOCK:
-        if _STATE["pid"] != os.getpid():
-            _STATE["pid"] = os.getpid()
-            _STATE["registry"] = None
-        if _STATE["registry"] is None:
-            _STATE["registry"] = MetricsRegistry()
-        return _STATE["registry"]  # type: ignore[return-value]
-
-
-def reinit_metrics_after_fork() -> None:
-    """Drop inherited registry state; next use creates a fresh one."""
-    with _STATE_LOCK:
-        _STATE["pid"] = -1
+    """This process's metrics registry."""
+    return _REGISTRY
 
 
 # -- kernel profiling ----------------------------------------------------------

@@ -8,7 +8,7 @@ same-shape claims side by side in spawned workers and is what
 :func:`machine_backend` -- the proof service's choice -- falls back to on
 a machine with two or more usable CPUs.  Selection is explicit (engine
 config) or via the ``ZKROWNN_BACKEND`` / ``ZKROWNN_WORKERS`` environment
-variables.
+variables (read by :mod:`repro.config`).
 """
 
 from .backend import (

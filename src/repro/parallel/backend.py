@@ -57,6 +57,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .. import config
 from ..curves.g1 import G1_INFINITY_JAC, JacobianPoint, jac_add
 from ..curves.msm import msm_g1, msm_g1_multi, msm_g2
 from ..curves.pairing import G2Precomputed, fp12_from_ints, multi_miller_loop
@@ -462,7 +463,7 @@ class ProcessBackend(ComputeBackend):
 def _resolve_workers(workers_count: Optional[int]) -> int:
     """argument > ``$ZKROWNN_WORKERS`` > usable CPUs."""
     if workers_count is None:
-        workers_count = int(os.environ.get("ZKROWNN_WORKERS") or 0)
+        workers_count = config.setting("workers")
     return workers_count or usable_cpus()
 
 
@@ -483,14 +484,10 @@ def get_backend(
     proving runs on the calling thread, which is what the e2e harness
     measures (it reads that thread's CPU clock and records this name).
     """
-    name = (name or os.environ.get("ZKROWNN_BACKEND") or default).lower()
-    if name == "serial":
+    name = name or config.setting("backend") or default
+    if config.choice("backend", name, config.BACKENDS) == "serial":
         return SerialBackend()
-    if name == "process":
-        return ProcessBackend(_resolve_workers(workers_count))
-    raise ValueError(
-        f"unknown backend {name!r}: expected 'serial' or 'process'"
-    )
+    return ProcessBackend(_resolve_workers(workers_count))
 
 
 def machine_backend(

@@ -31,25 +31,26 @@ thread interleaving across sites, and a failing seed is a bug report.
 Injection is explicit only: modules take a plan as a constructor
 argument, or the process-global plan is installed from the
 ``ZKROWNN_FAULT_PLAN`` environment variable (inline JSON, or ``@path``
-to a JSON file).  With no plan installed every hook is a single
-``is None`` check -- zero cost in production.
+to a JSON file; parsed by :mod:`repro.config`, which refuses a
+malformed one with :class:`~repro.config.ConfigError`).  With no plan
+installed every hook is a single ``is None`` check -- zero cost in
+production.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
+from .. import config
 from ..obs import trace as _trace
 
 __all__ = [
-    "ENV_VAR",
     "FaultInjectionError",
     "FaultPlan",
     "FaultSpec",
@@ -58,10 +59,7 @@ __all__ = [
     "active_plan",
     "injected",
     "install_plan",
-    "plan_from_env",
 ]
-
-ENV_VAR = "ZKROWNN_FAULT_PLAN"
 
 KINDS = ("latency", "error", "reset", "crash", "corrupt")
 CORRUPT_MODES = ("bitflip", "truncate")
@@ -267,18 +265,6 @@ class FaultPlan:
             sort_keys=True,
         )
 
-    @staticmethod
-    def from_json(payload: str) -> "FaultPlan":
-        try:
-            data = json.loads(payload)
-        except ValueError as exc:
-            raise FaultInjectionError(f"fault plan is not JSON: {exc}") from exc
-        if not isinstance(data, dict) or not isinstance(data.get("specs"), list):
-            raise FaultInjectionError(
-                "fault plan must be {'seed': int, 'specs': [...]}"
-            )
-        return FaultPlan(seed=data.get("seed", 0), specs=data["specs"])
-
     def __repr__(self) -> str:
         return (
             f"FaultPlan(seed={self.seed}, specs={len(self.specs)}, "
@@ -293,7 +279,18 @@ class FaultPlan:
 # installs one or ZKROWNN_FAULT_PLAN is set, so the off path is a bare
 # attribute check.
 
-_PLAN: Optional[FaultPlan] = None
+
+def _plan_from_env() -> Optional[FaultPlan]:
+    data = config.setting("fault_plan")
+    try:
+        return None if data is None else FaultPlan(**data)
+    except (FaultInjectionError, TypeError) as exc:
+        raise config.ConfigError(f"ZKROWNN_FAULT_PLAN: {exc}") from exc
+
+
+# Read once, at import: every component created afterwards defaults to
+# this shared plan (one counter space per process).
+_PLAN: Optional[FaultPlan] = _plan_from_env()
 
 
 def install_plan(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
@@ -317,22 +314,3 @@ def injected(plan: FaultPlan):
         yield plan
     finally:
         _PLAN = previous
-
-
-def plan_from_env(env: Optional[str] = None) -> Optional[FaultPlan]:
-    """Parse ``ZKROWNN_FAULT_PLAN``: inline JSON, or ``@path`` to a file."""
-    value = env if env is not None else os.environ.get(ENV_VAR, "")
-    value = value.strip()
-    if not value:
-        return None
-    if value.startswith("@"):
-        with open(value[1:]) as fh:
-            value = fh.read()
-    return FaultPlan.from_json(value)
-
-
-# Environment activation happens once, at import: every component created
-# afterwards defaults to this shared plan (one counter space per process).
-_env_plan = plan_from_env()
-if _env_plan is not None:  # pragma: no cover - exercised via subprocess in CI
-    _PLAN = _env_plan

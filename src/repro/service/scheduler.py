@@ -146,6 +146,8 @@ class ProofScheduler:
             raise ValueError("max_batch must be at least 1")
         if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
+        if workers < 1:
+            raise ValueError(f"workers must be at least 1, not {workers}")
         self.engine = engine
         self.registry = registry
         self.max_batch = max_batch

@@ -55,6 +55,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
+from .. import config
 from ..engine.engine import ProvingEngine
 from ..obs import Tracer, get_logger, get_metrics, new_trace_id, obs_enabled
 from ..obs.trace import sanitize_trace_id
@@ -135,20 +136,17 @@ class ProofService:
         audit_mode: Optional[str] = None,
     ):
         self.registry = registry
+        # Every ZKROWNN_* setting, checked before anything starts and
+        # reported with its source under /stats "config".
+        self.settings = config.load()
         self.faults = faults if faults is not None else _faults.active_plan()
         if engine is None:
             engine = ProvingEngine(
                 cache_dir=cache_dir or str(registry.root / "engine-cache"),
                 backend=machine_backend(),
                 prove_budget_seconds=prove_budget_seconds,
-                audit=audit_mode,
             )
-        elif audit_mode is not None:
-            if audit_mode not in ("off", "warn", "strict"):
-                raise ValueError(
-                    "audit_mode must be 'off', 'warn', or 'strict', "
-                    f"not {audit_mode!r}"
-                )
+        if audit_mode is not None:
             engine.audit_mode = audit_mode
         self.engine = engine
         if scheduler_workers is None:
@@ -794,6 +792,7 @@ class ProofService:
             "registry": self.registry.counts(),
             "backend": self.engine.backend.name,
             "workers": self.engine.backend.workers,
+            "config": self.settings.provenance(),
             "uptime_seconds": time.time() - self.started_at,
         }
 

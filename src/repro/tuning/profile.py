@@ -1,9 +1,9 @@
 """What is left of the machine profile: a report that none is loaded.
 
 Every knob now has one source -- the static window table in
-:func:`repro.curves.msm.pippenger_window_size`, the usable CPUs and
-``ZKROWNN_BACKEND``/``ZKROWNN_WORKERS`` in :mod:`repro.parallel.backend`,
-constructor defaults elsewhere -- so no per-host file is read.  This
+:func:`repro.curves.msm.pippenger_window_size`, the usable CPUs, the
+``ZKROWNN_*`` variables read by :mod:`repro.config`, constructor defaults
+elsewhere -- so no per-host file is read.  This
 function stays only because ``benchmarks/e2e/harness.py`` records it.
 """
 

@@ -112,19 +112,28 @@ def watermarked_mlp():
 
 
 @pytest.fixture(scope="session")
-def ownership_setup(watermarked_mlp):
-    """Extraction circuit + Groth16 keypair for the watermarked MLP."""
-    from repro.circuit import FixedPointFormat
+def ownership_setup():
+    """Extraction circuit + Groth16 keypair for ``shapes.small_claim()``:
+    the protocol tests check the claim plumbing, not the MLP's prover."""
     from repro.snark import setup
-    from repro.zkrownn import CircuitConfig, build_extraction_circuit
+    from repro.zkrownn import build_extraction_circuit
+    from shapes import small_claim
 
-    model, keys, _ = watermarked_mlp
-    config = CircuitConfig(
-        theta=0.0, fixed_point=FixedPointFormat(frac_bits=14, total_bits=40)
-    )
+    model, keys, config = small_claim()
     circuit = build_extraction_circuit(model, keys, config)
     keypair = setup(circuit.constraint_system, seed=7)
     return config, circuit, keypair
+
+
+@pytest.fixture
+def fresh_metrics(monkeypatch):
+    """An empty process metrics registry for one test; the previous one is
+    restored afterwards."""
+    from repro.obs import metrics
+
+    registry = metrics.MetricsRegistry()
+    monkeypatch.setattr(metrics, "_REGISTRY", registry)
+    return registry
 
 
 # The small-claim shape's session engine lives with the shape itself.

@@ -8,7 +8,7 @@ constraints: untrained weights and random keys, valid because
 ``theta = 1`` accepts any bit error rate.  A setup takes ~1.5 s and a
 proof ~0.5 s, where the trained MLP of ``watermarked_mlp`` costs tens of
 seconds per test.  The MLP shape stays covered by the benchmark's
-workloads and the engine/protocol tests.
+workloads, the engine tests and ``benchmarks/bench_service.py``.
 
 ``small_claim_engine`` holds the shape's compiled circuit and keypair for
 the whole session: a test that needs the expected bytes of an

@@ -1,7 +1,7 @@
 """Field-arithmetic backend tests.
 
 Covers the backends' agreement on element-level arithmetic (edge values
-and random residues), backend selection/fork semantics, and -- the
+and random residues), backend selection, and -- the
 system-level guarantee everything else exists to protect -- Groth16 proof
 byte-identity across field backends x compute backends.
 
@@ -23,14 +23,12 @@ from repro.curves.g1 import G1Point, jac_add, jac_to_affine_many
 from repro.curves.msm import msm_g1, msm_g1_multi
 from repro.field.backend import (
     _BACKEND_CLASSES,
-    FIELD_BACKEND_ENV,
     Gmpy2FieldOps,
     PythonFieldOps,
     active_field_backend,
     available_field_backends,
     get_field_ops,
     gmpy2_available,
-    reinit_field_backend_after_fork,
     resolve_field_backend,
     set_field_backend,
 )
@@ -88,19 +86,19 @@ def _all_ops(modulus):
 
 class TestSelection:
     def test_default_resolution_prefers_gmpy2_when_importable(self, monkeypatch):
-        monkeypatch.delenv(FIELD_BACKEND_ENV, raising=False)
+        monkeypatch.delenv("ZKROWNN_FIELD_BACKEND", raising=False)
         expected = "gmpy2" if gmpy2_available() else "python"
         assert resolve_field_backend() == expected
         assert resolve_field_backend("auto") == expected
 
     def test_env_variable_selects_backend(self, monkeypatch, gmpy2_or_stub):
-        monkeypatch.setenv(FIELD_BACKEND_ENV, "gmpy2")
+        monkeypatch.setenv("ZKROWNN_FIELD_BACKEND", "gmpy2")
         set_field_backend(None)  # drop any pin so the env is consulted
         assert active_field_backend() == "gmpy2"
         assert get_field_ops(P).name == "gmpy2"
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown field backend"):
+        with pytest.raises(ValueError, match="field backend='cuda'"):
             resolve_field_backend("cuda")
 
     @pytest.mark.parametrize("retired", ["numpy", "montgomery"])
@@ -110,9 +108,9 @@ class TestSelection:
         assert valid == "'python', 'gmpy2', 'auto'"
         with pytest.raises(ValueError) as pinned:
             set_field_backend(retired)
-        assert f"unknown field backend {retired!r}" in str(pinned.value)
+        assert f"field backend={retired!r}" in str(pinned.value)
         assert valid in str(pinned.value)
-        monkeypatch.setenv(FIELD_BACKEND_ENV, retired)
+        monkeypatch.setenv("ZKROWNN_FIELD_BACKEND", retired)
         set_field_backend(None)
         with pytest.raises(ValueError, match=valid):
             active_field_backend()
@@ -138,17 +136,6 @@ class TestSelection:
         set_field_backend("gmpy2")
         assert get_field_ops(P) is not first
         assert get_field_ops(P).name == "gmpy2"
-
-    def test_reinit_after_fork_drops_pin(self, monkeypatch):
-        monkeypatch.setenv(FIELD_BACKEND_ENV, "auto")
-        set_field_backend("python")
-        monkeypatch.setattr(
-            "repro.field.backend.gmpy2_available", lambda: True
-        )
-        reinit_field_backend_after_fork()
-        # Back to environment resolution, as a worker process would be:
-        # the pin said python, `auto` now says gmpy2.
-        assert active_field_backend() == "gmpy2"
 
     def test_prime_field_ops_property_tracks_active_backend(self, gmpy2_or_stub):
         set_field_backend("gmpy2")
@@ -296,7 +283,7 @@ class TestGmpy2PlumbingViaStub:
     """
 
     def test_backend_resolves_and_ops_agree(self, monkeypatch):
-        monkeypatch.delenv(FIELD_BACKEND_ENV, raising=False)
+        monkeypatch.delenv("ZKROWNN_FIELD_BACKEND", raising=False)
         _install_fake_gmpy2(monkeypatch)
         assert gmpy2_available()
         assert resolve_field_backend() == "gmpy2"  # auto prefers gmpy2

@@ -18,11 +18,11 @@ from repro.obs import (
     configure_logging,
     get_logger,
     get_metrics,
-    reinit_metrics_after_fork,
     set_kernel_profiling,
     set_obs_enabled,
 )
-from repro.obs.logging import LOG_LEVEL_ENV, Logger
+from repro import config
+from repro.obs.logging import Logger
 from repro.obs.metrics import (
     KERNEL_BUCKETS,
     MetricsRegistry,
@@ -206,19 +206,17 @@ class TestKernelProfiling:
         finally:
             set_kernel_profiling(prev_kernel)
 
-    def test_observe_kernel_buckets_by_size(self, obs_on):
-        reinit_metrics_after_fork()  # fresh process registry
+    def test_observe_kernel_buckets_by_size(self, obs_on, fresh_metrics):
         observe_kernel("msm", 1000, 0.02, group="g1")
         hist = get_metrics().histogram(
             "zkrownn_msm_seconds", buckets=KERNEL_BUCKETS
         )
         assert hist.snapshot(n="2^10", group="g1")["count"] == 1
 
-    def test_msm_lands_in_histogram_when_enabled(self, obs_on):
+    def test_msm_lands_in_histogram_when_enabled(self, obs_on, fresh_metrics):
         from repro.curves.bn254 import G1_GENERATOR
         from repro.curves.msm import msm_g1
 
-        reinit_metrics_after_fork()
         prev = set_kernel_profiling(True)
         try:
             msm_g1([G1_GENERATOR] * 4, [1, 2, 3, 4])
@@ -229,14 +227,13 @@ class TestKernelProfiling:
         )
         assert hist.snapshot(n="2^2", group="g1")["count"] == 1
 
-    def test_one_msm_g1_call_is_one_sample(self, obs_on):
+    def test_one_msm_g1_call_is_one_sample(self, obs_on, fresh_metrics):
         """``msm_g1`` and ``msm_g1_multi`` share a body; a profiled call --
         by keyword, which the wrapper must accept -- is observed once,
         under ``group="g1"`` and nowhere else."""
         from repro.curves.bn254 import G1_GENERATOR
         from repro.curves.msm import msm_g1
 
-        reinit_metrics_after_fork()
         prev = set_kernel_profiling(True)
         try:
             msm_g1(points=[G1_GENERATOR] * 4, scalars=[1, 2, 3, 4])
@@ -252,7 +249,7 @@ class TestKernelProfiling:
         assert len(counts) == 1
         assert 'group="g1"' in counts[0] and counts[0].endswith(" 1")
 
-    def test_fixed_base_mul_many_lands_in_histogram(self, obs_on):
+    def test_fixed_base_mul_many_lands_in_histogram(self, obs_on, fresh_metrics):
         """A slow ``setup`` stage is attributable the way a slow prove is."""
         from repro.curves.bn254 import G1_GENERATOR
         from repro.curves.g2 import G2Point
@@ -260,7 +257,6 @@ class TestKernelProfiling:
 
         table_g1 = FixedBaseTableG1(G1_GENERATOR, window=4)
         table_g2 = FixedBaseTableG2(G2Point.generator(), window=4)
-        reinit_metrics_after_fork()
         table_g1.mul_many([9])  # profiling off: nothing recorded
         prev = set_kernel_profiling(True)
         try:
@@ -275,10 +271,9 @@ class TestKernelProfiling:
         assert hist.snapshot(n="2^1", group="g2_fixed")["count"] == 1
         assert hist.snapshot(n="2^0", group="g1_fixed")["count"] == 0
 
-    def test_ntt_profiled_fwd_and_inv(self, obs_on):
+    def test_ntt_profiled_fwd_and_inv(self, obs_on, fresh_metrics):
         from repro.field.ntt import get_domain, intt, ntt
 
-        reinit_metrics_after_fork()
         omega = get_domain(8).omega
         prev = set_kernel_profiling(True)
         try:
@@ -293,27 +288,15 @@ class TestKernelProfiling:
         assert hist.snapshot(n="2^3", direction="inv")["count"] == 1
 
 
-class TestForkAwareness:
-    def test_reinit_discards_registry(self, obs_on):
-        first = get_metrics()
-        first.counter("stale_total").inc()
-        reinit_metrics_after_fork()
-        second = get_metrics()
-        assert second is not first
-        assert "stale_total" not in second.names()
-        assert second is get_metrics()
-
-
 # -- live /metrics scrapes -----------------------------------------------------
 
 
 class TestMetricsEndpoint:
     def test_scrapes_parse_and_counters_never_decrease(
-        self, tmp_path, obs_on
+        self, tmp_path, obs_on, fresh_metrics
     ):
         from repro.service import ClaimRegistry, ProofServer, ProofService
 
-        reinit_metrics_after_fork()
         server = ProofServer(
             ProofService(ClaimRegistry(tmp_path / "reg"))
         ).start()
@@ -407,5 +390,5 @@ class TestStructuredLogging:
             configure_logging(level="warning", stream=sys.stderr)
 
     def test_env_name_documented(self):
-        assert LOG_LEVEL_ENV == "ZKROWNN_LOG_LEVEL"
+        assert config.VARIABLES["log_level"].env == "ZKROWNN_LOG_LEVEL"
         assert isinstance(get_logger("x"), Logger)

@@ -12,7 +12,6 @@ import time
 
 import pytest
 
-from repro.circuit import FixedPointFormat
 from repro.engine import ProvingEngine
 from repro.obs import (
     NULL_SPAN,
@@ -21,7 +20,6 @@ from repro.obs import (
     current_span,
     get_metrics,
     new_trace_id,
-    reinit_metrics_after_fork,
     set_obs_enabled,
 )
 from repro.obs.trace import record_fault, sanitize_trace_id
@@ -35,7 +33,6 @@ from repro.service import (
     ServiceClient,
     ServiceError,
 )
-from repro.zkrownn import CircuitConfig
 from shapes import SMALL_SETUP_SEED, small_claim
 
 
@@ -122,8 +119,9 @@ class TestTracer:
             assert foreign.parent_id == ""
         assert current_span() is NULL_SPAN
 
-    def test_finish_persists_via_sink_and_records_stage(self, obs_on):
-        reinit_metrics_after_fork()
+    def test_finish_persists_via_sink_and_records_stage(
+        self, obs_on, fresh_metrics
+    ):
         stored = []
         tracer = Tracer(sink=lambda claim_id, span: stored.append(
             (claim_id, span)
@@ -148,8 +146,7 @@ class TestTracer:
         tracer.finish(tracer.span(new_trace_id(), "anonymous"))
         assert stored == []  # no claim_id -> nothing persisted
 
-    def test_record_fault_attaches_to_active_span(self, obs_on):
-        reinit_metrics_after_fork()
+    def test_record_fault_attaches_to_active_span(self, obs_on, fresh_metrics):
         tracer = Tracer()
         span = tracer.span(new_trace_id(), "dispatch")
         with tracer.active(span):
@@ -182,16 +179,15 @@ LIFECYCLE_STAGES = (
 
 
 @pytest.fixture(scope="module")
-def traced_claim(tmp_path_factory, watermarked_mlp):
+def traced_claim(tmp_path_factory):
     """One claim proved over real HTTP, with its trace fully recorded."""
-    model, keys, _ = watermarked_mlp
-    config = CircuitConfig(
-        theta=0.0, fixed_point=FixedPointFormat(frac_bits=14, total_bits=40)
-    )
+    model, keys, config = small_claim()
     root = tmp_path_factory.mktemp("obs-e2e") / "registry"
     server = ProofServer(ProofService(ClaimRegistry(root))).start()
     client = ServiceClient(server.url)
-    submitted = client.submit_claim(model, keys, config, seed=5, setup_seed=99)
+    submitted = client.submit_claim(
+        model, keys, config, seed=5, setup_seed=SMALL_SETUP_SEED
+    )
     claim_id = submitted["claim_id"]
     status = client.wait(claim_id, timeout=600)
     assert status["state"] == "done", status

@@ -620,13 +620,13 @@ class TestSpawnedWorkersShareNoLocks:
     def test_pool_starts_while_other_threads_hold_the_obs_locks(self, monkeypatch):
         """The service starts prove pools from a process whose HTTP and
         scheduler threads log and count.  Whatever those threads hold at
-        that moment -- here the metrics-registry locks and the log stream
+        that moment -- here the metrics-registry lock and the log stream
         lock, for the whole life of the pool -- is no business of a
         spawned worker, even one that profiles its kernels into its own
         registry."""
         from repro.snark.groth16 import prepare_proving_key
 
-        monkeypatch.setenv(obs_metrics.KERNEL_PROFILING_ENV, "1")
+        monkeypatch.setenv("ZKROWNN_PROFILE_KERNELS", "1")
         engine = ProvingEngine(backend=SerialBackend())
         compiled, synthesis = engine.synthesize("chain", _chain_synthesizer(8))
         ppk = prepare_proving_key(engine.setup(compiled, seed=5).proving_key)
@@ -639,7 +639,7 @@ class TestSpawnedWorkersShareNoLocks:
         held, release = threading.Event(), threading.Event()
 
         def hold_locks():
-            with obs_metrics._STATE_LOCK, registry._lock, obs_logging._LOCK:
+            with registry._lock, obs_logging._LOCK:
                 held.set()
                 release.wait(timeout=120)
 

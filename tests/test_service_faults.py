@@ -30,6 +30,8 @@ import multiprocessing
 import os
 import signal
 import socket
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -61,7 +63,7 @@ from repro.service import (
     injected,
     wire,
 )
-from repro.service.faults import plan_from_env
+from repro.config import fault_plan
 from repro.watermark import WatermarkKeys
 from shapes import SMALL_SETUP_SEED, direct_proof_bytes, small_claim
 
@@ -220,16 +222,62 @@ class TestFaultPlanDeterminism:
         plan = FaultPlan(seed=11, specs=[
             FaultSpec(site="http.request", kind="reset", probability=0.5)
         ])
-        restored = FaultPlan.from_json(plan.to_json())
+        restored = FaultPlan(**fault_plan("ZKROWNN_FAULT_PLAN", plan.to_json()))
         assert restored.seed == 11
         assert restored.specs == plan.specs
         path = tmp_path / "plan.json"
         path.write_text(plan.to_json())
-        from_file = plan_from_env(f"@{path}")
+        from_file = FaultPlan(**fault_plan("ZKROWNN_FAULT_PLAN", f"@{path}"))
         assert from_file.specs == plan.specs
-        assert plan_from_env("") is None
-        inline = plan_from_env(plan.to_json())
+        inline = FaultPlan(**fault_plan("ZKROWNN_FAULT_PLAN", plan.to_json()))
         assert inline.seed == 11
+
+
+_FIRE_ONCE = """
+from repro.service import faults
+plan = faults.active_plan()
+try:
+    plan.fire("http.request")
+except ConnectionResetError:
+    print("fired", plan.fired("http.request"))
+"""
+
+
+class TestFaultPlanFromEnvironment:
+    """``ZKROWNN_FAULT_PLAN`` is read once, at import, in a fresh process."""
+
+    PLAN = FaultPlan(seed=4, specs=[
+        FaultSpec(site="http.request", kind="reset", max_fires=1),
+    ]).to_json()
+
+    def _run(self, value):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), ZKROWNN_FAULT_PLAN=value)
+        return subprocess.run(
+            [sys.executable, "-c", _FIRE_ONCE], env=env, timeout=120,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+
+    def test_inline_json_installs_a_plan_that_fires(self):
+        done = self._run(self.PLAN)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["fired", "1"]
+
+    def test_at_path_installs_the_same_plan(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text(self.PLAN)
+        done = self._run(f"@{path}")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["fired", "1"]
+
+    @pytest.mark.parametrize("value", [
+        "{not json",
+        '{"specs": [{"site": "x", "kind": "meltdown"}]}',
+    ])
+    def test_malformed_plan_stops_the_import_by_name(self, value):
+        done = self._run(value)
+        assert done.returncode != 0
+        assert "ConfigError: ZKROWNN_FAULT_PLAN" in done.stderr
 
 
 # -- no lost claims: submit / crash / restart ----------------------------------
@@ -672,15 +720,14 @@ class TestProveWorkerLoss:
 
 class TestCountersAgree:
     def test_stats_and_metrics_scrape_agree_after_chaos(
-        self, tmp_path, chaos_seed, small_claim_engine
+        self, tmp_path, chaos_seed, small_claim_engine, fresh_metrics
     ):
         """``/stats`` and ``/metrics`` read the same counters: after a seeded
         chaos run, every scheduler counter equals its Prometheus series."""
-        from repro.obs import reinit_metrics_after_fork, set_obs_enabled
+        from repro.obs import set_obs_enabled
         from test_obs_metrics import parse_exposition
 
         previous = set_obs_enabled(True)
-        reinit_metrics_after_fork()
         plan = FaultPlan(seed=chaos_seed, specs=[
             FaultSpec(site="scheduler.dispatch", kind="error",
                       error="RuntimeError", probability=0.5),

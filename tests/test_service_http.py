@@ -115,10 +115,8 @@ class TestEndToEnd:
         finally:
             server2.stop()
 
-    def test_concurrent_same_shape_submissions_share_one_batch(
-        self, tmp_path, claim_setup
-    ):
-        model, keys, config = claim_setup
+    def test_concurrent_same_shape_submissions_share_one_batch(self, tmp_path):
+        model, keys, config = small_claim()
         service = ProofService(ClaimRegistry(tmp_path / "reg2"))
         # HTTP up, scheduler paused: both submissions are queued together,
         # so the first dispatch must drain them as ONE batch.

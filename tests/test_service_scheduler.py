@@ -23,6 +23,7 @@ from repro.service import (
     ProofTask,
 )
 from repro.service import wire
+from shapes import small_claim
 
 
 def _chain_synthesizer(depth, x=3):
@@ -459,18 +460,14 @@ class TestRevocationIsFinal:
 class TestOwnershipClaimBatch:
     """Real extraction circuits end to end through scheduler + registry."""
 
-    def test_batch_proves_stores_and_mirrors(self, tmp_path, watermarked_mlp):
+    def test_batch_proves_stores_and_mirrors(self, tmp_path):
         from repro.zkrownn import (
-            CircuitConfig,
             extraction_structure_key,
             extraction_synthesizer,
             model_digest,
         )
 
-        model, keys, _ = watermarked_mlp
-        config = CircuitConfig(
-            theta=0.0, fixed_point=FixedPointFormat(frac_bits=14, total_bits=40)
-        )
+        model, keys, config = small_claim()
         shape_key = extraction_structure_key(model, keys, config)
         registry = ClaimRegistry(tmp_path)
         scheduler = ProofScheduler(ProvingEngine(), registry, max_batch=8)

@@ -89,14 +89,12 @@ class TestSpatialModels:
 
 
 class TestEstimateProperties:
-    def test_vk_size_formula(self, watermarked_mlp):
+    def test_vk_size_formula(self):
         """The VK byte estimate matches a real setup's key."""
         from repro.snark import setup
+        from shapes import small_claim
 
-        model, keys, _ = watermarked_mlp
-        config = CircuitConfig(
-            theta=0.0, fixed_point=FixedPointFormat(frac_bits=14, total_bits=40)
-        )
+        model, keys, config = small_claim()
         estimate = estimate_extraction_cost(model, keys, config)
         circuit = build_extraction_circuit(model, keys, config)
         keypair = setup(circuit.constraint_system, seed=3)

@@ -9,10 +9,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.circuit import FixedPointFormat
 from repro.curves.g1 import G1Point
 from repro.curves.g2 import G2Point
 from repro.snark import VerifyingKey, prove, verify, verify_batch_grouped
 from repro.zkrownn import (
+    CircuitConfig,
     OwnershipClaim,
     OwnershipProver,
     OwnershipVerifier,
@@ -20,11 +22,12 @@ from repro.zkrownn import (
     model_digest,
     public_inputs_for,
 )
+from shapes import small_claim
 
 
 @pytest.fixture(scope="module")
-def claim_and_parts(watermarked_mlp, ownership_setup):
-    model, keys, _ = watermarked_mlp
+def claim_and_parts(ownership_setup):
+    model, keys, _ = small_claim()
     config, circuit, keypair = ownership_setup
     prover = OwnershipProver(model, keys, config)
     claim = prover.prove_ownership(keypair.proving_key, seed=5)
@@ -46,7 +49,10 @@ class TestProver:
         from repro.nn import mnist_mlp_scaled
 
         _, keys, _ = watermarked_mlp
-        config, _, keypair = ownership_setup
+        _, _, keypair = ownership_setup  # never reached: refused before proving
+        config = CircuitConfig(
+            theta=0.0, fixed_point=FixedPointFormat(frac_bits=14, total_bits=40)
+        )
         fresh = mnist_mlp_scaled(input_dim=16, hidden=16,
                                  rng=np.random.default_rng(99))
         prover = OwnershipProver(fresh, keys, config)
@@ -137,22 +143,22 @@ class TestClaimSerialization:
 
 
 class TestModelDigest:
-    def test_deterministic(self, claim_and_parts):
-        model, keys, *_ = claim_and_parts
+    def test_deterministic(self, watermarked_mlp):
+        model, keys, _ = watermarked_mlp
         assert model_digest(model, keys.embed_layer) == model_digest(
             model, keys.embed_layer
         )
 
-    def test_sensitive_to_weights(self, claim_and_parts):
-        model, keys, *_ = claim_and_parts
+    def test_sensitive_to_weights(self, watermarked_mlp):
+        model, keys, _ = watermarked_mlp
         other = model.copy()
         other.layers[0].params["b"][0] += 1e-9
         assert model_digest(model, keys.embed_layer) != model_digest(
             other, keys.embed_layer
         )
 
-    def test_only_covers_prefix_layers(self, claim_and_parts):
-        model, keys, *_ = claim_and_parts
+    def test_only_covers_prefix_layers(self, watermarked_mlp):
+        model, keys, _ = watermarked_mlp
         other = model.copy()
         other.layers[-1].params["W"][0, 0] += 1.0  # beyond embed layer
         assert model_digest(model, keys.embed_layer) == model_digest(
@@ -224,7 +230,7 @@ class TestBatchAudit:
         verifier = OwnershipVerifier(keypair.verifying_key)
         assert verifier.verify(model, claim).accepted
         assert len(decoded) == 1
-        forged = dataclasses.replace(claim, theta=claim.theta + 0.25)
+        forged = dataclasses.replace(claim, theta=claim.theta - 0.25)
         reports = verifier.verify_many([(model, claim), (model, forged)], seed=5)
         assert [r.accepted for r in reports] == [True, False]
         assert len(decoded) == 3

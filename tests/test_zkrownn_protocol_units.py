@@ -23,10 +23,11 @@ class TestTrustedSetupParty:
         with pytest.raises(RuntimeError):
             _ = party.verifying_key
 
-    def test_ceremony_produces_matching_keys(self, watermarked_mlp, ownership_setup):
+    def test_ceremony_produces_matching_keys(self, ownership_setup):
         from repro.snark import prove, verify
+        from shapes import small_claim
 
-        model, keys, _ = watermarked_mlp
+        model, keys, _ = small_claim()
         config, circuit, _ = ownership_setup
         party = TrustedSetupParty("unit-test-party")
         party.run_ceremony(model, keys, config, seed=123)
