@@ -30,10 +30,8 @@ from repro.curves.pairing import (
     _easy_part,
     final_exponentiation,
     final_exponentiation_naive,
-    fp12_from_ints,
 )
-from repro.field.tower import Fp2Element
-from repro.parallel import ProcessBackend
+from repro.field.tower import Fp2Element, Fp6Element, Fp12Element
 from repro.snark import (
     ConstraintSystem,
     LinearCombination as LC,
@@ -86,16 +84,6 @@ def test_batched_verification_scaling(bench_json):
         assert verify_batch_prepared(pvk, batch[:n], seed=1)
         batched[n] = time.perf_counter() - t0
 
-    # -- parallel-batched: live Miller loops fanned out over processes -------
-    backend = ProcessBackend(min_miller_pairs=8)
-    try:
-        t0 = time.perf_counter()
-        assert verify_batch_prepared(pvk, batch, seed=1, backend=backend)
-        parallel_seconds = time.perf_counter() - t0
-        workers = backend.workers
-    finally:
-        backend.close()
-
     n_max = max(BATCH_SIZES)
     bench_json(
         "verify-scaling",
@@ -105,14 +93,11 @@ def test_batched_verification_scaling(bench_json):
         batched_seconds_per_proof={
             str(n): batched[n] / n for n in BATCH_SIZES
         },
-        parallel_batched_seconds=parallel_seconds,
-        parallel_workers=workers,
         batched_speedup_at_max=(n_max * single_seconds) / batched[n_max],
     )
     print(f"\nsingle {single_seconds * 1e3:.1f}ms/proof, "
           f"prepared {prepared_seconds * 1e3:.1f}ms/proof, "
-          f"batched(100) {batched[n_max] / n_max * 1e3:.1f}ms/proof, "
-          f"parallel(100, {workers}w) {parallel_seconds / n_max * 1e3:.1f}ms/proof")
+          f"batched(100) {batched[n_max] / n_max * 1e3:.1f}ms/proof")
 
     # The acceptance gate: batching 100 proofs must at least halve the
     # cost of 100 independent checks.
@@ -146,8 +131,15 @@ def test_verify_kernel_table(bench_json):
     measured after (both in the assertion messages).
     """
     rng = random.Random(19)
-    a, b = (fp12_from_ints([rng.randrange(P) for _ in range(12)]) for _ in "ab")
-    c0, c3, c4 = (Fp2Element(rng.randrange(P), rng.randrange(P)) for _ in "034")
+
+    def fp2() -> Fp2Element:
+        return Fp2Element(rng.randrange(P), rng.randrange(P))
+
+    a, b = (
+        Fp12Element(Fp6Element(fp2(), fp2(), fp2()), Fp6Element(fp2(), fp2(), fp2()))
+        for _ in "ab"
+    )
+    c0, c3, c4 = (fp2() for _ in "034")
     cyclotomic = _easy_part(a)
     q = G2Point.generator() * rng.randrange(R)
 

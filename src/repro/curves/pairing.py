@@ -37,7 +37,7 @@ from ..field.backend import get_field_ops
 from ..field.prime import BN254_P as P
 from ..field.prime import BN254_R as R
 from ..field.prime import BN254_X as X
-from ..field.tower import Fp2Element, Fp6Element, Fp12Element
+from ..field.tower import Fp2Element, Fp12Element
 from .bn254 import ATE_LOOP_COUNT, OPTIMAL_ATE_LOOP_COUNT
 from .g1 import G1Point
 from .g2 import G2Point, g2_wrap, psi
@@ -51,8 +51,6 @@ __all__ = [
     "G2Precomputed",
     "final_exponentiation",
     "final_exponentiation_naive",
-    "fp12_to_ints",
-    "fp12_from_ints",
 ]
 
 # (p^4 - p^2 + 1) / r: the hard-part exponent of the final exponentiation.
@@ -208,37 +206,6 @@ def multi_miller_loop(
             neg_lam, c4 = next(lines)
             f = f.mul_by_line(yp, neg_lam.scale(xp), c4)
     return f
-
-
-def fp12_to_ints(f: Fp12Element) -> Tuple[int, ...]:
-    """Flatten an Fp12 element to 12 canonical ints (process-boundary form).
-
-    Backend-native residues (``mpz``) never cross a process boundary; the
-    ``int()`` calls canonicalize them (element-level residues are always in
-    canonical range on every field backend).
-    """
-    return tuple(
-        int(c)
-        for b in (f.b0, f.b1)
-        for a in (b.a0, b.a1, b.a2)
-        for c in (a.c0, a.c1)
-    )
-
-
-def fp12_from_ints(values: Sequence[int]) -> Fp12Element:
-    """Rebuild an Fp12 element from :func:`fp12_to_ints` output."""
-    if len(values) != 12:
-        raise ValueError(f"need 12 coefficients, got {len(values)}")
-    it = iter(values)
-
-    def fp6() -> Fp6Element:
-        return Fp6Element(
-            Fp2Element(next(it), next(it)),
-            Fp2Element(next(it), next(it)),
-            Fp2Element(next(it), next(it)),
-        )
-
-    return Fp12Element(fp6(), fp6())
 
 
 def final_exponentiation_naive(f: Fp12Element) -> Fp12Element:

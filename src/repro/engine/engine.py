@@ -12,6 +12,10 @@ as an object:
     prove      -- Groth16 prove against a cached prepared key, per proof
     verify     -- pairing check against a cached prepared key
 
+A single proof runs on the calling thread; a stream of them runs on the
+engine's compute backend (:mod:`repro.parallel`), which is where the
+proof service's worker processes live.
+
 Everything cacheable is cached and keyed by structure digest: compiled
 circuits (under a caller-chosen shape key), Groth16 keypairs, prepared
 proving keys (MSM bases flattened to affine), and prepared verification
@@ -49,7 +53,6 @@ from ..snark.groth16 import (
     prepare_verifying_key,
     prove_prepared,
     setup as groth16_setup,
-    verify_batch_prepared,
     verify_prepared,
 )
 from ..snark.keys import Proof
@@ -102,7 +105,6 @@ class EngineStats:
     proof_batches: int = 0
     budget_exceeded: int = 0
     verifications: int = 0
-    batch_verifications: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self.__dict__)
@@ -140,11 +142,13 @@ class ProvingEngine:
     in-memory.  Thread-safe for concurrent use of the caches (a proving
     service fronting many claims).
 
-    ``backend`` chooses where the prover's parallelizable kernels run: by
-    default the environment is consulted (``ZKROWNN_BACKEND`` /
-    ``ZKROWNN_WORKERS``), falling back to the serial backend; pass a
-    :class:`~repro.parallel.backend.ComputeBackend` to pin it.  Proofs are
-    byte-identical across backends given equal seeds.
+    ``backend`` chooses where the proofs of :meth:`prove_stream` and
+    :meth:`prove_batch` run: by default the environment is consulted
+    (``ZKROWNN_BACKEND`` / ``ZKROWNN_WORKERS``), falling back to the serial
+    backend; pass a :class:`~repro.parallel.backend.ComputeBackend` to pin
+    it.  A single :meth:`prove` or :meth:`prove_job` always runs on the
+    calling thread.  Proofs are byte-identical across backends given
+    equal seeds.
 
     ``audit`` (``off`` | ``warn`` | ``strict``) defaults to
     ``ZKROWNN_CIRCUIT_AUDIT``, else ``off``; :attr:`audit_mode` may be
@@ -446,9 +450,7 @@ class ProvingEngine:
             if isinstance(synthesis, SynthesisResult)
             else synthesis
         )
-        proof = prove_prepared(
-            prepared, compiled.cs, assignment, seed=seed, backend=self.backend
-        )
+        proof = prove_prepared(prepared, compiled.cs, assignment, seed=seed)
         with self._lock:
             self.stats.proofs += 1
         return proof
@@ -608,28 +610,6 @@ class ProvingEngine:
         ok = verify_prepared(prepared, public_values, proof)
         _observe_stage("verify", time.perf_counter() - t0)
         return ok
-
-    def verify_batch(
-        self,
-        compiled: CompiledCircuit,
-        cases: Sequence[tuple],
-        *,
-        seed: Optional[int] = None,
-    ) -> bool:
-        """Batch-verify ``(public_values, proof)`` cases for one circuit.
-
-        One RLC multi-pairing against the cached prepared key, with the
-        live Miller loops and the folded C/IC MSMs routed through the
-        engine's compute backend.  Soundness/seeding semantics follow
-        :func:`repro.snark.groth16.verify_batch_prepared`.
-        """
-        prepared = self._prepared_verifying_key(compiled)
-        with self._lock:
-            self.stats.verifications += len(cases)
-            self.stats.batch_verifications += 1
-        return verify_batch_prepared(
-            prepared, cases, seed=seed, backend=self.backend
-        )
 
     # --------------------------------------------------------------- one-shot --
 

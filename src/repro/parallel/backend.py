@@ -1,14 +1,14 @@
-"""Executor abstraction over the prover's parallelizable kernels.
+"""Where whole proofs run.
 
-Two implementations:
+A :class:`ComputeBackend` proves a stream of ``(assignment, seed)`` pairs
+against one prepared key; nothing smaller than a proof crosses it.  Two
+implementations:
 
-* :class:`SerialBackend` -- direct calls on the caller's thread; what
+* :class:`SerialBackend` -- proofs on the caller's thread; what
   :func:`get_backend` returns when nothing asks for more, and the
   reference the process backend must match bit-for-bit.
-* :class:`ProcessBackend` -- worker processes: MSMs are split into
-  per-worker chunks whose Jacobian partial sums are reduced in the parent,
-  and multi-claim proving runs on *persistent* pools keyed by circuit
-  digest: the prepared key crosses into each worker once (pool
+* :class:`ProcessBackend` -- *persistent* pools of worker processes keyed
+  by circuit digest: the prepared key crosses into each worker once (pool
   initializer, pinned in a worker-side keyed cache) and every later batch
   for the same digest reuses the warm pool instead of starting a new one.
 
@@ -36,9 +36,8 @@ interpreter) breaks its pool; the batches on it fail with
 digest starts a fresh one.  The proof scheduler retries such a batch like
 any other retryable failure.
 
-Proofs and MSM results are *identical* across backends: chunking only
-changes the Jacobian representative, which normalization collapses, and
-per-claim randomness comes from per-claim seeds, not worker state.
+Proofs are *identical* across backends: per-claim randomness comes from
+per-claim seeds, not worker state.
 
 Selection: pass a backend to :class:`~repro.engine.engine.ProvingEngine`,
 or set ``ZKROWNN_BACKEND=process`` (and optionally ``ZKROWNN_WORKERS=N``)
@@ -58,9 +57,6 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import config
-from ..curves.g1 import G1_INFINITY_JAC, JacobianPoint, jac_add
-from ..curves.msm import msm_g1, msm_g1_multi, msm_g2
-from ..curves.pairing import G2Precomputed, fp12_from_ints, multi_miller_loop
 from . import workers
 
 __all__ = [
@@ -96,7 +92,8 @@ def usable_cpus() -> int:
 
 
 class ComputeBackend:
-    """Interface for the prover's parallelizable operations."""
+    """Where whole proofs run: :meth:`prove_stream`, :meth:`busy_workers`,
+    :meth:`close`."""
 
     name: str = "abstract"
     #: Proofs :meth:`prove_stream` can run at the same time.  The proof
@@ -116,30 +113,6 @@ class ComputeBackend:
         with self._in_flight_lock:
             return min(self._in_flight, self.workers)
 
-    def msm_g1(self, points: Sequence, scalars: Sequence[int]) -> JacobianPoint:
-        raise NotImplementedError
-
-    def msm_g1_multi(
-        self, points_lists: Sequence[Sequence], scalars: Sequence[int]
-    ) -> List[JacobianPoint]:
-        """Several MSMs over one scalar vector (see :func:`msm_g1_multi`).
-
-        The default runs them independently; backends override where the
-        shared-recoding kernel (or a better fan-out) applies.
-        """
-        return [self.msm_g1(points, scalars) for points in points_lists]
-
-    def msm_g2(self, points: Sequence, scalars: Sequence[int]):
-        raise NotImplementedError
-
-    def multi_miller(self, pairs: Sequence[Tuple], variant: str = "optimal"):
-        """Shared-loop Miller product ``prod_i f_{c, Q_i}(P_i)`` (no final
-        exponentiation -- the caller combines products and exponentiates
-        once).  Backends may fan the pairs out in chunks; chunk products
-        multiply together to the same value the serial kernel returns.
-        """
-        return multi_miller_loop(pairs, variant)
-
     def prove_stream(
         self, ppk, cs, pairs: Iterable[ProvePair], *, key_id: str
     ) -> List:
@@ -151,20 +124,6 @@ class ComputeBackend:
         processes cache it under that name.
         """
         raise NotImplementedError
-
-    def prove_batch(
-        self,
-        ppk,
-        cs,
-        assignments: Sequence[Sequence[int]],
-        seeds: Sequence[Optional[int]],
-        *,
-        key_id: str,
-    ) -> List:
-        """Prove a materialized batch (sequence form of :meth:`prove_stream`)."""
-        return self.prove_stream(
-            ppk, cs, zip(assignments, seeds), key_id=key_id
-        )
 
     def _prove_on_calling_thread(self, ppk, cs, pairs: Iterable[ProvePair]) -> List:
         from ..snark.groth16 import prove_prepared
@@ -193,15 +152,6 @@ class SerialBackend(ComputeBackend):
 
     name = "serial"
 
-    def msm_g1(self, points, scalars):
-        return msm_g1(points, scalars)
-
-    def msm_g1_multi(self, points_lists, scalars):
-        return msm_g1_multi(points_lists, scalars)
-
-    def msm_g2(self, points, scalars):
-        return msm_g2(points, scalars)
-
     def prove_stream(self, ppk, cs, pairs, *, key_id):
         return self._prove_on_calling_thread(ppk, cs, pairs)
 
@@ -220,15 +170,14 @@ def _stop_prove_pool(pool: ProcessPoolExecutor) -> None:
 
 
 class ProcessBackend(ComputeBackend):
-    """Fan work out to pools of spawned worker processes.
+    """Prove whole claims on per-digest pools of spawned worker processes.
 
-    ``workers_count`` defaults to :func:`usable_cpus`.  ``min_msm_chunk``
-    guards against paying pickling latency on MSMs too small to win from
-    parallelism; below ``2 * min_msm_chunk`` pairs the call runs serially.
-    ``max_prove_pools`` bounds how many per-digest prove pools stay warm at
-    once (each worker of a pool holds its own copy of that digest's
-    prepared key, plus one proof's working set while it proves); the least
-    recently used idle pool is stopped beyond that.
+    ``workers_count`` defaults to :func:`usable_cpus` (so does ``0``; a
+    negative count is refused).  ``max_prove_pools`` bounds how many
+    per-digest prove pools stay warm at once (each worker of a pool holds
+    its own copy of that digest's prepared key, plus one proof's working
+    set while it proves); the least recently used idle pool is stopped
+    beyond that.
 
     Several threads may stream batches for one digest at once: they share
     the digest's pool, each keeping at most ``workers`` tasks outstanding.
@@ -240,17 +189,12 @@ class ProcessBackend(ComputeBackend):
         self,
         workers_count: Optional[int] = None,
         *,
-        min_msm_chunk: int = 1024,
-        min_miller_pairs: int = 8,
         max_prove_pools: int = 2,
     ):
         super().__init__()
-        self.workers = workers_count or usable_cpus()
-        self.min_msm_chunk = min_msm_chunk
-        self.min_miller_pairs = min_miller_pairs
+        self.workers = _checked_workers(workers_count) or usable_cpus()
         self.max_prove_pools = max_prove_pools
         self._ctx = multiprocessing.get_context("spawn")
-        self._pool = None
         # Guarded by _pools_lock: scheduler threads sharing one backend
         # must not race pool creation, and eviction must never stop a pool
         # with an in-flight batch (_prove_busy counts users).
@@ -259,11 +203,6 @@ class ProcessBackend(ComputeBackend):
         self._prove_busy: Dict[str, int] = {}
 
     # -- pool management ------------------------------------------------------
-
-    def _msm_pool(self):
-        if self._pool is None:
-            self._pool = self._ctx.Pool(self.workers)
-        return self._pool
 
     def _acquire_prove_pool(self, key_id: str, ppk, cs) -> ProcessPoolExecutor:
         """The persistent pool for one circuit digest, created on first use.
@@ -321,10 +260,6 @@ class ProcessBackend(ComputeBackend):
             return list(self._prove_pools)
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
         with self._pools_lock:
             pools = list(self._prove_pools.values())
             self._prove_pools.clear()
@@ -337,81 +272,6 @@ class ProcessBackend(ComputeBackend):
             self.close()
         except Exception:
             pass
-
-    # -- kernels --------------------------------------------------------------
-
-    def msm_g1(self, points, scalars):
-        n = len(points)
-        if len(scalars) != n:
-            raise ValueError("points and scalars must have equal length")
-        if n < 2 * self.min_msm_chunk or self.workers < 2:
-            return msm_g1(points, scalars)
-        chunk = (n + self.workers - 1) // self.workers
-        jobs = [
-            (points[i : i + chunk], scalars[i : i + chunk])
-            for i in range(0, n, chunk)
-        ]
-        total = G1_INFINITY_JAC
-        for partial in self._msm_pool().map(workers.msm_chunk_g1, jobs):
-            total = jac_add(total, partial)
-        return total
-
-    def msm_g1_multi(self, points_lists, scalars):
-        # Small inputs: the serial shared-recoding kernel wins (no pickling,
-        # shared GLV splits).  Large inputs: chunked fan-out per MSM keeps
-        # all workers busy, which beats sharing the recoding serially.
-        if len(scalars) < 2 * self.min_msm_chunk or self.workers < 2:
-            return msm_g1_multi(points_lists, scalars)
-        return [self.msm_g1(points, scalars) for points in points_lists]
-
-    def msm_g2(self, points, scalars):
-        # G2 MSMs in Groth16 are single-digit percent of prove time; the
-        # Fp2-object pickling cost outweighs fan-out.
-        return msm_g2(points, scalars)
-
-    def multi_miller(self, pairs, variant="optimal"):
-        """Chunked shared Miller loops; chunk products combine in the parent.
-
-        Each worker runs one shared-squaring-chain loop over its chunk and
-        returns the raw Miller value as 12 canonical ints; the parent
-        multiplies the chunk values.  The squaring chain is re-run once
-        per chunk (that part does not parallelize), so the fan-out pays
-        off only for batches with enough line-evaluation work --
-        ``min_miller_pairs`` live pairs guard the crossover.  Precomputed-G2
-        pairs carry captured coefficient lists whose pickling cost defeats
-        the point of shipping them: they stay in a parent-side loop that
-        runs while the workers do.
-        """
-        pairs = list(pairs)
-        fixed = [pair for pair in pairs if isinstance(pair[1], G2Precomputed)]
-        # Infinity pairs contribute the factor 1; drop them before
-        # chunking so no worker receives a coordinate-less point.
-        live = [
-            (p, q) for p, q in pairs
-            if not isinstance(q, G2Precomputed)
-            and not (p.is_infinity() or q.is_infinity())
-        ]
-        if not live or len(live) < self.min_miller_pairs or self.workers < 2:
-            return multi_miller_loop(pairs, variant)
-        chunk = (len(live) + self.workers - 1) // self.workers
-        jobs = [
-            (
-                [
-                    (
-                        (int(p.x), int(p.y)),
-                        (int(q.x.c0), int(q.x.c1), int(q.y.c0), int(q.y.c1)),
-                    )
-                    for p, q in live[i : i + chunk]
-                ],
-                variant,
-            )
-            for i in range(0, len(live), chunk)
-        ]
-        parts = self._msm_pool().map_async(workers.miller_chunk, jobs)
-        total = multi_miller_loop(fixed, variant)
-        for part in parts.get():
-            total = total * fp12_from_ints(part)
-        return total
 
     def prove_stream(self, ppk, cs, pairs, *, key_id):
         if self.workers < 2:
@@ -460,11 +320,19 @@ class ProcessBackend(ComputeBackend):
         return f"ProcessBackend(workers={self.workers})"
 
 
+def _checked_workers(workers_count: Optional[int]) -> Optional[int]:
+    """An argument worker count by the ``ZKROWNN_WORKERS`` rule (an integer
+    >= 0, 0 meaning the usable CPUs); ``None`` means unset."""
+    if workers_count is None:
+        return None
+    return config.worker_count("workers_count", str(workers_count))
+
+
 def _resolve_workers(workers_count: Optional[int]) -> int:
     """argument > ``$ZKROWNN_WORKERS`` > usable CPUs."""
     if workers_count is None:
         workers_count = config.setting("workers")
-    return workers_count or usable_cpus()
+    return _checked_workers(workers_count) or usable_cpus()
 
 
 def get_backend(
@@ -484,6 +352,7 @@ def get_backend(
     proving runs on the calling thread, which is what the e2e harness
     measures (it reads that thread's CPU clock and records this name).
     """
+    workers_count = _checked_workers(workers_count)
     name = name or config.setting("backend") or default
     if config.choice("backend", name, config.BACKENDS) == "serial":
         return SerialBackend()

@@ -61,38 +61,3 @@ def prove_task(args: Tuple[str, Sequence[int], Optional[int]]):
             f"worker has no prepared key cached under {key_id!r}"
         ) from None
     return prove_prepared(ppk, cs, assignment, seed=seed)
-
-
-def msm_chunk_g1(args) -> Tuple[int, int, int]:
-    """One MSM chunk; returns a Jacobian triple of plain ints (picklable)."""
-    from ..curves.msm import msm_g1
-
-    points, scalars = args
-    x, y, z = msm_g1(points, scalars)
-    # Canonical ints: backend-native coordinates (mpz) would force the
-    # parent to depend on the worker's backend for unpickling.
-    return (int(x), int(y), int(z))
-
-
-def miller_chunk(args) -> Tuple[int, ...]:
-    """One shared-loop Miller product over a chunk of (G1, G2) int tuples.
-
-    Points arrive as canonical ints (G1 affine pair; G2 as the four Fp2
-    coefficients) and the raw Miller value returns as 12 canonical ints
-    -- same plain-int convention as :func:`msm_chunk_g1`, so neither
-    direction depends on the peer's field backend.
-    """
-    from ..curves.g1 import G1Point
-    from ..curves.g2 import G2Point
-    from ..curves.pairing import fp12_to_ints, multi_miller_loop
-    from ..field.tower import Fp2Element
-
-    raw_pairs, variant = args
-    pairs = [
-        (
-            G1Point(px, py),
-            G2Point(Fp2Element(x0, x1), Fp2Element(y0, y1)),
-        )
-        for (px, py), (x0, x1, y0, y1) in raw_pairs
-    ]
-    return fp12_to_ints(multi_miller_loop(pairs, variant))

@@ -5,7 +5,7 @@ The expensive stages of a Groth16 claim are per *shape*, not per claim
 backend proves a whole batch against one prepared key in a single
 dispatch.  The scheduler exploits both: queued jobs are grouped by their
 engine shape key, and each worker pass drains up to ``max_batch``
-same-shape jobs into ONE ``prove_batch`` call -- concurrent requests for
+same-shape jobs into ONE ``prove_stream`` call -- concurrent requests for
 one model architecture amortize compile + setup and share the backend's
 worker pool (which itself stays warm across batches, keyed by circuit
 digest).

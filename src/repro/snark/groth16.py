@@ -338,11 +338,11 @@ def prove_prepared(
     seed: Optional[int] = None,
     backend=None,
 ) -> Proof:
-    """`prove` against a prepared key (MSM bases already affine).
+    """`prove` against a prepared key (MSM bases already affine), on the
+    calling thread.
 
-    ``backend`` (a :class:`~repro.parallel.backend.ComputeBackend`) routes
-    the large G1 MSMs; ``None`` keeps them on the calling thread.  The
-    resulting proof is identical either way.
+    ``backend`` is accepted and never read: ``benchmarks/e2e/layers.py``
+    still passes it (ROADMAP, Housekeeping, says when this goes).
     """
     pk = ppk.pk
     cs.check_satisfied(assignment)
@@ -351,9 +351,6 @@ def prove_prepared(
             "proving key was generated for a different circuit "
             f"({len(pk.a_query)} variables vs {cs.num_variables})"
         )
-    g1_msm = msm_g1 if backend is None else backend.msm_g1
-    g1_msm_multi = msm_g1_multi if backend is None else backend.msm_g1_multi
-    g2_msm = msm_g2 if backend is None else backend.msm_g2
     rng = _Randomness(seed)
     r, s = rng.scalar(), rng.scalar()
 
@@ -363,22 +360,22 @@ def prove_prepared(
 
     # The A and B1 commitments multiply different bases by the SAME witness
     # vector; the shared-scalar multi-MSM decomposes and recodes z once.
-    a_acc, b1_acc = g1_msm_multi([ppk.points_a, ppk.points_b1], z)
+    a_acc, b1_acc = msm_g1_multi([ppk.points_a, ppk.points_b1], z)
 
     # A = alpha + sum z_j u_j(tau) + r*delta   (in G1)
     a_acc = jac_add(a_acc, pk.alpha_g1.to_jacobian())
     a_acc = jac_add(a_acc, jac_scalar_mul(pk.delta_g1.to_jacobian(), r))
 
     # B = beta + sum z_j v_j(tau) + s*delta    (in G2, and mirrored in G1)
-    proof_b2 = g2_msm(pk.b_g2_query, z) + pk.beta_g2 + pk.delta_g2 * s
+    proof_b2 = msm_g2(pk.b_g2_query, z) + pk.beta_g2 + pk.delta_g2 * s
     b1_acc = jac_add(b1_acc, pk.beta_g1.to_jacobian())
     b1_acc = jac_add(b1_acc, jac_scalar_mul(pk.delta_g1.to_jacobian(), s))
 
     # C = sum_private z_j K_j + sum h_i H_i + s*A + r*B1 - r*s*delta
     h_coeffs = compute_h(cs, z)
     private_z = z[pk.num_public + 1 :]
-    c_acc = g1_msm(ppk.points_k, private_z)
-    c_acc = jac_add(c_acc, g1_msm(ppk.points_h, h_coeffs[: len(pk.h_query)]))
+    c_acc = msm_g1(ppk.points_k, private_z)
+    c_acc = jac_add(c_acc, msm_g1(ppk.points_h, h_coeffs[: len(pk.h_query)]))
     c_acc = jac_add(c_acc, jac_scalar_mul(a_acc, s))
     c_acc = jac_add(c_acc, jac_scalar_mul(b1_acc, r))
     c_acc = jac_add(
@@ -513,9 +510,8 @@ def verify_batch_prepared(
     batch: Sequence[Tuple[Sequence[int], Proof]],
     *,
     seed: Optional[int] = None,
-    backend=None,
 ) -> bool:
-    """:func:`verify_batch` against a prepared key, optionally fanned out.
+    """:func:`verify_batch` against a prepared key.
 
     The three key-fixed pairings consume the prepared key's captured line
     coefficients (no G2 arithmetic), and all n + 3 lanes share one squaring
@@ -524,19 +520,11 @@ def verify_batch_prepared(
     the per-proof ``rho_i * C_i`` scalar muls fold into a single MSM over
     the C points.  An instance of the wrong length rejects the whole batch.
 
-    ``backend`` (a :class:`~repro.parallel.backend.ComputeBackend`) routes
-    the Miller product and the folded C/IC MSMs; how the lanes are split
-    across workers is the backend's business (per-chunk Miller products
-    are combined before the single final exponentiation).  Verdicts are
-    identical across backends.
-
     Same soundness bound and seeding rules as :func:`verify_batch`.
     """
     if not batch:
         return True
     vk = pvk.vk
-    g1_msm = msm_g1 if backend is None else backend.msm_g1
-    multi_miller = multi_miller_loop if backend is None else backend.multi_miller
     next_rho = _batch_rho_sampler(seed)
     pairs: List[Tuple[G1Point, object]] = []
     rho_total = 0
@@ -554,14 +542,14 @@ def verify_batch_prepared(
             combined_scalars[j] = (combined_scalars[j] + rho * x) % R
         c_points.append(_g1_affine(proof.c))
         c_scalars.append(rho)
-    vkx_acc = g1_msm([_g1_affine(p) for p in vk.ic], combined_scalars)
-    c_acc = g1_msm(c_points, c_scalars)
+    vkx_acc = msm_g1([_g1_affine(p) for p in vk.ic], combined_scalars)
+    c_acc = msm_g1(c_points, c_scalars)
     pairs += [
         (-(vk.alpha_g1 * rho_total), pvk.beta_pre),
         (-G1Point.from_jacobian(vkx_acc), pvk.gamma_pre),
         (-G1Point.from_jacobian(c_acc), pvk.delta_pre),
     ]
-    return final_exponentiation(multi_miller(pairs)).is_one()
+    return final_exponentiation(multi_miller_loop(pairs)).is_one()
 
 
 @dataclass(frozen=True)
@@ -580,7 +568,6 @@ def verify_batch_grouped(
     items: Sequence[Tuple[object, Sequence[int], Proof]],
     *,
     seed: Optional[int] = None,
-    backend=None,
 ) -> List[BatchGroupResult]:
     """Batch-verify ``(vk, public_inputs, proof)`` triples across circuits.
 
@@ -612,7 +599,7 @@ def verify_batch_grouped(
     for k, (digest, (vk, indices, batch)) in enumerate(groups.items()):
         pvk = vk if isinstance(vk, PreparedVerifyingKey) else prepare_verifying_key(vk)
         ok = verify_batch_prepared(
-            pvk, batch, seed=None if seed is None else seed + k, backend=backend
+            pvk, batch, seed=None if seed is None else seed + k
         )
         results.append(BatchGroupResult(digest, tuple(indices), ok))
     return results

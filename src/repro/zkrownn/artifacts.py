@@ -68,8 +68,10 @@ class OwnershipClaim:
         return Proof.from_bytes(self.proof_bytes)
 
     def size_bytes(self) -> int:
-        """Bytes a verifier must receive beyond the (public) model + VK."""
-        return len(self.to_json().encode())
+        """Bytes a verifier must receive beyond the (public) model + VK: the
+        canonical binary form (:meth:`to_bytes`) that the wire, the registry
+        and :func:`content_id` use, not the hex JSON file form."""
+        return len(self.to_bytes())
 
     # -- serialization -------------------------------------------------------
 

@@ -11,9 +11,7 @@ import time
 
 import pytest
 
-from repro.curves.bn254 import R
-from repro.curves.g1 import G1Point, jac_to_affine_many
-from repro.curves.msm import naive_msm_g1, pippenger_window_size
+from repro.curves.msm import pippenger_window_size
 from repro.engine import ProvingEngine
 from repro.obs import logging as obs_logging
 from repro.obs import metrics as obs_metrics
@@ -27,21 +25,6 @@ from repro.parallel import (
     usable_cpus,
 )
 from repro.parallel import backend as backend_mod
-
-G = G1Point.generator()
-
-
-def _inputs(rng, n):
-    points = [
-        None if i % 17 == 5 else _affine(G * rng.randrange(1, 4000))
-        for i in range(n)
-    ]
-    scalars = [0 if i % 13 == 3 else rng.randrange(2 * R) for i in range(n)]
-    return points, scalars
-
-
-def _affine(p: G1Point):
-    return None if p.is_infinity() else (p.x, p.y)
 
 
 class TestBackendSelection:
@@ -127,15 +110,32 @@ class TestBackendSelection:
         with pytest.raises(ValueError):
             get_backend("process")
 
-    def test_process_backend_chunks_at_the_constructor_default(
-        self, monkeypatch
-    ):
-        """No per-host chunk size exists: ``get_backend`` builds the pool
-        with the constructor's 1024."""
+
+class TestWorkerCountArguments:
+    """An argument worker count follows the ``ZKROWNN_WORKERS`` rule: an
+    integer >= 0, where 0 means the usable CPUs."""
+
+    @pytest.fixture(autouse=True)
+    def _nothing_configured(self, monkeypatch):
+        monkeypatch.delenv("ZKROWNN_BACKEND", raising=False)
         monkeypatch.delenv("ZKROWNN_WORKERS", raising=False)
-        backend = get_backend("process", 2)
-        assert backend.min_msm_chunk == 1024
-        backend.close()
+
+    @pytest.mark.parametrize("build", [
+        lambda: ProcessBackend(-3),
+        lambda: get_backend("process", -3),
+        lambda: get_backend("serial", -3),
+        lambda: machine_backend(workers_count=-2),
+    ], ids=["ProcessBackend", "get_backend-process", "get_backend-serial",
+            "machine_backend"])
+    def test_negative_counts_are_refused_by_name(self, build):
+        with pytest.raises(ValueError, match="workers_count"):
+            build()
+
+    def test_zero_means_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(backend_mod, "usable_cpus", lambda: 3)
+        assert ProcessBackend(0).workers == 3
+        assert get_backend("process", 0).workers == 3
+        assert machine_backend(workers_count=0).workers == 3
 
 
 _STRAY_PROFILE_SCRIPT = """
@@ -248,64 +248,6 @@ class TestMachineBackend:
         monkeypatch.setenv("ZKROWNN_BACKEND", "serial")
         monkeypatch.setenv("ZKROWNN_WORKERS", "8")
         assert machine_backend().name == "serial"
-
-
-class TestSerialBackend:
-    def test_msm_matches_naive(self, rng):
-        points, scalars = _inputs(rng, 40)
-        got = SerialBackend().msm_g1(points, scalars)
-        expected = naive_msm_g1(points, scalars)
-        assert jac_to_affine_many([got]) == jac_to_affine_many([expected])
-
-
-class TestProcessBackend:
-    @pytest.fixture(scope="class")
-    def backend(self):
-        backend = ProcessBackend(2, min_msm_chunk=8)
-        yield backend
-        backend.close()
-
-    def test_chunked_msm_matches_naive(self, backend, rng):
-        points, scalars = _inputs(rng, 64)
-        got = backend.msm_g1(points, scalars)
-        expected = naive_msm_g1(points, scalars)
-        assert jac_to_affine_many([got]) == jac_to_affine_many([expected])
-
-    def test_small_msm_stays_serial(self, rng):
-        backend = ProcessBackend(2, min_msm_chunk=10**6)
-        try:
-            points, scalars = _inputs(rng, 16)
-            got = backend.msm_g1(points, scalars)
-            expected = naive_msm_g1(points, scalars)
-            assert jac_to_affine_many([got]) == jac_to_affine_many([expected])
-            assert backend._pool is None  # never spun up
-        finally:
-            backend.close()
-
-    def test_length_mismatch(self, backend):
-        with pytest.raises(ValueError):
-            backend.msm_g1([_affine(G)], [1, 2])
-
-    def test_multi_miller_fans_out_live_lanes_around_precomputed_ones(self):
-        """The Groth16-batch lane mix: live pairs go to the workers,
-        precomputed and infinity lanes stay behind, and the product is the
-        serial kernel's raw Miller value."""
-        from repro.curves.g2 import G2Point
-        from repro.curves.pairing import multi_miller_loop, precompute_g2
-
-        h = G2Point.generator()
-        pairs = [(G * a, h * b) for a, b in ((3, 5), (7, 11), (13, 2))]
-        pairs += [(G * 17, precompute_g2(h * 19)), (G1Point.infinity(), h),
-                  (G * 23, precompute_g2(h))]
-        backend = ProcessBackend(2, min_miller_pairs=4)
-        try:
-            assert backend.multi_miller(pairs) == multi_miller_loop(pairs)
-            assert backend._pool is None  # three live pairs: below the floor
-            backend.min_miller_pairs = 3
-            assert backend.multi_miller(pairs) == multi_miller_loop(pairs)
-            assert backend._pool is not None
-        finally:
-            backend.close()
 
 
 def _chain_synthesizer(depth, x=3):
@@ -484,8 +426,43 @@ class TestPersistentProvePools:
         for backend in (SerialBackend(), ProcessBackend(2)):
             with pytest.raises(TypeError, match="key_id"):
                 backend.prove_stream(None, None, [])
-            with pytest.raises(TypeError, match="key_id"):
-                backend.prove_batch(None, None, [], [])
+
+
+class TestLoneProofsStayOnTheCallingThread:
+    """A backend runs streams of whole proofs.  ``engine.prove`` and
+    ``prove_job`` prove on the calling thread whatever the backend, while
+    ``prove_stream`` on the same engine still reaches the digest's pool."""
+
+    def test_prove_and_prove_job_start_no_process(self):
+        serial = ProvingEngine(backend=SerialBackend())
+        compiled, synthesis = serial.synthesize("chain", _chain_synthesizer(8))
+        expected = serial.prove(compiled, synthesis, seed=7, setup_seed=5)
+        expected_job = serial.prove_job(
+            "chain", _chain_synthesizer(8), seed=8, setup_seed=5
+        )
+
+        backend = ProcessBackend(2)
+        engine = ProvingEngine(backend=backend)
+        before = {p.pid for p in multiprocessing.active_children()}
+        try:
+            compiled_p, synthesis_p = engine.synthesize(
+                "chain", _chain_synthesizer(8)
+            )
+            proof = engine.prove(compiled_p, synthesis_p, seed=7, setup_seed=5)
+            job = engine.prove_job(
+                "chain", _chain_synthesizer(8), seed=8, setup_seed=5
+            )
+            assert {p.pid for p in multiprocessing.active_children()} == before
+            assert backend.prove_pool_keys() == []
+            assert proof.to_bytes() == expected.to_bytes()
+            assert job.proof.to_bytes() == expected_job.proof.to_bytes()
+
+            streamed = engine.prove_stream(compiled_p, [(synthesis_p, 7)])
+            assert backend.prove_pool_keys() == [compiled_p.digest]
+            assert {p.pid for p in multiprocessing.active_children()} - before
+            assert [p.to_bytes() for p in streamed] == [expected.to_bytes()]
+        finally:
+            backend.close()
 
 
 def _run_with_timeout(fn, seconds=90):
@@ -630,9 +607,9 @@ class TestSpawnedWorkersShareNoLocks:
         engine = ProvingEngine(backend=SerialBackend())
         compiled, synthesis = engine.synthesize("chain", _chain_synthesizer(8))
         ppk = prepare_proving_key(engine.setup(compiled, seed=5).proving_key)
-        batch = ([synthesis.assignment] * 3, [7, 8, 9])
-        expected = SerialBackend().prove_batch(
-            ppk, compiled.cs, *batch, key_id=compiled.digest
+        batch = list(zip([synthesis.assignment] * 3, [7, 8, 9]))
+        expected = SerialBackend().prove_stream(
+            ppk, compiled.cs, batch, key_id=compiled.digest
         )
 
         registry = obs_metrics.get_metrics()
@@ -648,8 +625,8 @@ class TestSpawnedWorkersShareNoLocks:
         assert held.wait(timeout=10)
         backend = ProcessBackend(2)
         try:
-            outcome = _run_with_timeout(lambda: backend.prove_batch(
-                ppk, compiled.cs, *batch, key_id=compiled.digest
+            outcome = _run_with_timeout(lambda: backend.prove_stream(
+                ppk, compiled.cs, batch, key_id=compiled.digest
             ))
         finally:
             release.set()

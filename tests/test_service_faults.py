@@ -704,9 +704,9 @@ class TestProveWorkerLoss:
             }
 
             compiled, synthesis = engine.synthesize(shape_key, synthesizer)
-            expected = SerialBackend().prove_batch(
+            expected = SerialBackend().prove_stream(
                 prepare_proving_key(engine.setup(compiled).proving_key),
-                compiled.cs, [synthesis.assignment] * 2, [5, 6],
+                compiled.cs, zip([synthesis.assignment] * 2, [5, 6]),
                 key_id=compiled.digest,
             )
             assert [

@@ -18,15 +18,12 @@ from repro.curves.g1 import G1Point
 from repro.curves.g2 import G2Point
 from repro.curves.pairing import (
     final_exponentiation,
-    fp12_from_ints,
-    fp12_to_ints,
     multi_miller_loop,
     multi_pairing,
     precompute_g2,
 )
 from repro.field.backend import gmpy2_available, set_field_backend
 from repro.field.tower import Fp12Element
-from repro.parallel import ProcessBackend, SerialBackend
 from repro.snark import (
     ConstraintSystem,
     LinearCombination as LC,
@@ -120,16 +117,6 @@ class TestMultiMillerKernel:
 
     def test_empty_product_is_one(self):
         assert multi_miller_loop([]) == Fp12Element.one()
-
-    def test_fp12_int_roundtrip(self, pairs):
-        f = multi_miller_loop(pairs)
-        flat = fp12_to_ints(f)
-        assert len(flat) == 12 and all(isinstance(v, int) for v in flat)
-        assert fp12_from_ints(flat) == f
-
-    def test_fp12_from_ints_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            fp12_from_ints([0] * 11)
 
 
 # -- adversarial batches -------------------------------------------------------
@@ -232,22 +219,6 @@ class TestGroupedBatches:
 
 
 class TestBackendParity:
-    def test_serial_and_process_backends_agree(self, square_batch):
-        _, keypair, batch = square_batch
-        pvk = prepare_verifying_key(keypair.verifying_key)
-        tampered = list(batch)
-        good = batch[1][1]
-        tampered[1] = (batch[1][0], Proof(good.a, good.b, -good.c))
-        process = ProcessBackend(2, min_miller_pairs=2)
-        try:
-            for backend in (SerialBackend(), process):
-                assert verify_batch_prepared(pvk, batch, seed=3, backend=backend)
-                assert not verify_batch_prepared(
-                    pvk, tampered, seed=3, backend=backend
-                )
-        finally:
-            process.close()
-
     @pytest.mark.parametrize(
         "backend_name",
         [
@@ -273,34 +244,6 @@ class TestBackendParity:
             assert not verify_batch_prepared(pvk, tampered, seed=5)
         finally:
             set_field_backend(previous)
-
-
-# -- engine integration --------------------------------------------------------
-
-
-class TestEngineBatch:
-    def test_engine_verify_batch(self):
-        from repro.engine import ProvingEngine
-
-        def synthesize(b):
-            out = b.public_output("o")
-            wx = b.private_input("x", 3)
-            b.bind_output(out, b.mul(wx, wx))
-            return None
-
-        engine = ProvingEngine()
-        job = engine.prove_job("sq", synthesize, seed=1)
-        job2 = engine.prove_job("sq", synthesize, seed=2)
-        cases = [
-            (job.public_values, job.proof),
-            (job2.public_values, job2.proof),
-        ]
-        assert engine.verify_batch(job.compiled, cases, seed=1)
-        assert engine.stats.batch_verifications == 1
-        assert engine.stats.verifications == 2
-        bad = [(list(job.public_values), job2.proof),
-               ([v + 1 for v in job2.public_values], job2.proof)]
-        assert not engine.verify_batch(job.compiled, bad, seed=1)
 
 
 # -- wire codecs ---------------------------------------------------------------

@@ -141,6 +141,14 @@ class TestClaimSerialization:
         # Order of magnitude: a few hundred bytes (128 B proof + metadata).
         assert claim.size_bytes() < 1024
 
+    def test_size_is_the_canonical_binary_form(self, claim_and_parts):
+        """What travels -- the wire, the registry, the content id -- is
+        ``to_bytes()``: the 128-byte proof, its 4-byte length and 54 bytes
+        of public parameters.  The hex JSON file form is not it."""
+        *_, claim = claim_and_parts
+        assert claim.size_bytes() == len(claim.to_bytes()) == 4 + 128 + 54
+        assert claim.size_bytes() < len(claim.to_json().encode())
+
 
 class TestModelDigest:
     def test_deterministic(self, watermarked_mlp):
