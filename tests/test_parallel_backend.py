@@ -25,6 +25,7 @@ from repro.parallel import (
     usable_cpus,
 )
 from repro.parallel import backend as backend_mod
+from repro.snark import UnsatisfiedWitness, prepare_proving_key
 
 
 class TestBackendSelection:
@@ -428,6 +429,61 @@ class TestPersistentProvePools:
                 backend.prove_stream(None, None, [])
 
 
+class TestProcessBackend:
+    def test_length_mismatch(self):
+        """A wrong-length assignment is refused in the worker with the
+        serial backend's error, and the digest's pool stays warm."""
+        engine = ProvingEngine(backend=SerialBackend())
+        compiled, synthesis = engine.synthesize("chain", _chain_synthesizer(4))
+        ppk = prepare_proving_key(engine.setup(compiled, seed=5).proving_key)
+        short = list(synthesis.assignment)[:-1]
+        with pytest.raises(UnsatisfiedWitness, match="entries") as serial:
+            SerialBackend().prove_stream(
+                ppk, compiled.cs, [(short, 1)], key_id=compiled.digest
+            )
+
+        backend = ProcessBackend(2)
+        try:
+            with pytest.raises(UnsatisfiedWitness) as process:
+                backend.prove_stream(
+                    ppk, compiled.cs, [(short, 1)], key_id=compiled.digest
+                )
+            assert str(process.value) == str(serial.value)
+            assert backend.prove_pool_keys() == [compiled.digest]
+            pool = backend._prove_pools[compiled.digest]
+            proofs = backend.prove_stream(
+                ppk, compiled.cs, [(synthesis.assignment, 1)],
+                key_id=compiled.digest,
+            )
+            assert backend._prove_pools[compiled.digest] is pool
+            assert engine.verify(compiled, synthesis.public_values, proofs[0])
+        finally:
+            backend.close()
+
+    def test_one_worker_proves_on_the_calling_thread(self):
+        engine = ProvingEngine(backend=SerialBackend())
+        compiled, synthesis = engine.synthesize("chain", _chain_synthesizer(4))
+        ppk = prepare_proving_key(engine.setup(compiled, seed=5).proving_key)
+        pairs = [(synthesis.assignment, 3)]
+        expected = SerialBackend().prove_stream(
+            ppk, compiled.cs, pairs, key_id=compiled.digest
+        )
+
+        backend = ProcessBackend(1)
+        before = {p.pid for p in multiprocessing.active_children()}
+        try:
+            proofs = backend.prove_stream(
+                ppk, compiled.cs, pairs, key_id=compiled.digest
+            )
+            assert {p.pid for p in multiprocessing.active_children()} == before
+            assert backend.prove_pool_keys() == []
+            assert [p.to_bytes() for p in proofs] == [
+                p.to_bytes() for p in expected
+            ]
+        finally:
+            backend.close()
+
+
 class TestLoneProofsStayOnTheCallingThread:
     """A backend runs streams of whole proofs.  ``engine.prove`` and
     ``prove_job`` prove on the calling thread whatever the backend, while
@@ -601,8 +657,6 @@ class TestSpawnedWorkersShareNoLocks:
         lock, for the whole life of the pool -- is no business of a
         spawned worker, even one that profiles its kernels into its own
         registry."""
-        from repro.snark.groth16 import prepare_proving_key
-
         monkeypatch.setenv("ZKROWNN_PROFILE_KERNELS", "1")
         engine = ProvingEngine(backend=SerialBackend())
         compiled, synthesis = engine.synthesize("chain", _chain_synthesizer(8))

@@ -24,10 +24,12 @@ from repro.curves.pairing import (
 )
 from repro.field.backend import gmpy2_available, set_field_backend
 from repro.field.tower import Fp12Element
+from repro.parallel import ProcessBackend, SerialBackend
 from repro.snark import (
     ConstraintSystem,
     LinearCombination as LC,
     Proof,
+    prepare_proving_key,
     prepare_verifying_key,
     prove,
     setup,
@@ -219,6 +221,29 @@ class TestGroupedBatches:
 
 
 class TestBackendParity:
+    def test_serial_and_process_backends_agree(self, square_batch):
+        """Proofs streamed through either compute backend are the same
+        bytes, so a batch of them gets the same verdict."""
+        cs, keypair, batch = square_batch
+        ppk = prepare_proving_key(keypair.proving_key)
+        pairs = [([1, v * v, v], v) for v in (2, 3, 5, 8, 13)]
+        pvk = prepare_verifying_key(keypair.verifying_key)
+        process = ProcessBackend(2)
+        try:
+            for backend in (SerialBackend(), process):
+                proofs = backend.prove_stream(ppk, cs, pairs, key_id="square")
+                assert [p.to_bytes() for p in proofs] == [
+                    proof.to_bytes() for _, proof in batch
+                ]
+                streamed = [(publics, p) for (publics, _), p in zip(batch, proofs)]
+                good = streamed[1][1]
+                tampered = list(streamed)
+                tampered[1] = (streamed[1][0], Proof(good.a, good.b, -good.c))
+                assert verify_batch_prepared(pvk, streamed, seed=3)
+                assert not verify_batch_prepared(pvk, tampered, seed=3)
+        finally:
+            process.close()
+
     @pytest.mark.parametrize(
         "backend_name",
         [
@@ -244,6 +269,40 @@ class TestBackendParity:
             assert not verify_batch_prepared(pvk, tampered, seed=5)
         finally:
             set_field_backend(previous)
+
+
+# -- engine integration --------------------------------------------------------
+
+
+class TestEngineBatch:
+    def test_engine_verify_batch(self):
+        """Proofs from ``ProvingEngine.prove_job`` batch-verify against the
+        engine's verifying key, with the verdicts ``engine.verify`` gives
+        one by one."""
+        from repro.engine import ProvingEngine
+
+        def synthesize(b):
+            out = b.public_output("o")
+            wx = b.private_input("x", 3)
+            b.bind_output(out, b.mul(wx, wx))
+            return None
+
+        engine = ProvingEngine(backend=SerialBackend())
+        job = engine.prove_job("sq", synthesize, seed=1)
+        job2 = engine.prove_job("sq", synthesize, seed=2)
+        pvk = prepare_verifying_key(engine.setup(job.compiled).verifying_key)
+        cases = [
+            (job.public_values, job.proof),
+            (job2.public_values, job2.proof),
+        ]
+        bad = [(list(job.public_values), job2.proof),
+               ([v + 1 for v in job2.public_values], job2.proof)]
+        assert verify_batch_prepared(pvk, cases, seed=1)
+        assert not verify_batch_prepared(pvk, bad, seed=1)
+        assert [engine.verify(job.compiled, *case) for case in cases + bad] == [
+            True, True, True, False
+        ]
+        assert engine.stats.verifications == 4
 
 
 # -- wire codecs ---------------------------------------------------------------
