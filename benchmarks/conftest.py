@@ -37,6 +37,12 @@ def _active_field_backend() -> str:
     return active_field_backend()
 
 
+def _g1_msm_status() -> dict:
+    from repro.curves import native
+
+    return native.status()
+
+
 def _json_report_for(module: str) -> dict:
     """The mutable JSON payload for one benchmark module.
 
@@ -56,9 +62,9 @@ def _json_report_for(module: str) -> dict:
             # own backends record the actual one per entry.
             "backend_env": os.environ.get("ZKROWNN_BACKEND", "serial"),
             "workers_env": os.environ.get("ZKROWNN_WORKERS"),
-            "field_backend_env": os.environ.get("ZKROWNN_FIELD_BACKEND", "auto"),
             "field_backend": _active_field_backend(),
             "msm_kernel": "glv+signed-window+batch-affine",
+            "g1_msm": _g1_msm_status(),
             "ntt_kernel": "cached-twiddle-registry",
             "test_seconds": {},
             "entries": {},

@@ -202,6 +202,16 @@ def _service_config(args: argparse.Namespace):
     )
 
 
+def _g1_msm_line() -> str:
+    """``native``, or ``python (<reason>)``: which G1 MSM this process runs."""
+    from .curves import native
+
+    status = native.status()
+    if status["reason"] is None:
+        return status["g1_msm"]
+    return f"{status['g1_msm']} ({status['reason']})"
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -235,7 +245,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"  registry: {args.registry}  cache: {cache_dir}  "
           f"backend: {engine.backend.name}  max_batch: {args.max_batch}")
     print(f"  prove workers: {engine.backend.workers}  "
-          f"dispatch threads: {service.scheduler.workers}")
+          f"dispatch threads: {service.scheduler.workers}  "
+          f"g1 msm: {_g1_msm_line()}")
     if args.max_queue_depth or args.prove_budget:
         print(f"  max_queue_depth: {args.max_queue_depth}  "
               f"prove_budget: {args.prove_budget}  "

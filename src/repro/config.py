@@ -1,4 +1,4 @@
-"""The only reader of the environment: the eight ``ZKROWNN_*`` settings.
+"""The only reader of the environment: the seven ``ZKROWNN_*`` settings.
 
 Each :data:`VARIABLES` entry is parsed by the rule of its kind -- flag,
 choice (stripped, lower-cased), worker count (an integer >= 0, 0 = the
@@ -10,7 +10,7 @@ means the default; anything else the rule refuses raises
 Consumers call :func:`setting` when they always read their variable (the
 observability switches, log level and fault plan at import, the rest when
 a backend, engine or field op is first built); argument > environment >
-default everywhere.  :func:`load` resolves all eight into a frozen
+default everywhere.  :func:`load` resolves all seven into a frozen
 :class:`Settings` with each value's source, which ``GET /stats`` reports.
 """
 
@@ -23,13 +23,12 @@ from functools import partial
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
 __all__ = [
-    "AUDIT_MODES", "BACKENDS", "ConfigError", "FIELD_BACKENDS", "LOG_LEVELS",
+    "AUDIT_MODES", "BACKENDS", "ConfigError", "LOG_LEVELS",
     "Settings", "VARIABLES", "Variable", "choice", "fault_plan", "flag",
     "load", "setting", "worker_count",
 ]
 
 BACKENDS = ("serial", "process")
-FIELD_BACKENDS = ("python", "gmpy2", "auto")
 AUDIT_MODES = ("off", "warn", "strict")
 LOG_LEVELS = ("debug", "info", "warning", "error", "off")
 _FLAGS = {"1": True, "true": True, "on": True, "yes": True,
@@ -97,10 +96,6 @@ VARIABLES: Dict[str, Variable] = {
         "on two or more usable CPUs for the proof service"),
     "workers": Variable("ZKROWNN_WORKERS", worker_count, "integer ≥ 0", 0,
                         "prove workers and service dispatch threads; 0: usable CPUs"),
-    "field_backend": Variable(
-        "ZKROWNN_FIELD_BACKEND", partial(choice, choices=FIELD_BACKENDS),
-        "`python`/`gmpy2`/`auto`", "auto",
-        "field arithmetic; `auto` is gmpy2 when importable"),
     "circuit_audit": Variable(
         "ZKROWNN_CIRCUIT_AUDIT", partial(choice, choices=AUDIT_MODES),
         "`off`/`warn`/`strict`", "off",
@@ -120,12 +115,11 @@ VARIABLES: Dict[str, Variable] = {
 
 @dataclass(frozen=True)
 class Settings:
-    """All eight settings, and for each whether it came from ``env`` or
+    """All seven settings, and for each whether it came from ``env`` or
     the ``default``."""
 
     backend: Optional[str]
     workers: int
-    field_backend: str
     circuit_audit: str
     log_level: str
     obs: bool

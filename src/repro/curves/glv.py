@@ -103,11 +103,7 @@ def glv_decompose(k: int) -> Tuple[int, int]:
     c2 = (-2 * b1 * k + R) // (2 * R)
     k1 = k - c1 * a1 - c2 * a2
     k2 = -c1 * b1 - c2 * b2
-    # Canonical ints regardless of the scalar's native type (mpz scalars
-    # arrive from backend-wrapped witnesses): the signed-digit recoding
-    # downstream is pure bit-twiddling, where CPython ints are the faster
-    # representation at half-scalar width.
-    return int(k1), int(k2)
+    return k1, k2
 
 
 def glv_endomorphism(affine: Tuple[int, int]) -> Tuple[int, int]:

@@ -37,11 +37,10 @@ inversions amortized through :func:`~repro.curves.g2.g2_batch_affine_add`
 and no GLV split (the G2 endomorphism has a different eigenvalue and G2
 MSMs are a single-digit percentage of prove time).
 
-Field backends: the bucket arithmetic operates on whatever native
-residues the active :mod:`repro.field.backend` supplies -- plain ints by
-default, ``mpz`` under gmpy2 (callers wrap key material once at the
-boundary, e.g. ``prepare_proving_key``).  Results are identical across
-backends.
+Every G1 point set goes to the compiled kernel of
+:mod:`repro.curves.native` when one is loaded (the pipeline above then
+runs for G2 only) and through the Python pipeline otherwise; both return
+the same group element, so nothing downstream can tell them apart.
 
 The naive double-and-add versions (:func:`naive_msm_g1` /
 :func:`naive_msm_g2`) remain the reference the pipeline is
@@ -79,6 +78,7 @@ from .g2 import (
     g2_wrap,
 )
 from .glv import glv_decompose, glv_endomorphism
+from . import native
 
 __all__ = [
     "msm_g1",
@@ -391,7 +391,10 @@ def _pippenger(
     The one variable-base pipeline: GLV split (when the group has an
     endomorphism) -> :func:`_scatter_signed` -> global bucket tree ->
     lockstep suffix sums -> :func:`_positional_combine`.  Points are affine
-    pairs of the group's coordinate type, ``None`` = infinity.
+    pairs of the group's coordinate type, ``None`` = infinity.  G1 point
+    sets go to the compiled kernel instead whenever
+    :func:`~repro.curves.native.g1_kernel` has one; its G1 coordinates must
+    then be non-negative ints below ``2^256`` (canonical ones are).
 
     Only the scalar-side work is shared between point sets: reduction mod
     ``R``, zero skipping and the GLV decomposition run once per scalar.
@@ -405,6 +408,10 @@ def _pippenger(
     for points in points_lists:
         if len(points) != len(scalars):
             raise ValueError("points and scalars must have equal length")
+    if group is _G1:
+        kernel = native.g1_kernel()
+        if kernel is not None:
+            return kernel.msm_many(points_lists, scalars)
     endo = group.endo
     neg = group.neg
     # One pass over the scalars; the split of each is handed to every point
@@ -417,9 +424,7 @@ def _pippenger(
         if s == 0:
             continue
         if endo is None:
-            # Plain ints: the recoding is bit-twiddling, where CPython ints
-            # beat mpz scalars arriving from backend-wrapped witnesses.
-            k1, k2 = int(s), 0
+            k1, k2 = s, 0
         else:
             k1, k2 = glv_decompose(s)
         for points, (set_points, set_scalars) in zip(points_lists, sets):

@@ -49,9 +49,7 @@ def g1_to_bytes(point: G1Point) -> bytes:
     """Compress a G1 point to 32 bytes."""
     if point.is_infinity():
         return bytes([_FLAG_INFINITY]) + bytes(31)
-    # int() canonicalizes backend-native coordinates (e.g. mpz) at the
-    # serialization boundary; encodings are identical across backends.
-    buf = bytearray(int(point.x).to_bytes(32, "big"))
+    buf = bytearray(point.x.to_bytes(32, "big"))
     if _is_larger_root(point.y):
         buf[0] |= _FLAG_Y_LARGER
     return bytes(buf)

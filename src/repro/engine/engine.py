@@ -42,7 +42,6 @@ from ..analysis import (
 )
 from ..circuit.builder import CircuitBuilder
 from ..circuit.trace import TraceDivergence
-from ..field.backend import active_field_backend
 from ..obs import metrics as _obs_metrics
 from ..parallel import ComputeBackend, get_backend
 from ..snark.groth16 import (
@@ -398,13 +397,7 @@ class ProvingEngine:
         digest = compiled.digest
         with self._lock:
             prepared = self._prepared_pk.get(digest)
-        if (
-            prepared is None
-            or prepared.pk is not keypair.proving_key
-            # Prepared bases hold field-backend-native residues; a backend
-            # switch (tests, ZKROWNN_FIELD_BACKEND changes) re-wraps them.
-            or prepared.field_backend != active_field_backend()
-        ):
+        if prepared is None or prepared.pk is not keypair.proving_key:
             prepared = prepare_proving_key(keypair.proving_key)
             with self._lock:
                 self._prepared_pk[digest] = prepared

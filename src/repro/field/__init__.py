@@ -11,14 +11,9 @@ Public surface:
 
 from .backend import (
     FieldOps,
-    Gmpy2FieldOps,
     PythonFieldOps,
     active_field_backend,
-    available_field_backends,
     get_field_ops,
-    gmpy2_available,
-    resolve_field_backend,
-    set_field_backend,
 )
 from .prime import (
     BN254_P,
@@ -37,14 +32,9 @@ from .poly import Polynomial
 
 __all__ = [
     "FieldOps",
-    "Gmpy2FieldOps",
     "PythonFieldOps",
     "active_field_backend",
-    "available_field_backends",
     "get_field_ops",
-    "gmpy2_available",
-    "resolve_field_backend",
-    "set_field_backend",
     "BN254_P",
     "BN254_R",
     "BN254_X",

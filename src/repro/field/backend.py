@@ -1,69 +1,41 @@
-"""Pluggable field-arithmetic backends: the substrate under every kernel.
+"""The field-arithmetic substrate under every pure-Python kernel.
 
 Every hot loop in this codebase bottoms out in modular multiplication over
-one of the two BN254 primes.  This module makes that substrate swappable
-between the two representations a benchmark justifies:
-
-* :class:`PythonFieldOps` -- the pure-stdlib default.  Canonical residues
-  (plain ``int``), ``a * b % p`` multiplication.
-* :class:`Gmpy2FieldOps` -- GMP-backed residues (``gmpy2.mpz``), gated
-  behind ``importlib``: selecting it without gmpy2 installed is an error,
-  and the ``auto`` backend falls back to ``python`` silently.
-
-Selection mirrors the compute-backend convention: the
-``ZKROWNN_FIELD_BACKEND`` environment variable (``python`` | ``gmpy2`` |
-``auto``, read through :mod:`repro.config` on first use), overridable per
-process via :func:`set_field_backend`.  The
-default is ``auto``: gmpy2 when importable, else stdlib -- something the
-code can observe, so there is nothing to tune and the pure-Python path
-never needs a new dependency.
+one of the two BN254 primes.  :class:`PythonFieldOps` supplies it:
+canonical residues (plain ``int``) and ``a * b % p`` multiplication.
+:func:`get_field_ops` serves one instance per modulus, and
+:func:`active_field_backend` names it (``"python"``; benchmark records
+carry the name).
 
 Design note (measured, CPython 3.11, x86-64): a Montgomery multiply in
 pure Python costs three big-int multiplications (``a*b``, ``lo*n'``,
 ``m*p``) against one multiplication plus one C-level ``divmod`` for
 ``a * b % p``, and lands ~15% *slower* per operation -- CPython's big-int
-division is simply good at 254 bits -- so residues stay canonical and
-there is no Montgomery-form backend.  gmpy2, where available, is the
-real fast path: GMP multiplies these operand sizes
-several times faster than CPython, and every kernel in the repo is written
-against *native* residues, so ``mpz`` coordinates flow through MSM, NTT,
-tower and pairing arithmetic without per-operation conversions.
-
-Worker processes are spawned (``repro.parallel.backend``): each starts
-with no backend state and resolves its own from the environment it
-inherits, so a :func:`set_field_backend` pin in the parent does not
-reach it.
+division is simply good at 254 bits -- so residues stay canonical.  The
+compiled speed-up lives one level up, as a whole kernel: the G1 MSM in
+:mod:`repro.curves.native`, which is not a field backend.
 """
 
 from __future__ import annotations
 
-import importlib.util
-from typing import Dict, List, Optional, Sequence
-
-from .. import config
+from typing import Dict, List, Sequence
 
 __all__ = [
     "FieldOps",
     "PythonFieldOps",
-    "Gmpy2FieldOps",
-    "available_field_backends",
-    "gmpy2_available",
-    "resolve_field_backend",
     "active_field_backend",
-    "set_field_backend",
     "get_field_ops",
     "invmod",
 ]
 
+
 class FieldOps:
     """Element-level modular arithmetic over one prime modulus.
 
-    ``wrap``/``unwrap`` convert between canonical Python ints and the
-    backend's *native* residue type at subsystem boundaries (key
-    preparation, serialization); everything between boundaries operates on
-    natives, which for every backend support the standard numeric
-    operators -- the kernels in ``curves/`` and ``field/`` are written
-    polymorphically against exactly that contract.
+    ``wrap``/``unwrap`` reduce any int to its canonical residue at
+    subsystem boundaries (witness vectors, NTT inputs, pairing inputs);
+    the kernels in ``curves/`` and ``field/`` operate on residues with the
+    standard numeric operators.
     """
 
     name = "abstract"
@@ -162,119 +134,22 @@ class PythonFieldOps(FieldOps):
         return pow(a, -1, self.modulus)
 
 
-class Gmpy2FieldOps(FieldOps):
-    """GMP-backed residues: every native value is a ``gmpy2.mpz``.
-
-    GMP's multiplication and division at 254-bit operand sizes run several
-    times faster than CPython's; because all kernels operate on natives,
-    wrapping key material and witness scalars once at the boundary
-    accelerates MSM, NTT, tower and pairing arithmetic wholesale.  No
-    Montgomery form: GMP's tuned ``mpn`` division leaves nothing for REDC
-    to win at these sizes.
-    """
-
-    name = "gmpy2"
-
-    def __init__(self, modulus: int):
-        import gmpy2  # ImportError here = backend explicitly unavailable
-
-        super().__init__(modulus)
-        self._gmpy2 = gmpy2
-        self._mpz = gmpy2.mpz
-        self.modulus_native = gmpy2.mpz(modulus)
-
-    def wrap(self, value):
-        return self._mpz(value) % self.modulus_native
-
-    def wrap_many(self, values):
-        mpz = self._mpz
-        m = self.modulus_native
-        return [mpz(v) % m for v in values]
-
-    def exp(self, a, e: int):
-        return self._gmpy2.powmod(self._mpz(a), e, self.modulus_native)
-
-    def inv(self, a):
-        a = self._mpz(a) % self.modulus_native
-        if not a:
-            raise ZeroDivisionError("inverse of zero residue")
-        return self._gmpy2.invert(a, self.modulus_native)
-
-
-_BACKEND_CLASSES = {
-    "python": PythonFieldOps,
-    "gmpy2": Gmpy2FieldOps,
-}
-
-
-def gmpy2_available() -> bool:
-    return importlib.util.find_spec("gmpy2") is not None
-
-
-def available_field_backends() -> List[str]:
-    """Backend names selectable on this interpreter."""
-    return ["python", "gmpy2"] if gmpy2_available() else ["python"]
-
-
-def resolve_field_backend(name: Optional[str] = None) -> str:
-    """Resolve a backend name (or the environment/default) to a concrete one.
-
-    ``auto`` picks gmpy2 when importable, else stdlib.  Naming ``gmpy2``
-    explicitly without the library installed is an error rather than a
-    silent downgrade, and so is any name outside ``_BACKEND_CLASSES``
-    (:func:`repro.config.choice`'s error lists the valid ones).
-    """
-    if name is None:
-        name = config.setting("field_backend")
-    name = config.choice("field backend", name, config.FIELD_BACKENDS)
-    if name == "auto":
-        return "gmpy2" if gmpy2_available() else "python"
-    if name == "gmpy2" and not gmpy2_available():
-        raise ValueError(
-            "field backend 'gmpy2' requested but gmpy2 is not importable; "
-            "install it with `pip install zkrownn-repro[fast]` or select "
-            "'python'/'auto'"
-        )
-    return name
-
-
-_NAME: Optional[str] = None  # None: resolve from the environment
 _OPS: Dict[int, FieldOps] = {}
 
 
 def active_field_backend() -> str:
-    """The name of the backend currently serving :func:`get_field_ops`."""
-    global _NAME
-    if _NAME is None:
-        _NAME = resolve_field_backend()
-    return _NAME
-
-
-def set_field_backend(name: Optional[str]) -> Optional[str]:
-    """Pin the process-wide backend; returns the previous pin (for restore).
-
-    ``None`` unpins, returning selection to ``ZKROWNN_FIELD_BACKEND`` /
-    ``auto`` on next use.  Cached per-modulus ops instances are dropped so
-    the switch takes effect everywhere at once (the NTT domain registry is
-    keyed by backend name and needs no invalidation).
-    """
-    global _NAME, _OPS
-    previous = _NAME
-    _NAME = resolve_field_backend(name) if name is not None else None
-    _OPS = {}
-    return previous
+    """The name of the field arithmetic serving :func:`get_field_ops`."""
+    return PythonFieldOps.name
 
 
 def get_field_ops(modulus: int) -> FieldOps:
-    """The active backend's :class:`FieldOps` for ``modulus`` (cached)."""
-    name = active_field_backend()
+    """The :class:`FieldOps` for ``modulus`` (cached)."""
     ops = _OPS.get(modulus)
-    if ops is None or ops.name != name:
-        ops = _BACKEND_CLASSES[name](modulus)
-        _OPS[modulus] = ops
+    if ops is None:
+        ops = _OPS[modulus] = PythonFieldOps(modulus)
     return ops
 
 
 def invmod(value, modulus: int):
-    """Backend-routed modular inverse (``gmpy2.invert`` when active)."""
+    """Modular inverse through the field ops; raises on zero."""
     return get_field_ops(modulus).inv(value)

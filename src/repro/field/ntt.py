@@ -24,11 +24,7 @@ process-wide registry (:func:`get_domain`) -- repeated proofs for circuits
 of the same domain size (the ZKROWNN amortized lifecycle) never recompute
 roots of unity or tables.
 
-All tables and butterfly values are *backend-native* residues (plain ints
-on the stdlib backend, ``mpz`` under gmpy2), and both the twiddle cache
-and the domain registry are keyed by the active field backend's name, so
-switching ``ZKROWNN_FIELD_BACKEND`` mid-process can never mix native
-types inside one transform.
+All tables and butterfly values are canonical residues (plain ints).
 """
 
 from __future__ import annotations
@@ -73,7 +69,7 @@ def _bitrev_swaps(n: int) -> List[Tuple[int, int]]:
     return swaps
 
 
-_TWIDDLE_CACHE: Dict[Tuple[str, int, int], List[List[int]]] = {}
+_TWIDDLE_CACHE: Dict[Tuple[int, int], List[List[int]]] = {}
 
 
 def _stage_twiddles(n: int, omega: int, ops) -> List[List[int]]:
@@ -83,9 +79,9 @@ def _stage_twiddles(n: int, omega: int, ops) -> List[List[int]]:
     ``w_L^j`` for ``j < L/2``.  The top stage (``L = n``) table is built
     once by iterated multiplication; every smaller stage is its stride-2
     subsampling, so the whole cache costs ``n/2`` multiplications.
-    Entries are backend-native residues, cached per (backend, size, root).
+    Tables are cached per (size, root).
     """
-    key = (ops.name, n, int(omega))
+    key = (n, int(omega))
     tables = _TWIDDLE_CACHE.get(key)
     if tables is None:
         r = ops.modulus_native
@@ -136,9 +132,8 @@ def ntt(values: Sequence[int], omega: int) -> List[int]:
 
     ``len(values)`` must be a power of two and ``omega`` a primitive root of
     unity of exactly that order.  Twiddle tables and the bit-reversal
-    permutation are cached per ``(backend, size, omega)``; outputs are
-    backend-native residues (canonical, so plain-int consumers are
-    unaffected on the stdlib backend).
+    permutation are cached per ``(size, omega)``; outputs are canonical
+    residues.
     """
     n = len(values)
     if n & (n - 1):
@@ -190,8 +185,6 @@ class EvaluationDomain:
         size = next_power_of_two(size)
         self.size = size
         self.ops = get_field_ops(R)
-        #: Field backend this domain's native tables were built under.
-        self.backend = self.ops.name
         self.omega = Fr.root_of_unity(size).value if size > 1 else 1
         self.omega_inv = pow(self.omega, -1, R) if size > 1 else 1
         self._size_inv = pow(size, -1, R)
@@ -284,7 +277,7 @@ def _powers(base, count: int, modulus=R) -> List:
     return out
 
 
-_DOMAIN_CACHE: Dict[Tuple[str, int], EvaluationDomain] = {}
+_DOMAIN_CACHE: Dict[int, EvaluationDomain] = {}
 
 
 def get_domain(size: int) -> EvaluationDomain:
@@ -293,16 +286,9 @@ def get_domain(size: int) -> EvaluationDomain:
     Domains are immutable once built; sharing them across proofs removes
     the root-of-unity search, twiddle-table build and coset power chains
     from every ``prove`` call after the first for a given circuit size.
-    The registry is keyed by the active field backend as well as the
-    size: a domain built under one backend holds that backend's native
-    tables and is never served to another.
     """
-    from .backend import active_field_backend
-
     size = next_power_of_two(size)
-    key = (active_field_backend(), size)
-    domain = _DOMAIN_CACHE.get(key)
+    domain = _DOMAIN_CACHE.get(size)
     if domain is None:
-        domain = EvaluationDomain(size)
-        _DOMAIN_CACHE[key] = domain
+        domain = _DOMAIN_CACHE[size] = EvaluationDomain(size)
     return domain

@@ -309,12 +309,9 @@ def tonelli_shanks(n: int, p: int) -> Union[int, None]:
 def batch_inverse_ints(values: Sequence[int], modulus: int) -> List[int]:
     """Invert many raw residues mod ``modulus`` with one modular inversion.
 
-    Montgomery's trick on raw (backend-native) residues: the hot form used
-    by the curve layer (batch-affine MSM buckets, point normalization),
-    where wrapping every coordinate in a :class:`FieldElement` would
-    dominate the savings.  Routed through the active field backend, so the
-    chain multiplications and the single inversion run on gmpy2 natives
-    when that backend is selected.
+    Montgomery's trick on raw residues: the hot form used by the curve
+    layer (batch-affine MSM buckets, point normalization), where wrapping
+    every coordinate in a :class:`FieldElement` would dominate the savings.
     """
     return get_field_ops(modulus).batch_inverse(values)
 
@@ -325,9 +322,7 @@ def batch_inverse(elements: Sequence[FieldElement]) -> List[FieldElement]:
         return []
     field = elements[0].field
     raw = batch_inverse_ints([e.value for e in elements], field.modulus)
-    # Backend natives (e.g. mpz) are canonicalized so FieldElement.value
-    # stays a plain int regardless of the active backend.
-    return [FieldElement(field, int(v)) for v in raw]
+    return [FieldElement(field, v) for v in raw]
 
 
 #: BN254 base field (curve coordinates live here).

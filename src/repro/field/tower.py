@@ -19,10 +19,8 @@ coefficients, run the Karatsuba formulas and the ``xi`` twist on plain
 unreduced integers (the ``_fp*_raw`` helpers below, where those formulas are
 written once), and reduce each output coefficient exactly once, when the
 result's ``Fp2Element``s are built.  Everything else (additions, inverses,
-Frobenius maps) works element by element.  All of it uses only ``+ - *`` on
-the coefficients and the constructor's ``% p``, so backend-native residues
-(``gmpy2.mpz``) ride through unchanged.  ``tests/reference/fp12.py`` is the
-oracle these kernels are held to; it shares no code with this module.
+Frobenius maps) works element by element.  ``tests/reference/fp12.py`` is
+the oracle these kernels are held to; it shares no code with this module.
 
 Frobenius-map coefficients are *computed at import time* from first
 principles (powers of ``xi``) rather than hard-coded, which keeps the module

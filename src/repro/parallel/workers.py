@@ -44,9 +44,14 @@ def _exit_with_parent() -> None:
 
 
 def init_prove_worker(key_id: str, ppk, cs) -> None:
-    """Pool initializer: pin the (large) shared proving inputs in the worker."""
+    """Pool initializer: pin the (large) shared proving inputs in the worker,
+    and load the compiled G1 MSM before the first task rather than inside
+    one claim's prove."""
+    from ..curves import native
+
     _exit_with_parent()
     _PROVE_STATE[key_id] = (ppk, cs)
+    native.g1_kernel()
 
 
 def prove_task(args: Tuple[str, Sequence[int], Optional[int]]):

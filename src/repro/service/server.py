@@ -20,7 +20,8 @@ Endpoints (all JSON unless noted)::
     GET  /vks                 the signed key-transparency log (JSON)
     GET  /vks/<digest>        one circuit's verifying key as a wire frame
     GET  /healthz             liveness + queue depth
-    GET  /stats               engine + scheduler + registry counters
+    GET  /stats               engine + scheduler + registry counters, the
+                              configuration and the G1 MSM path
     GET  /metrics             Prometheus text exposition
 
 Observability: ``POST /claims`` honors an ``X-Trace-Id`` header (else,
@@ -56,6 +57,7 @@ from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from .. import config
+from ..curves import native
 from ..engine.engine import ProvingEngine
 from ..obs import Tracer, get_logger, get_metrics, new_trace_id, obs_enabled
 from ..obs.trace import sanitize_trace_id
@@ -793,6 +795,7 @@ class ProofService:
             "backend": self.engine.backend.name,
             "workers": self.engine.backend.workers,
             "config": self.settings.provenance(),
+            "kernels": native.status(),
             "uptime_seconds": time.time() - self.started_at,
         }
 

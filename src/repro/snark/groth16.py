@@ -28,7 +28,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..curves.bn254 import P, R
+from ..curves.bn254 import R
 from ..field.backend import get_field_ops
 from ..curves.g1 import (
     G1Point,
@@ -284,10 +284,7 @@ class PreparedProvingKey:
     Pippenger MSM consumes.  A prover issuing many proofs under one key
     (the amortized ZKROWNN lifecycle) does the conversion once; the
     :class:`~repro.engine.engine.ProvingEngine` caches one of these per
-    structure digest.  Coordinates are stored as the *field backend's*
-    native residues (``mpz`` under gmpy2), so every per-proof MSM runs on
-    natives with zero per-call conversions; ``field_backend`` records
-    which backend the bases were wrapped for.
+    structure digest.
     """
 
     pk: ProvingKey
@@ -295,23 +292,15 @@ class PreparedProvingKey:
     points_b1: List[Optional[Tuple[int, int]]]
     points_k: List[Optional[Tuple[int, int]]]
     points_h: List[Optional[Tuple[int, int]]]
-    field_backend: str = "python"
 
 
 def prepare_proving_key(pk: ProvingKey) -> PreparedProvingKey:
-    ops = get_field_ops(P)
-    wrap = ops.wrap
-
-    def affine(p: G1Point) -> Optional[Tuple[int, int]]:
-        return None if p.is_infinity() else (wrap(p.x), wrap(p.y))
-
     return PreparedProvingKey(
         pk=pk,
-        points_a=[affine(p) for p in pk.a_query],
-        points_b1=[affine(p) for p in pk.b_g1_query],
-        points_k=[affine(p) for p in pk.k_query],
-        points_h=[affine(p) for p in pk.h_query],
-        field_backend=ops.name,
+        points_a=[_g1_affine(p) for p in pk.a_query],
+        points_b1=[_g1_affine(p) for p in pk.b_g1_query],
+        points_k=[_g1_affine(p) for p in pk.k_query],
+        points_h=[_g1_affine(p) for p in pk.h_query],
     )
 
 
@@ -354,8 +343,8 @@ def prove_prepared(
     rng = _Randomness(seed)
     r, s = rng.scalar(), rng.scalar()
 
-    # Witness residues in backend-native form: one wrap here feeds the
-    # A/B1/K MSM scalar paths and the NTT-based h computation alike.
+    # Canonical witness residues: one reduction here feeds the A/B1/K MSM
+    # scalar paths and the NTT-based h computation alike.
     z = get_field_ops(R).wrap_many(assignment)
 
     # The A and B1 commitments multiply different bases by the SAME witness
@@ -438,12 +427,15 @@ def verify_prepared(
     ``e(A, B) = e(alpha, beta) * e(IC(x), gamma) * e(C, delta)`` rearranged
     into a single product check: one live Miller lane (A, B) plus three
     precomputed ones on one squaring chain, one final exponentiation.
+    An instance of the wrong length, or with a value outside ``[0, R)``,
+    is rejected: reducing it mod ``R`` would let ``x + R`` stand in for
+    ``x``.
     """
     vk = pvk.vk
-    if len(public_inputs) != vk.num_public_inputs:
+    if not _canonical_instance(vk, public_inputs):
         return False
     ic_points = [_g1_affine(p) for p in vk.ic]
-    scalars = [1] + [x % R for x in public_inputs]
+    scalars = [1, *public_inputs]
     vk_x = G1Point.from_jacobian(msm_g1(ic_points, scalars))
     acc = multi_miller_loop(
         [
@@ -454,6 +446,13 @@ def verify_prepared(
         ]
     )
     return final_exponentiation(acc).is_one()
+
+
+def _canonical_instance(vk: VerifyingKey, public_inputs: Sequence[int]) -> bool:
+    """The instance has the key's length and every value is in ``[0, R)``."""
+    return len(public_inputs) == vk.num_public_inputs and all(
+        0 <= x < R for x in public_inputs
+    )
 
 
 #: Bit width of the batch-verification RLC exponents.  128-bit rhos make
@@ -518,7 +517,8 @@ def verify_batch_prepared(
     chain.  All instances share the IC points, so their contributions fold
     into one MSM with combined scalars ``sum_i rho_i * z_i[j]``; likewise
     the per-proof ``rho_i * C_i`` scalar muls fold into a single MSM over
-    the C points.  An instance of the wrong length rejects the whole batch.
+    the C points.  An instance of the wrong length or with a value outside
+    ``[0, R)`` rejects the whole batch.
 
     Same soundness bound and seeding rules as :func:`verify_batch`.
     """
@@ -532,7 +532,7 @@ def verify_batch_prepared(
     c_points: List[Optional[Tuple[int, int]]] = []
     c_scalars: List[int] = []
     for public_inputs, proof in batch:
-        if len(public_inputs) != vk.num_public_inputs:
+        if not _canonical_instance(vk, public_inputs):
             return False
         rho = next_rho()
         rho_total = (rho_total + rho) % R

@@ -41,6 +41,19 @@ def nprng() -> np.random.Generator:
     return np.random.default_rng(0xC0FFEE)
 
 
+@pytest.fixture(params=["native", "python"])
+def g1_msm_path(request):
+    """Run the test once on each G1 MSM path: the compiled kernel (skipped
+    where none can be built) and the pure-Python pipeline."""
+    from repro.curves import native
+
+    pure = request.param == "python"
+    if not pure and native.g1_kernel() is None:
+        pytest.skip(f"no native G1 MSM here: {native.status()['reason']}")
+    with native.pin_pure(pure):
+        yield request.param
+
+
 # ----------------------------------------------------------- snark fixtures --
 
 

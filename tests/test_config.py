@@ -90,7 +90,7 @@ class TestSettings:
         unset.setenv("ZKROWNN_OBS", "  ")
         unset.setenv("ZKROWNN_PROFILE", "x")
         assert config.load() == config.Settings(
-            backend=None, workers=0, field_backend="auto",
+            backend=None, workers=0,
             circuit_audit="off", log_level="warning", obs=True,
             profile_kernels=False, fault_plan=None,
             sources={key: "default" for key in config.VARIABLES},
@@ -209,16 +209,16 @@ class TestOneReader:
         from repro.service import ClaimRegistry, ProofService
 
         monkeypatch.setenv("ZKROWNN_CIRCUIT_AUDIT", "warn")
-        monkeypatch.delenv("ZKROWNN_FIELD_BACKEND", raising=False)
+        monkeypatch.delenv("ZKROWNN_LOG_LEVEL", raising=False)
         service = ProofService(
             ClaimRegistry(tmp_path), engine=ProvingEngine(backend=SerialBackend())
         )
         shown = service.stats()["config"]
         assert shown["ZKROWNN_CIRCUIT_AUDIT"] == {"value": "warn", "source": "env"}
-        assert shown["ZKROWNN_FIELD_BACKEND"] == {
-            "value": "auto", "source": "default"
+        assert shown["ZKROWNN_LOG_LEVEL"] == {
+            "value": "warning", "source": "default"
         }
-        assert len(shown) == 8
+        assert len(shown) == 7
 
 
 class TestNoZeroThreadService:

@@ -67,6 +67,13 @@ class TestPippengerG1:
         assert got == -G
 
 
+@pytest.mark.usefixtures("g1_msm_path")
+@pytest.mark.parametrize("g1_msm_path", ["python"], indirect=True)
+class TestPippengerG1Pure(TestPippengerG1):
+    """:class:`TestPippengerG1` on the pure-Python G1 path (the class itself runs
+    on whichever path the process has, the compiled one where it loads)."""
+
+
 class TestPippengerG2:
     @pytest.mark.parametrize("n", [1, 3, 20])
     def test_matches_naive(self, n, rng):
@@ -221,6 +228,13 @@ class TestPipelineAgainstNaive:
     def test_length_mismatch_in_any_set(self):
         with pytest.raises(ValueError):
             msm_g1_multi([[_affine(G)], [_affine(G), _affine(G)]], [1])
+
+
+@pytest.mark.usefixtures("g1_msm_path")
+@pytest.mark.parametrize("g1_msm_path", ["python"], indirect=True)
+class TestPipelineAgainstNaivePure(TestPipelineAgainstNaive):
+    """:class:`TestPipelineAgainstNaive` on the pure-Python G1 path (the class itself runs
+    on whichever path the process has, the compiled one where it loads)."""
 
 
 class TestFixedBaseG1:
@@ -384,3 +398,11 @@ class TestSharedScalarMultiMsm:
         assert G1Point.from_jacobian(got) == G1Point.from_jacobian(
             msm_g1(points, scalars)
         )
+
+
+
+@pytest.mark.usefixtures("g1_msm_path")
+@pytest.mark.parametrize("g1_msm_path", ["python"], indirect=True)
+class TestSharedScalarMultiMsmPure(TestSharedScalarMultiMsm):
+    """:class:`TestSharedScalarMultiMsm` on the pure-Python G1 path (the class itself runs
+    on whichever path the process has, the compiled one where it loads)."""

@@ -6,10 +6,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from reference import fp12 as ref
-from test_field_backend import gmpy2_or_stub  # noqa: F401 -- fixture
 
 from repro.curves.pairing import _easy_part
-from repro.field.backend import get_field_ops, set_field_backend
 from repro.field.prime import BN254_P as P
 from repro.field.tower import (
     FROB_GAMMA,
@@ -17,7 +15,6 @@ from repro.field.tower import (
     Fp2Element,
     Fp6Element,
     Fp12Element,
-    fp2_wrap,
 )
 
 fp_ints = st.integers(min_value=0, max_value=P - 1)
@@ -199,8 +196,7 @@ class TestFrobeniusConstants:
 # -- the optimised kernels against tests/reference/fp12.py ---------------------
 #
 # Each ``_holds_*`` states one property against the textbook Fp12; the
-# hypothesis tests feed them edge-heavy coefficients, and the backend test
-# feeds them elements whose coefficients are the gmpy2 backend's natives.
+# hypothesis tests feed them edge-heavy coefficients.
 
 _coefficient = st.one_of(st.sampled_from([0, 1, P - 1]), fp_ints)
 _fp2s = st.builds(Fp2Element, _coefficient, _coefficient)
@@ -314,35 +310,3 @@ class TestAgainstReferenceFp12:
         # subgroup, so it must stay behind _easy_part.
         generic = fp12(rng)
         assert generic.cyclotomic_square() != generic.square()
-
-    def test_same_properties_on_backend_native_coefficients(
-        self, rng, gmpy2_or_stub  # noqa: F811
-    ):
-        set_field_backend(gmpy2_or_stub)
-        try:
-            ops = get_field_ops(P)
-
-            def coefficient():
-                return rng.choice([0, 1, P - 1, rng.randrange(P), rng.randrange(P)])
-
-            def native2():
-                return fp2_wrap(Fp2Element(coefficient(), coefficient()), ops)
-
-            def native6():
-                return Fp6Element(native2(), native2(), native2())
-
-            def native12():
-                return Fp12Element(native6(), native6())
-
-            for _ in range(6):
-                x, y = native12(), native12()
-                _holds_mul(x, y)
-                _holds_square(x)
-                _holds_mul_by_line(x, native2(), native2(), native2())
-                _holds_inverse(x)
-                _holds_conjugate(x)
-                _holds_fp6_mul(native6(), native6())
-                _holds_cyclotomic_square(x)
-            _holds_frobenius(native12())
-        finally:
-            set_field_backend(None)

@@ -124,3 +124,10 @@ class TestGlvMsmAgainstNaive:
         for k in (2**21 - 1, 2**127 - 1, 2**130 - 1):
             expected = G1Point.from_jacobian(naive_msm_g1([_affine(G)], [k]))
             assert G1Point.from_jacobian(msm_g1([_affine(G)], [k])) == expected
+
+
+@pytest.mark.usefixtures("g1_msm_path")
+@pytest.mark.parametrize("g1_msm_path", ["python"], indirect=True)
+class TestGlvMsmAgainstNaivePure(TestGlvMsmAgainstNaive):
+    """:class:`TestGlvMsmAgainstNaive` on the pure-Python G1 path (the class
+    itself runs on whichever path the process has)."""

@@ -20,6 +20,7 @@ from repro.snark import (
     prove,
     setup,
     verify,
+    verify_batch,
     verify_with_precheck,
 )
 from repro.curves.g1 import G1Point
@@ -59,6 +60,24 @@ class TestSoundness:
         cs, assignment = cubic_circuit
         proof = prove(cubic_keypair.proving_key, cs, assignment, seed=1)
         assert not verify(cubic_keypair.verifying_key, [35, 1], proof)
+
+    @pytest.mark.parametrize(
+        "alias", [35 + R, 35 - R, 35 + 2 * R], ids=["x+R", "x-R", "x+2R"]
+    )
+    def test_public_inputs_outside_the_field_rejected(
+        self, cubic_circuit, cubic_keypair, alias
+    ):
+        """A proof for ``x`` must not also verify for ``x + R`` or ``x - R``:
+        the verifier refuses non-canonical instances rather than reducing
+        them, singly and in a batch."""
+        cs, assignment = cubic_circuit
+        proof = prove(cubic_keypair.proving_key, cs, assignment, seed=1)
+        vk = cubic_keypair.verifying_key
+        assert verify(vk, [35], proof)
+        assert not verify(vk, [alias], proof)
+        assert verify_batch(vk, [([35], proof)], seed=1)
+        assert not verify_batch(vk, [([alias], proof)], seed=1)
+        assert not verify_batch(vk, [([35], proof), ([alias], proof)], seed=1)
 
     def test_tampered_proof_a_rejected(self, cubic_circuit, cubic_keypair):
         cs, assignment = cubic_circuit

@@ -22,7 +22,6 @@ from repro.curves.pairing import (
     multi_pairing,
     precompute_g2,
 )
-from repro.field.backend import gmpy2_available, set_field_backend
 from repro.field.tower import Fp12Element
 from repro.parallel import ProcessBackend, SerialBackend
 from repro.snark import (
@@ -244,31 +243,13 @@ class TestBackendParity:
         finally:
             process.close()
 
-    @pytest.mark.parametrize(
-        "backend_name",
-        [
-            "python",
-            pytest.param(
-                "gmpy2",
-                marks=pytest.mark.skipif(
-                    not gmpy2_available(), reason="gmpy2 not installed"
-                ),
-            ),
-        ],
-    )
-    def test_verdicts_identical_across_field_backends(
-        self, square_batch, backend_name
-    ):
+    def test_verdicts_identical_across_msm_paths(self, square_batch, g1_msm_path):
         _, keypair, batch = square_batch
         tampered = list(batch)
         tampered[0] = ([27], tampered[0][1])
-        previous = set_field_backend(backend_name)
-        try:
-            pvk = prepare_verifying_key(keypair.verifying_key)
-            assert verify_batch_prepared(pvk, batch, seed=5)
-            assert not verify_batch_prepared(pvk, tampered, seed=5)
-        finally:
-            set_field_backend(previous)
+        pvk = prepare_verifying_key(keypair.verifying_key)
+        assert verify_batch_prepared(pvk, batch, seed=5)
+        assert not verify_batch_prepared(pvk, tampered, seed=5)
 
 
 # -- engine integration --------------------------------------------------------
