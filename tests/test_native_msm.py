@@ -6,7 +6,7 @@
   and process compute backends;
 * every way the library can be missing -- no compiler, a failed build, a
   corrupt cached file, a wrong known answer -- leaves the pure path, the
-  same proof bytes and one log line;
+  same proof bytes and one log line; many threads' first use builds once;
 * ``GET /stats`` and ``zkrownn serve`` say which path runs.
 """
 
@@ -262,6 +262,35 @@ class TestFallback:
         native._STATE = None
         assert native.g1_kernel() is not None
         assert built.stat().st_mtime_ns == stamp
+
+    def test_concurrent_first_use_builds_once(self, kernel, fresh_load):
+        """More threads than cores race to the first MSM: one build, one
+        shared kernel, and every thread's MSM is right."""
+        import sys
+        import threading
+
+        barrier = threading.Barrier(8)
+        got = []
+
+        def first_use():
+            barrier.wait(timeout=30)
+            got.append((native.g1_kernel(), msm_g1([_affine(G)], [9])))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=first_use) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 8
+        assert len({id(k) for k, _ in got}) == 1 and got[0][0] is not None
+        assert all(G1Point.from_jacobian(r) == G * 9 for _, r in got)
+        assert [p.suffix for p in fresh_load.iterdir()] == [".so"]
 
     def test_cache_directory_is_private(self, monkeypatch, tmp_path):
         monkeypatch.setattr(native.Path, "home", lambda: tmp_path)
