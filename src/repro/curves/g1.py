@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..field.backend import invmod
 from ..field.prime import batch_inverse_ints
 from .bn254 import CURVE_B, G1_GENERATOR, P, R
 
@@ -142,7 +141,7 @@ def jac_to_affine(pt: JacobianPoint) -> Optional[Tuple[int, int]]:
     x, y, z = pt
     if z == 0:
         return None
-    z_inv = invmod(z, P)
+    z_inv = pow(z, -1, P)
     z2 = z_inv * z_inv % P
     return (x * z2 % P, y * z2 * z_inv % P)
 

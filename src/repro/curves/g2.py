@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from ..field.tower import FROB_GAMMA, Fp2Element, fp2_batch_inverse, fp2_wrap
+from ..field.tower import FROB_GAMMA, Fp2Element, fp2_batch_inverse
 from .bn254 import G2_COFACTOR, G2_GENERATOR, R, TWIST_B, X
 
 __all__ = [
     "G2Point",
-    "g2_wrap",
     "psi",
     "G2Jacobian",
     "G2_INFINITY_JAC",
@@ -159,18 +158,6 @@ class G2Point:
         if self._infinity:
             return "G2Point(infinity)"
         return f"G2Point({self.x!r}, {self.y!r})"
-
-
-def g2_wrap(q: G2Point, ops) -> G2Point:
-    """``q`` with backend-native Fp2 coefficients (boundary conversion).
-
-    Tower arithmetic is coefficient-polymorphic, so wrapping a G2 point
-    once before a Miller loop or table build keeps every intermediate
-    product on the active backend's native residues.
-    """
-    if q.is_infinity():
-        return q
-    return G2Point(fp2_wrap(q.x, ops), fp2_wrap(q.y, ops))
 
 
 # -- Jacobian fast path ---------------------------------------------------------

@@ -53,7 +53,6 @@ import functools
 import time
 from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..field.backend import get_field_ops
 from ..obs import metrics as _obs_metrics
 from .bn254 import P, R
 from .g1 import (
@@ -75,7 +74,6 @@ from .g2 import (
     g2_jac_double,
     g2_jac_is_infinity,
     g2_jac_to_affine_many,
-    g2_wrap,
 )
 from .glv import glv_decompose, glv_endomorphism
 from . import native
@@ -604,9 +602,9 @@ class _FixedBaseTable:
     across all windows -- ``2^w - 2`` shared inversions total, instead of a
     Jacobian add plus a dedicated inversion per table entry.
 
-    ``base_affine`` must already hold the active field backend's native
-    residues: the whole doubling/batch-add table build (and every later
-    addition against its entries) runs on them unconverted.
+    ``base_affine`` must hold canonical residues: the whole doubling/batch-add
+    table build (and every later addition against its entries) runs on them
+    unconverted.
     """
 
     def __init__(self, group: _GroupOps, base_affine, window: int):
@@ -657,10 +655,7 @@ class FixedBaseTableG1(_FixedBaseTable):
     """
 
     def __init__(self, base_affine: Tuple[int, int], window: int = 8):
-        ops = get_field_ops(P)
-        super().__init__(
-            _G1, (ops.wrap(base_affine[0]), ops.wrap(base_affine[1])), window
-        )
+        super().__init__(_G1, (base_affine[0] % P, base_affine[1] % P), window)
 
     def mul(self, scalar: int) -> JacobianPoint:
         """Return ``scalar * base`` as a Jacobian point."""
@@ -686,7 +681,6 @@ class FixedBaseTableG2(_FixedBaseTable):
     """
 
     def __init__(self, base: G2Point, window: int = 7):
-        base = g2_wrap(base, get_field_ops(P))
         super().__init__(_G2, (base.x, base.y), window)
 
     def mul(self, scalar: int) -> G2Point:

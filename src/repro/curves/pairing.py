@@ -33,14 +33,13 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from ..field.backend import get_field_ops
 from ..field.prime import BN254_P as P
 from ..field.prime import BN254_R as R
 from ..field.prime import BN254_X as X
 from ..field.tower import Fp2Element, Fp12Element
 from .bn254 import ATE_LOOP_COUNT, OPTIMAL_ATE_LOOP_COUNT
 from .g1 import G1Point
-from .g2 import G2Point, g2_wrap, psi
+from .g2 import G2Point, psi
 
 __all__ = [
     "pairing",
@@ -131,9 +130,6 @@ def _g2_lines(q: G2Point, steps: str) -> Iterator[Tuple[Fp2Element, Fp2Element]]
     the slope-dependent line coefficients as it goes; everything that
     depends on the G1 argument is applied by :func:`multi_miller_loop`.
     """
-    # One boundary conversion per point: the walk then runs on the active
-    # field backend's native residues.
-    q = g2_wrap(q, get_field_ops(P))
     q1 = psi(q)
     q2 = -psi(q1)
     addend = {"A": (q.x, q.y), "1": (q1.x, q1.y), "2": (q2.x, q2.y)}
@@ -179,7 +175,6 @@ def multi_miller_loop(
     factor 1 and are skipped.
     """
     loop_count, corrections, steps = _miller_steps(variant)
-    ops = get_field_ops(P)
     lanes: List[Tuple[int, Fp2Element, Iterator]] = []
     for p, q in pairs:
         if isinstance(q, G2Precomputed):
@@ -194,7 +189,7 @@ def multi_miller_loop(
         else:
             lines = _g2_lines(q, steps)
         if not p.is_infinity():
-            lanes.append((ops.wrap(p.x), Fp2Element(ops.wrap(p.y), 0), lines))
+            lanes.append((p.x, Fp2Element(p.y, 0), lines))
 
     f = Fp12Element.one()
     if not lanes:

@@ -6,15 +6,12 @@ Public surface:
   with the concrete fields :data:`Fp` (base) and :data:`Fr` (scalar).
 * The pairing tower :class:`Fp2Element`, :class:`Fp6Element`,
   :class:`Fp12Element`.
-* NTT utilities (:class:`EvaluationDomain`) and dense :class:`Polynomial`.
+* NTT utilities (:class:`EvaluationDomain`).
+
+Every kernel works on canonical ``int`` residues with ``%`` and ``pow``;
+there is no field-arithmetic backend to choose.
 """
 
-from .backend import (
-    FieldOps,
-    PythonFieldOps,
-    active_field_backend,
-    get_field_ops,
-)
 from .prime import (
     BN254_P,
     BN254_R,
@@ -28,13 +25,8 @@ from .prime import (
 )
 from .tower import FROB_GAMMA, XI, Fp2Element, Fp6Element, Fp12Element
 from .ntt import EvaluationDomain, intt, next_power_of_two, ntt
-from .poly import Polynomial
 
 __all__ = [
-    "FieldOps",
-    "PythonFieldOps",
-    "active_field_backend",
-    "get_field_ops",
     "BN254_P",
     "BN254_R",
     "BN254_X",
@@ -53,5 +45,4 @@ __all__ = [
     "intt",
     "next_power_of_two",
     "ntt",
-    "Polynomial",
 ]

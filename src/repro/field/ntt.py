@@ -34,7 +34,6 @@ import time
 from typing import Dict, List, Sequence, Tuple
 
 from ..obs import metrics as _obs_metrics
-from .backend import get_field_ops
 from .prime import BN254_R as R
 from .prime import Fr
 
@@ -72,7 +71,7 @@ def _bitrev_swaps(n: int) -> List[Tuple[int, int]]:
 _TWIDDLE_CACHE: Dict[Tuple[int, int], List[List[int]]] = {}
 
 
-def _stage_twiddles(n: int, omega: int, ops) -> List[List[int]]:
+def _stage_twiddles(n: int, omega: int) -> List[List[int]]:
     """Twiddle tables for every butterfly stage, smallest stage first.
 
     Stage for block length ``L`` uses ``w_L = omega^(n/L)`` and needs
@@ -84,13 +83,7 @@ def _stage_twiddles(n: int, omega: int, ops) -> List[List[int]]:
     key = (n, int(omega))
     tables = _TWIDDLE_CACHE.get(key)
     if tables is None:
-        r = ops.modulus_native
-        top = [ops.wrap(1)] * (n // 2)
-        w = ops.wrap(omega)
-        acc = top[0]
-        for j in range(1, n // 2):
-            acc = acc * w % r
-            top[j] = acc
+        top = _powers(omega % R, n // 2)
         tables = []
         length = 2
         while length < n:
@@ -138,15 +131,14 @@ def ntt(values: Sequence[int], omega: int) -> List[int]:
     n = len(values)
     if n & (n - 1):
         raise ValueError("NTT size must be a power of two")
-    ops = get_field_ops(R)
-    out = ops.wrap_many(values)
+    out = [v % R for v in values]
     if n <= 1:
         return out
     for i, j in _bitrev_swaps(n):
         out[i], out[j] = out[j], out[i]
-    r = ops.modulus_native
+    r = R  # a local: the butterfly below reads it three times per pair
     length = 2
-    for twiddles in _stage_twiddles(n, omega, ops):
+    for twiddles in _stage_twiddles(n, omega):
         half = length >> 1
         for start in range(0, n, length):
             k = start
@@ -165,11 +157,9 @@ def ntt(values: Sequence[int], omega: int) -> List[int]:
 def intt(values: Sequence[int], omega: int) -> List[int]:
     """Inverse NTT: recovers coefficients from evaluations."""
     n = len(values)
-    ops = get_field_ops(R)
     out = ntt(values, pow(int(omega), -1, R))
-    n_inv = ops.wrap(pow(n, -1, R))
-    r = ops.modulus_native
-    return [v * n_inv % r for v in out]
+    n_inv = pow(n, -1, R)
+    return [v * n_inv % R for v in out]
 
 
 class EvaluationDomain:
@@ -184,7 +174,6 @@ class EvaluationDomain:
     def __init__(self, size: int):
         size = next_power_of_two(size)
         self.size = size
-        self.ops = get_field_ops(R)
         self.omega = Fr.root_of_unity(size).value if size > 1 else 1
         self.omega_inv = pow(self.omega, -1, R) if size > 1 else 1
         self._size_inv = pow(size, -1, R)
@@ -192,13 +181,12 @@ class EvaluationDomain:
         # can never be a 2-power root of unity.
         self.coset_shift = Fr.multiplicative_generator().value
         self.coset_shift_inv = pow(self.coset_shift, -1, R)
-        rn = self.ops.modulus_native
-        self._coset_powers = _powers(self.ops.wrap(self.coset_shift), size, rn)
+        self._coset_powers = _powers(self.coset_shift, size)
         # Fold the 1/n interpolation scale into the inverse-shift powers so
         # coset_ifft is one elementwise multiply.
         self._coset_inv_powers = [
-            p * self._size_inv % rn
-            for p in _powers(self.ops.wrap(self.coset_shift_inv), size, rn)
+            p * self._size_inv % R
+            for p in _powers(self.coset_shift_inv, size)
         ]
         self._elements: List[int] = []
 
@@ -220,8 +208,7 @@ class EvaluationDomain:
         if self.size == 1:
             return [evaluations[0] % R]
         n_inv = self._size_inv
-        rn = self.ops.modulus_native
-        return [v * n_inv % rn for v in ntt(evaluations, self.omega_inv)]
+        return [v * n_inv % R for v in ntt(evaluations, self.omega_inv)]
 
     # -- coset domain -------------------------------------------------------------
 
@@ -230,8 +217,7 @@ class EvaluationDomain:
         coeffs = list(coefficients) + [0] * (self.size - len(coefficients))
         if len(coeffs) > self.size:
             raise ValueError("polynomial degree exceeds domain size")
-        rn = self.ops.modulus_native
-        shifted = [c * g % rn for c, g in zip(coeffs, self._coset_powers)]
+        shifted = [c * g % R for c, g in zip(coeffs, self._coset_powers)]
         if self.size == 1:
             return shifted
         return ntt(shifted, self.omega)
@@ -245,8 +231,7 @@ class EvaluationDomain:
             return coeffs
         coeffs = ntt(evaluations, self.omega_inv)
         # _coset_inv_powers carries the 1/n factor of the inverse NTT.
-        rn = self.ops.modulus_native
-        return [c * g % rn for c, g in zip(coeffs, self._coset_inv_powers)]
+        return [c * g % R for c, g in zip(coeffs, self._coset_inv_powers)]
 
     # -- vanishing polynomial -----------------------------------------------------
 
@@ -268,11 +253,12 @@ class EvaluationDomain:
         return f"EvaluationDomain(size={self.size})"
 
 
-def _powers(base, count: int, modulus=R) -> List:
+def _powers(base: int, count: int) -> List[int]:
+    """``[base^0, ..., base^(count-1)]`` mod R."""
     out = [1] * count
     acc = 1
     for i in range(1, count):
-        acc = acc * base % modulus
+        acc = acc * base % R
         out[i] = acc
     return out
 

@@ -21,8 +21,6 @@ from __future__ import annotations
 import hashlib
 from typing import List, Sequence, Union
 
-from .backend import FieldOps, get_field_ops
-
 __all__ = [
     "PrimeField",
     "FieldElement",
@@ -100,22 +98,20 @@ class FieldElement:
         v = self._coerce(other)
         if v is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, self.value * pow(v, -1, self.field.modulus))
+        return FieldElement(self.field, self.value * _inverse(v, self.field.modulus))
 
     def __rtruediv__(self, other):
         v = self._coerce(other)
         if v is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, v * pow(self.value, -1, self.field.modulus))
+        return FieldElement(self.field, v * _inverse(self.value, self.field.modulus))
 
     def __pow__(self, exponent: int):
         return FieldElement(self.field, pow(self.value, exponent, self.field.modulus))
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse; raises ``ZeroDivisionError`` on zero."""
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero field element")
-        return FieldElement(self.field, pow(self.value, -1, self.field.modulus))
+        return FieldElement(self.field, _inverse(self.value, self.field.modulus))
 
     def square(self) -> "FieldElement":
         return FieldElement(self.field, self.value * self.value)
@@ -193,16 +189,6 @@ class PrimeField:
 
     def __repr__(self) -> str:
         return f"PrimeField({self.name}, bits={self.modulus.bit_length()})"
-
-    @property
-    def ops(self) -> FieldOps:
-        """The active field-arithmetic backend for this modulus.
-
-        Hot layers (curves, NTT, SNARK key preparation) pull native
-        residues and kernel constants from here; this class remains the
-        readable ``int``-valued public face.
-        """
-        return get_field_ops(self.modulus)
 
     def __contains__(self, element: object) -> bool:
         return isinstance(element, FieldElement) and element.field is self
@@ -306,14 +292,36 @@ def tonelli_shanks(n: int, p: int) -> Union[int, None]:
     return r
 
 
+def _inverse(value: int, modulus: int) -> int:
+    """``value^-1 mod modulus``; ``ZeroDivisionError`` if ``value`` is 0 mod it."""
+    if value % modulus == 0:
+        raise ZeroDivisionError("inverse of zero field element")
+    return pow(value, -1, modulus)
+
+
 def batch_inverse_ints(values: Sequence[int], modulus: int) -> List[int]:
     """Invert many raw residues mod ``modulus`` with one modular inversion.
 
     Montgomery's trick on raw residues: the hot form used by the curve
-    layer (batch-affine MSM buckets, point normalization), where wrapping
-    every coordinate in a :class:`FieldElement` would dominate the savings.
+    layer (batch-affine MSM buckets, point normalization) and the QAP
+    Lagrange basis, where wrapping every value in a :class:`FieldElement`
+    would dominate the savings.  Raises ``ZeroDivisionError`` if any value
+    is 0 mod ``modulus`` (the running product then is).
     """
-    return get_field_ops(modulus).batch_inverse(values)
+    n = len(values)
+    if n == 0:
+        return []
+    prefix = [0] * n
+    acc = 1
+    for i, v in enumerate(values):
+        prefix[i] = acc
+        acc = acc * v % modulus
+    inv = _inverse(acc, modulus)
+    out = [0] * n
+    for i in range(n - 1, -1, -1):
+        out[i] = inv * prefix[i] % modulus
+        inv = inv * values[i] % modulus
+    return out
 
 
 def batch_inverse(elements: Sequence[FieldElement]) -> List[FieldElement]:

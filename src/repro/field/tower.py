@@ -33,7 +33,6 @@ from __future__ import annotations
 from operator import add
 from typing import Tuple
 
-from .backend import get_field_ops
 from .prime import BN254_P as P
 
 __all__ = [
@@ -43,8 +42,6 @@ __all__ = [
     "XI",
     "FROB_GAMMA",
     "fp2_batch_inverse",
-    "fp2_wrap",
-    "fp2_unwrap",
 ]
 
 
@@ -104,9 +101,7 @@ class Fp2Element:
         norm = (a0 * a0 + a1 * a1) % P
         if norm == 0:
             raise ZeroDivisionError("inverse of zero in Fp2")
-        # The single base-field inversion under every Fp2 (and transitively
-        # Fp6/Fp12) inverse is routed through the active field backend.
-        inv = get_field_ops(P).inv(norm)
+        inv = pow(norm, -1, P)
         return Fp2Element(a0 * inv, -a1 * inv)
 
     def conjugate(self) -> "Fp2Element":
@@ -169,21 +164,6 @@ def fp2_batch_inverse(elements) -> list:
         out[i] = inv * prefix[i]
         inv = inv * elements[i]
     return out
-
-
-def fp2_wrap(e: "Fp2Element", ops) -> "Fp2Element":
-    """``e`` with both coefficients as the backend's native residues.
-
-    Boundary helper: tower arithmetic is written polymorphically over the
-    coefficient type, so wrapping the inputs of a pairing (or a G2 kernel)
-    once makes every intermediate product run on backend natives.
-    """
-    return Fp2Element(ops.wrap(e.c0), ops.wrap(e.c1))
-
-
-def fp2_unwrap(e: "Fp2Element") -> "Fp2Element":
-    """``e`` with both coefficients canonicalized to plain ints."""
-    return Fp2Element(int(e.c0), int(e.c1))
 
 
 #: The Fp6/Fp12 tower non-residue.

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..curves.bn254 import R
-from ..field.backend import get_field_ops
 from ..curves.g1 import (
     G1Point,
     JacobianPoint,
@@ -159,11 +158,8 @@ def setup_with_trapdoor(
     """Setup that also returns the toxic waste (for the ZK simulator)."""
     rng = _Randomness(seed)
     alpha, beta, gamma, delta, tau = (rng.scalar() for _ in range(5))
-    # Scalar bookkeeping runs on the active field backend's natives (the
-    # toxic waste itself stays a plain int for the trapdoor dataclass).
-    ops_r = get_field_ops(R)
-    gamma_inv = ops_r.inv(gamma)
-    delta_inv = ops_r.inv(delta)
+    gamma_inv = pow(gamma, -1, R)
+    delta_inv = pow(delta, -1, R)
 
     qap = evaluate_qap_at(cs, tau)
     m = cs.num_variables
@@ -180,13 +176,11 @@ def setup_with_trapdoor(
     k_scalars = [k_scalar(j) * delta_inv % R for j in range(ell + 1, m)]
 
     # h_query[i] = [tau^i * t(tau) / delta]_1 for i < |H| - 1.
-    rn = ops_r.modulus_native
-    tau_native = ops_r.wrap(tau)
     h_scalars = []
-    power = qap.t_at_tau * delta_inv % rn
+    power = qap.t_at_tau * delta_inv % R
     for _ in range(qap.domain_size - 1):
         h_scalars.append(power)
-        power = power * tau_native % rn
+        power = power * tau % R
 
     # Every G1 key point comes out of ONE lockstep fixed-base pass (batched
     # affine additions, already normalized), every G2 query point out of
@@ -345,7 +339,7 @@ def prove_prepared(
 
     # Canonical witness residues: one reduction here feeds the A/B1/K MSM
     # scalar paths and the NTT-based h computation alike.
-    z = get_field_ops(R).wrap_many(assignment)
+    z = [v % R for v in assignment]
 
     # The A and B1 commitments multiply different bases by the SAME witness
     # vector; the shared-scalar multi-MSM decomposes and recodes z once.

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from ..field.backend import get_field_ops
 from ..field.ntt import EvaluationDomain, get_domain, next_power_of_two
 from ..field.prime import BN254_R as R
+from ..field.prime import batch_inverse_ints
 from .r1cs import ConstraintSystem
 
 __all__ = ["QapEvaluation", "evaluate_qap_at", "compute_h", "qap_domain"]
@@ -74,24 +74,9 @@ def _lagrange_basis_at(domain: EvaluationDomain, tau: int) -> List[int]:
     points = domain.elements()
     if t_at_tau == 0:
         return [1 if tau % R == pt else 0 for pt in points]
-    # Batch-invert all (tau - omega^k) on backend-native residues.
-    ops = get_field_ops(R)
-    rn = ops.modulus_native
-    tau_native = ops.wrap(tau)
-    diffs = [(tau_native - pt) % rn for pt in points]
-    prefix = []
-    acc = ops.wrap(1)
-    for d in diffs:
-        prefix.append(acc)
-        acc = acc * d % rn
-    inv = ops.inv(acc)
-    inv_diffs = [0] * n
-    for i in range(n - 1, -1, -1):
-        inv_diffs[i] = inv * prefix[i] % rn
-        inv = inv * diffs[i] % rn
-    n_inv = pow(n, -1, R)
-    scale = t_at_tau * n_inv % rn
-    return [points[k] * scale % rn * inv_diffs[k] % rn for k in range(n)]
+    inv_diffs = batch_inverse_ints([(tau - pt) % R for pt in points], R)
+    scale = t_at_tau * pow(n, -1, R) % R
+    return [points[k] * scale % R * inv_diffs[k] % R for k in range(n)]
 
 
 def evaluate_qap_at(cs: ConstraintSystem, tau: int) -> QapEvaluation:
@@ -148,12 +133,8 @@ def compute_h(cs: ConstraintSystem, assignment: Sequence[int]) -> List[int]:
     u_coset = domain.coset_fft(domain.ifft(ua))
     v_coset = domain.coset_fft(domain.ifft(va))
     w_coeffs = domain.ifft(wa)
-    ops = get_field_ops(R)
-    rn = ops.modulus_native
-    uv_coeffs = domain.coset_ifft(
-        [u * v % rn for u, v in zip(u_coset, v_coset)]
-    )
-    t_inv = ops.inv(domain.vanishing_on_coset())
+    uv_coeffs = domain.coset_ifft([u * v % R for u, v in zip(u_coset, v_coset)])
+    t_inv = pow(domain.vanishing_on_coset(), -1, R)
     # deg h <= |H| - 2, so the top coefficient must vanish; a non-zero value
     # means the assignment does not satisfy the R1CS.
-    return [(uv - w) * t_inv % rn for uv, w in zip(uv_coeffs, w_coeffs)]
+    return [(uv - w) * t_inv % R for uv, w in zip(uv_coeffs, w_coeffs)]

@@ -1,16 +1,19 @@
 """Dense univariate polynomials over the BN254 scalar field.
 
-A small, well-tested polynomial ring used by the QAP layer and its tests.
-Coefficients are raw integers mod r, lowest degree first.  The zero
-polynomial is represented by the empty list and has degree -1.
+A small polynomial ring: the textbook oracle the NTT and QAP tests hold
+``repro.field.ntt`` and ``repro.snark.qap`` to (O(n^2) Lagrange
+interpolation, schoolbook products, long division).  Coefficients are raw
+integers mod r, lowest degree first.  The zero polynomial is represented by
+the empty list and has degree -1.
+
+Shares only the modulus with ``src/repro``.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-from .backend import invmod
-from .prime import BN254_R as R
+from repro.field.prime import BN254_R as R
 
 __all__ = ["Polynomial"]
 
@@ -67,7 +70,7 @@ class Polynomial:
                     continue
                 basis = basis * Polynomial([-xj, 1])
                 denom = denom * (xi - xj) % R
-            scale = yi * int(invmod(denom, R)) % R
+            scale = yi * pow(denom, -1, R) % R
             total = total + basis.scale(scale)
         return total
 
@@ -115,7 +118,7 @@ class Polynomial:
             raise ZeroDivisionError("polynomial division by zero")
         remainder = list(self.coeffs)
         quotient = [0] * max(0, len(remainder) - len(divisor.coeffs) + 1)
-        lead_inv = int(invmod(divisor.coeffs[-1], R))
+        lead_inv = pow(divisor.coeffs[-1], -1, R)
         d = len(divisor.coeffs)
         for i in range(len(quotient) - 1, -1, -1):
             q = remainder[i + d - 1] * lead_inv % R

@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from reference.poly import Polynomial
 
 from repro.field.ntt import EvaluationDomain, intt, next_power_of_two, ntt
-from repro.field.poly import Polynomial
 from repro.field.prime import BN254_R as R
 from repro.field.prime import Fr
 

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from reference.poly import Polynomial
 
-from repro.field.poly import Polynomial
 from repro.field.prime import BN254_R as R
 
 coeff_lists = st.lists(st.integers(min_value=0, max_value=R - 1), max_size=10)

@@ -14,6 +14,7 @@ from repro.field.prime import (
     Fr,
     PrimeField,
     batch_inverse,
+    batch_inverse_ints,
     tonelli_shanks,
 )
 
@@ -88,6 +89,20 @@ class TestArithmetic:
     def test_inverse_of_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
             Fr(0).inverse()
+
+    @pytest.mark.parametrize(
+        "divide",
+        [
+            lambda: Fr(1) / Fr(0),
+            lambda: 1 / Fr(0),
+            lambda: Fr(1) / 0,
+            lambda: Fr(1) / BN254_R,
+        ],
+        ids=["elem_by_elem", "int_by_elem", "elem_by_int", "elem_by_modulus"],
+    )
+    def test_division_by_zero_raises_like_inverse(self, divide):
+        with pytest.raises(ZeroDivisionError):
+            divide()
 
     def test_square(self):
         assert Fr(11).square() == 121
@@ -181,6 +196,17 @@ class TestBatchInverse:
 
     def test_single(self):
         assert batch_inverse([Fr(2)])[0] == Fr(2).inverse()
+
+    def test_ints_agree_with_pow_and_reject_any_zero_residue(self):
+        rng = random.Random(5)
+        values = [rng.randrange(1, BN254_P) for _ in range(50)]
+        assert batch_inverse_ints(values, BN254_P) == [
+            pow(v, -1, BN254_P) for v in values
+        ]
+        assert batch_inverse_ints([], BN254_P) == []
+        for bad in ([0], [BN254_P], [1, 2 * BN254_P], values + [0]):
+            with pytest.raises(ZeroDivisionError):
+                batch_inverse_ints(bad, BN254_P)
 
 
 class TestPrimeFieldStructure:

@@ -11,10 +11,10 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference.poly import Polynomial
 from reference.qap import quotient_naive
 
 from repro.field.ntt import EvaluationDomain
-from repro.field.poly import Polynomial
 from repro.field.prime import BN254_R as R
 from repro.snark.qap import _lagrange_basis_at, compute_h, evaluate_qap_at, qap_domain
 from repro.snark.r1cs import ConstraintSystem, LinearCombination as LC
