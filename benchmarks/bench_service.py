@@ -1,14 +1,14 @@
-"""Proof-service throughput: batched scheduler vs sequential claims.
+"""Proof-service throughput: the scheduler vs sequential claims.
 
 The service subsystem's pitch is that many concurrent same-shape claims
-cost one compile + one setup + one batched backend dispatch instead of N
-sequential trips through the pipeline.  Measured here:
+cost one compile + one setup and then one prove each, with the service's
+own queueing, leasing and persistence on top.  Measured here:
 
 * ``sequential`` -- N claims via back-to-back ``prove_job`` calls on a
   fresh engine (first call pays compile + setup, the rest are cached);
 * ``batched``    -- the same N claims submitted to a paused
-  :class:`~repro.service.scheduler.ProofScheduler` and dispatched as one
-  batch through the streaming ``prove_stream`` path.
+  :class:`~repro.service.scheduler.ProofScheduler`, one dispatch per
+  claim (the key keeps its name so older BENCH files still compare).
 
 Also measured: the wire-format overhead of a claim round trip (encode +
 decode of request/claim frames), which bounds what the HTTP surface adds
@@ -76,7 +76,7 @@ def _keys(model, scale, seed: int = 1) -> WatermarkKeys:
 
 
 def test_batched_claims_vs_sequential(bench_scale, bench_json, tmp_path):
-    """One scheduled batch amortizes compile/setup across N claims."""
+    """The scheduler amortizes compile/setup across N claims."""
     scale = bench_scale
     config = CircuitConfig(theta=1.0, fixed_point=FMT)
     keys = _keys(_model(5, scale), scale)
@@ -95,10 +95,10 @@ def test_batched_claims_vs_sequential(bench_scale, bench_json, tmp_path):
         )
     sequential_seconds = time.perf_counter() - t0
 
-    # -- batched: one scheduler dispatch ------------------------------------
+    # -- batched: one scheduler dispatch per claim --------------------------
     engine = ProvingEngine()
     registry = ClaimRegistry(tmp_path / "bench-registry")
-    scheduler = ProofScheduler(engine, registry, max_batch=NUM_CLAIMS)
+    scheduler = ProofScheduler(engine, registry)
     for i, model in enumerate(models):
         scheduler.submit(
             ProofTask(
@@ -121,12 +121,11 @@ def test_batched_claims_vs_sequential(bench_scale, bench_json, tmp_path):
     finally:
         scheduler.stop()
 
-    # The batch must actually have amortized: one compile, one setup, one
-    # backend dispatch for all claims.
-    assert scheduler.stats.batches == 1
+    # The scheduler must actually have amortized: one compile and one
+    # setup for all claims, then one backend dispatch per claim.
     assert engine.stats.setup_misses == 1
     assert engine.stats.compile_misses == 1
-    assert engine.stats.proof_batches == 1
+    assert engine.stats.proof_batches == engine.stats.proofs == NUM_CLAIMS
 
     bench_json(
         "service-throughput",
@@ -223,9 +222,8 @@ def test_degraded_mode_throughput(bench_scale, bench_json, tmp_path):
 
     Each dispatch has a 10% chance of a (deterministic, seeded) transient
     backend error; the scheduler's retry machinery must absorb every one
-    and still land all claims ``done``.  ``max_batch=1`` so each claim is
-    its own dispatch -- the fault rate applies per claim and the latency
-    distribution is per-claim, not per-batch.
+    and still land all claims ``done``.  Each claim is its own dispatch,
+    so the fault rate and the latency distribution are per claim.
     """
     scale = bench_scale
     config = CircuitConfig(theta=1.0, fixed_point=FMT)
@@ -237,7 +235,7 @@ def test_degraded_mode_throughput(bench_scale, bench_json, tmp_path):
         engine = ProvingEngine()
         registry = ClaimRegistry(tmp_path / f"degraded-{tag}")
         scheduler = ProofScheduler(
-            engine, registry, max_batch=1, max_attempts=5, faults=faults
+            engine, registry, max_attempts=5, faults=faults
         )
         for i, model in enumerate(models):
             scheduler.submit(
@@ -306,9 +304,9 @@ def test_degraded_mode_throughput(bench_scale, bench_json, tmp_path):
 
 
 def test_instrumentation_overhead(bench_scale, bench_json, tmp_path):
-    """Observability hooks must stay under 3% on the batched proving path.
+    """Observability hooks must stay under 3% on the scheduled proving path.
 
-    The same batched workload runs with observability disabled and with
+    The same scheduled workload runs with observability disabled and with
     it fully enabled (tracing with a live trace id, stage metrics, span
     persistence; kernel profiling stays off, as in a default deployment).
     Runs alternate so cache warmup and machine drift hit both modes; the
@@ -326,7 +324,7 @@ def test_instrumentation_overhead(bench_scale, bench_json, tmp_path):
     def run(tag: str) -> float:
         engine = ProvingEngine()
         registry = ClaimRegistry(tmp_path / f"obs-{tag}")
-        scheduler = ProofScheduler(engine, registry, max_batch=NUM_CLAIMS)
+        scheduler = ProofScheduler(engine, registry)
         trace_id = new_trace_id()
         for i, model in enumerate(models):
             scheduler.submit(
@@ -457,7 +455,6 @@ def test_two_closed_loop_clients(bench_scale, bench_json, tmp_path):
         prove_p50_seconds=prove,
         latency_over_prove=ratio,
         claims_per_second=len(samples) / wall,
-        batches=stats["scheduler"]["batches"],
     )
     print(f"\ntwo closed-loop clients on {stats['backend']} x "
           f"{stats['workers']}: claim latency {latency:.2f}s over prove "

@@ -51,6 +51,16 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0 < value < float("inf"):  # also refuses nan
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number > 0")
+    return value
+
+
 def _cmd_demo(args: argparse.Namespace) -> int:
     import numpy as np
 
@@ -224,8 +234,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # restarted service recovers queued claims AND re-proves known shapes
     # without re-running Groth16 setup.
     cache_dir = args.cache_dir or str(Path(args.registry) / "engine-cache")
-    # --workers sizes both the prove pool and the dispatch threads; left
-    # out, the threads follow whatever the backend resolved to.
+    # The dispatch threads follow the backend's worker count.
     engine = ProvingEngine(
         cache_dir=cache_dir,
         backend=machine_backend(args.backend, args.workers),
@@ -233,8 +242,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = ProofService(
         ClaimRegistry(args.registry),
         engine=engine,
-        max_batch=args.max_batch,
-        scheduler_workers=args.workers,
         max_queue_depth=args.max_queue_depth,
         max_attempts=args.max_attempts,
         prove_budget_seconds=args.prove_budget,
@@ -243,7 +250,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = ProofServer(service, host=args.host, port=args.port)
     print(f"proof service listening on {server.url}")
     print(f"  registry: {args.registry}  cache: {cache_dir}  "
-          f"backend: {engine.backend.name}  max_batch: {args.max_batch}")
+          f"backend: {engine.backend.name}")
     print(f"  prove workers: {engine.backend.workers}  "
           f"dispatch threads: {service.scheduler.workers}  "
           f"g1 msm: {_g1_msm_line()}")
@@ -524,7 +531,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         dur = f"{duration * 1000:9.2f}ms" if duration is not None else " " * 11
         indent = "  " * depth(span)
         extras = []
-        for key in ("outcome", "attempt", "prior_state", "batch_size"):
+        for key in ("outcome", "attempt", "prior_state"):
             value = span.get("attrs", {}).get(key)
             if value is not None:
                 extras.append(f"{key}={value}")
@@ -601,18 +608,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="claims proved at the same time: prove-pool "
                             "processes and dispatch threads (default: "
                             "ZKROWNN_WORKERS, else the usable CPUs)")
-    serve.add_argument("--max-batch", type=int, default=8,
-                       help="max same-shape claims per proving batch")
     serve.add_argument("--cache-dir", default=None,
                        help="ProvingEngine keypair cache directory "
                             "(default: <registry>/engine-cache)")
-    serve.add_argument("--max-queue-depth", type=int, default=None,
+    serve.add_argument("--max-queue-depth", type=_positive_int, default=None,
                        help="reject new claims with 429 past this queue "
                             "depth (default: unbounded)")
-    serve.add_argument("--prove-budget", type=float, default=None,
-                       help="wall-clock seconds a proving batch may run "
-                            "before the watchdog quarantines it")
-    serve.add_argument("--max-attempts", type=int, default=3,
+    serve.add_argument("--prove-budget", type=_positive_float, default=None,
+                       help="wall-clock seconds a claim may prove; the "
+                            "watchdog quarantines it at twice that")
+    serve.add_argument("--max-attempts", type=_positive_int, default=3,
                        help="proving attempts before a claim is "
                             "quarantined (default 3)")
     serve.add_argument("--circuit-audit", choices=AUDIT_MODES,

@@ -12,9 +12,8 @@ as an object:
     prove      -- Groth16 prove against a cached prepared key, per proof
     verify     -- pairing check against a cached prepared key
 
-A single proof runs on the calling thread; a stream of them runs on the
-engine's compute backend (:mod:`repro.parallel`), which is where the
-proof service's worker processes live.
+Every proof runs on the engine's compute backend (:mod:`repro.parallel`):
+the calling thread by default, or the proof service's worker processes.
 
 Everything cacheable is cached and keyed by structure digest: compiled
 circuits (under a caller-chosen shape key), Groth16 keypairs, prepared
@@ -27,11 +26,10 @@ tests) can assert which stages actually ran.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Optional, Sequence, Union
 
 from .. import config
 from ..analysis import (
@@ -50,7 +48,6 @@ from ..snark.groth16 import (
     PreparedVerifyingKey,
     prepare_proving_key,
     prepare_verifying_key,
-    prove_prepared,
     setup as groth16_setup,
     verify_prepared,
 )
@@ -58,7 +55,7 @@ from ..snark.keys import Proof
 from .cache import ArtifactStore
 from .compiled import CompiledCircuit, SynthesisResult, compile_circuit, resynthesize
 
-__all__ = ["EngineStats", "ProofJob", "ProveBudgetExceeded", "ProvingEngine"]
+__all__ = ["EngineStats", "ProofJob", "ProvingEngine"]
 
 SynthesisFn = Callable[[CircuitBuilder], Any]
 
@@ -77,15 +74,6 @@ def _observe_stage(stage: str, seconds: float) -> None:
     ).observe(seconds, stage=stage)
 
 
-class ProveBudgetExceeded(RuntimeError):
-    """A streaming prove ran past its wall-clock budget.
-
-    Raised between stream pulls (never mid-proof), so proofs already
-    produced are lost but no worker is left wedged holding key material.
-    The scheduler treats it as non-retryable and quarantines the claims.
-    """
-
-
 @dataclass
 class EngineStats:
     """Hit/miss counters for every cached stage of the pipeline."""
@@ -101,8 +89,9 @@ class EngineStats:
     setup_hits: int = 0
     setup_disk_hits: int = 0
     proofs: int = 0
+    # One per backend dispatch, so equal to ``proofs``; kept because the
+    # frozen e2e benchmark reports ``proofs / proof_batches``.
     proof_batches: int = 0
-    budget_exceeded: int = 0
     verifications: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -141,13 +130,11 @@ class ProvingEngine:
     in-memory.  Thread-safe for concurrent use of the caches (a proving
     service fronting many claims).
 
-    ``backend`` chooses where the proofs of :meth:`prove_stream` and
-    :meth:`prove_batch` run: by default the environment is consulted
-    (``ZKROWNN_BACKEND`` / ``ZKROWNN_WORKERS``), falling back to the serial
-    backend; pass a :class:`~repro.parallel.backend.ComputeBackend` to pin
-    it.  A single :meth:`prove` or :meth:`prove_job` always runs on the
-    calling thread.  Proofs are byte-identical across backends given
-    equal seeds.
+    ``backend`` chooses where proofs run: by default the environment is
+    consulted (``ZKROWNN_BACKEND`` / ``ZKROWNN_WORKERS``), falling back to
+    the serial backend; pass a
+    :class:`~repro.parallel.backend.ComputeBackend` to pin it.  Proofs are
+    byte-identical across backends given equal seeds.
 
     ``audit`` (``off`` | ``warn`` | ``strict``) defaults to
     ``ZKROWNN_CIRCUIT_AUDIT``, else ``off``; :attr:`audit_mode` may be
@@ -159,13 +146,12 @@ class ProvingEngine:
         *,
         cache_dir: Optional[str] = None,
         backend: Optional[ComputeBackend] = None,
-        prove_budget_seconds: Optional[float] = None,
         audit: Optional[str] = None,
     ):
-        self.prove_budget_seconds = prove_budget_seconds
         self.audit_mode = config.setting("circuit_audit") if audit is None else audit
         self._audit_reports: Dict[str, AuditReport] = {}
         self._compiled: Dict[str, CompiledCircuit] = {}
+        self._compile_flights: Dict[str, threading.Lock] = {}
         self._keypairs: Dict[str, Groth16Keypair] = {}
         self._setup_flights: Dict[str, threading.Lock] = {}
         self._prepared_pk: Dict[str, PreparedProvingKey] = {}
@@ -187,9 +173,9 @@ class ProvingEngine:
         """One locked, mutually-consistent copy of the stage counters.
 
         Counter increments happen under the engine lock, so a snapshot
-        taken under the same lock never shows (say) ``proofs`` from one
-        batch with ``proof_batches`` from the previous one -- the
-        guarantee ``/stats`` advertises.
+        taken under the same lock never shows (say) a proof counted in
+        ``proofs`` but not yet in ``proof_batches`` -- the guarantee
+        ``/stats`` advertises.
         """
         with self._lock:
             return self.stats.as_dict()
@@ -214,27 +200,39 @@ class ProvingEngine:
     ) -> tuple:
         """Compile on first sight of ``key``; replay the trace afterwards.
 
-        Returns ``(compiled, result)``.  A :class:`TraceDivergence` during
-        replay (value-dependent structure) falls back to a full rebuild and
+        Returns ``(compiled, result)``.  Single-flight like :meth:`setup`:
+        threads meeting a new ``key`` together compile it once, and the
+        rest replay its trace.  A :class:`TraceDivergence` during replay
+        (value-dependent structure) falls back to a full rebuild and
         replaces the cached circuit -- the new digest then misses the
         keypair cache, which is exactly right: the old keys are unusable.
         """
         t0 = time.perf_counter()
         with self._lock:
             compiled = self._compiled.get(key)
-        if compiled is not None:
-            try:
-                result = resynthesize(compiled, synthesize)
-            except TraceDivergence:
+            flight = self._compile_flights.setdefault(key, threading.Lock())
+        if compiled is None:
+            with flight:
                 with self._lock:
-                    self.stats.trace_divergences += 1
-            else:
-                with self._lock:
-                    self.stats.compile_hits += 1
-                    self.stats.witness_resyntheses += 1
-                self._check_audit(compiled)
-                _observe_stage("synthesize", time.perf_counter() - t0)
-                return compiled, result
+                    compiled = self._compiled.get(key)
+                if compiled is None:
+                    return self._compile(key, synthesize, name, t0)
+        try:
+            result = resynthesize(compiled, synthesize)
+        except TraceDivergence:
+            with self._lock:
+                self.stats.trace_divergences += 1
+            return self._compile(key, synthesize, name, t0)
+        with self._lock:
+            self.stats.compile_hits += 1
+            self.stats.witness_resyntheses += 1
+        self._check_audit(compiled)
+        _observe_stage("synthesize", time.perf_counter() - t0)
+        return compiled, result
+
+    def _compile(
+        self, key: str, synthesize: SynthesisFn, name: Optional[str], t0: float
+    ) -> tuple:
         compiled, result = compile_circuit(synthesize, name or key)
         with self._lock:
             self.stats.compile_misses += 1
@@ -436,125 +434,23 @@ class ProvingEngine:
         seed: Optional[int],
     ) -> Proof:
         """:meth:`prove` for a caller that already holds the keypair, so
-        the setup cache is consulted (and counted) once per proof."""
+        the setup cache is consulted (and counted) once per proof.  The
+        one place a proof is handed to the compute backend."""
         prepared = self._prepared_proving_key(compiled, keypair)
         assignment = (
             synthesis.assignment
             if isinstance(synthesis, SynthesisResult)
             else synthesis
         )
-        proof = prove_prepared(prepared, compiled.cs, assignment, seed=seed)
+        t0 = time.perf_counter()
+        proof = self.backend.prove(
+            prepared, compiled.cs, assignment, seed, key_id=compiled.digest
+        )
+        _observe_stage("prove", time.perf_counter() - t0)
         with self._lock:
             self.stats.proofs += 1
-        return proof
-
-    def prove_batch(
-        self,
-        compiled: CompiledCircuit,
-        syntheses: Union[
-            Sequence[Union[SynthesisResult, Sequence[int]]],
-            Iterable[Union[SynthesisResult, Sequence[int]]],
-        ],
-        *,
-        seeds: Optional[Iterable[Optional[int]]] = None,
-        setup_seed: Optional[int] = None,
-    ) -> list:
-        """Prove many claims for one circuit through the compute backend.
-
-        All claims share the cached keypair and prepared key; with a
-        process backend the key material crosses into each worker once
-        (and stays pinned there across batches, keyed by circuit digest)
-        and the claims prove concurrently.  ``seeds`` (one per claim) make
-        the proofs deterministic -- and therefore identical across
-        backends; ``None`` entries use fresh entropy.
-
-        ``syntheses`` may be a lazy generator (of
-        :class:`~repro.engine.compiled.SynthesisResult`\\ s or raw
-        assignments): witness synthesis then pipelines with proving
-        dispatch instead of materializing every assignment up front --
-        the streaming path a proving service wants.  With a sequence,
-        ``seeds`` must match its length; with a generator, ``seeds`` is
-        zipped lazily and must not run short.
-        """
-        if isinstance(syntheses, Sequence):
-            if seeds is None:
-                seeds = [None] * len(syntheses)
-            else:
-                seeds = list(seeds)
-                if len(seeds) != len(syntheses):
-                    raise ValueError("need exactly one seed (or None) per claim")
-        elif seeds is None:
-            seeds = itertools.repeat(None)
-
-        def pairs():
-            seed_iter = iter(seeds)
-            for s in syntheses:
-                try:
-                    seed = next(seed_iter)
-                except StopIteration:
-                    # zip() would silently drop the remaining claims here.
-                    raise ValueError(
-                        "seed iterable ran short of the claim count"
-                    ) from None
-                yield (
-                    s.assignment if isinstance(s, SynthesisResult) else s,
-                    seed,
-                )
-
-        return self.prove_stream(compiled, pairs(), setup_seed=setup_seed)
-
-    def prove_stream(
-        self,
-        compiled: CompiledCircuit,
-        pairs: Iterable[tuple],
-        *,
-        setup_seed: Optional[int] = None,
-        budget_seconds: Optional[float] = None,
-    ) -> list:
-        """Prove a lazy stream of ``(synthesis_or_assignment, seed)`` pairs.
-
-        The backend pulls the iterator as proving capacity frees up, so a
-        generator that synthesizes witnesses on demand overlaps synthesis
-        (caller side) with proving (worker side).  Order is preserved.
-
-        ``budget_seconds`` (default: the engine's ``prove_budget_seconds``)
-        bounds the wall clock of the whole stream: the elapsed time is
-        checked cooperatively between stream pulls and
-        :class:`ProveBudgetExceeded` is raised when the budget is spent --
-        a hung or pathologically slow batch fails loudly instead of
-        pinning a scheduler worker forever.
-        """
-        if budget_seconds is None:
-            budget_seconds = self.prove_budget_seconds
-        keypair = self._keypair_for_proving(compiled, setup_seed)
-        prepared = self._prepared_proving_key(compiled, keypair)
-        started = time.monotonic()
-
-        def assignment_pairs():
-            for s, seed in pairs:
-                if (
-                    budget_seconds is not None
-                    and time.monotonic() - started > budget_seconds
-                ):
-                    with self._lock:
-                        self.stats.budget_exceeded += 1
-                    raise ProveBudgetExceeded(
-                        f"prove stream for {compiled.name!r} exceeded its "
-                        f"{budget_seconds:.3f}s wall-clock budget"
-                    )
-                yield (
-                    s.assignment if isinstance(s, SynthesisResult) else s,
-                    seed,
-                )
-
-        proofs = self.backend.prove_stream(
-            prepared, compiled.cs, assignment_pairs(), key_id=compiled.digest
-        )
-        _observe_stage("prove_stream", time.monotonic() - started)
-        with self._lock:
-            self.stats.proofs += len(proofs)
             self.stats.proof_batches += 1
-        return proofs
+        return proof
 
     # ---------------------------------------------------------------- verify --
 

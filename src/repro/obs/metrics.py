@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 # Log-spaced 1-2.5-5 latency buckets from 1ms to 60s: wide enough for a
-# sub-millisecond queue wait and a minutes-long proving batch alike.
+# sub-millisecond queue wait and a minutes-long proof alike.
 DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
     1.0, 2.5, 5.0, 10.0, 25.0, 60.0,

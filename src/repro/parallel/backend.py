@@ -1,16 +1,17 @@
 """Where whole proofs run.
 
-A :class:`ComputeBackend` proves a stream of ``(assignment, seed)`` pairs
-against one prepared key; nothing smaller than a proof crosses it.  Two
-implementations:
+A :class:`ComputeBackend` proves one assignment against one prepared key;
+nothing smaller than a proof crosses it.  Two implementations:
 
 * :class:`SerialBackend` -- proofs on the caller's thread; what
   :func:`get_backend` returns when nothing asks for more, and the
   reference the process backend must match bit-for-bit.
 * :class:`ProcessBackend` -- *persistent* pools of worker processes keyed
   by circuit digest: the prepared key crosses into each worker once (pool
-  initializer, pinned in a worker-side keyed cache) and every later batch
+  initializer, pinned in a worker-side keyed cache) and every later proof
   for the same digest reuses the warm pool instead of starting a new one.
+  Several threads proving the same digest share its pool, so claims prove
+  side by side.
 
 Start method: every worker is created with ``spawn``.  The proof service
 builds its prove pools from a process that already runs HTTP handler,
@@ -24,16 +25,10 @@ backend from the environment it inherits -- no lock, thread or cache
 state of the parent crosses.  Entry-point scripts need the usual
 ``if __name__ == "__main__":`` guard, as with any spawned pool.
 
-Streaming: :meth:`ComputeBackend.prove_stream` consumes an *iterator* of
-``(assignment, seed)`` pairs.  The process backend pulls it only while
-fewer tasks are outstanding than it has workers, so the parent synthesizes
-claim *i+1* while the workers prove claims up to *i* -- the shape a proving
-service wants -- and a budget check between pulls still sees the clock.
-
 Failure: a prove worker that dies (``SIGKILL``, the OOM killer, a crashed
-interpreter) breaks its pool; the batches on it fail with
-:class:`ProveWorkerLost`, the pool is dropped, and the next batch for the
-digest starts a fresh one.  The proof scheduler retries such a batch like
+interpreter) breaks its pool; the proofs on it fail with
+:class:`ProveWorkerLost`, the pool is dropped, and the next proof for the
+digest starts a fresh one.  The proof scheduler retries such a claim like
 any other retryable failure.
 
 Proofs are *identical* across backends: per-claim randomness comes from
@@ -51,10 +46,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .. import config
 from . import workers
@@ -69,14 +64,11 @@ __all__ = [
     "usable_cpus",
 ]
 
-ProvePair = Tuple[Sequence[int], Optional[int]]
-
-
 class ProveWorkerLost(RuntimeError):
-    """A prove-pool worker process died while batches were on its pool.
+    """A prove-pool worker process died while proofs were on its pool.
 
     The pool has already been dropped when this is raised: the proofs in
-    flight are lost, nothing else is, and proving the same stream again
+    flight are lost, nothing else is, and proving the same claim again
     starts a fresh pool.
     """
 
@@ -92,12 +84,12 @@ def usable_cpus() -> int:
 
 
 class ComputeBackend:
-    """Where whole proofs run: :meth:`prove_stream`, :meth:`busy_workers`,
+    """Where whole proofs run: :meth:`prove`, :meth:`busy_workers`,
     :meth:`close`."""
 
     name: str = "abstract"
-    #: Proofs :meth:`prove_stream` can run at the same time.  The proof
-    #: service starts this many dispatch threads.
+    #: Proofs that can run at the same time.  The proof service starts
+    #: this many dispatch threads.
     workers: int = 1
 
     def __init__(self) -> None:
@@ -113,32 +105,20 @@ class ComputeBackend:
         with self._in_flight_lock:
             return min(self._in_flight, self.workers)
 
-    def prove_stream(
-        self, ppk, cs, pairs: Iterable[ProvePair], *, key_id: str
-    ) -> List:
-        """Prove a stream of ``(assignment, seed)`` pairs, preserving order.
-
-        ``pairs`` may be a lazy generator: backends pull it as capacity
-        frees up, pipelining upstream witness synthesis with proving.
-        ``key_id`` (the circuit digest) names the prepared key: worker
-        processes cache it under that name.
-        """
-        raise NotImplementedError
-
-    def _prove_on_calling_thread(self, ppk, cs, pairs: Iterable[ProvePair]) -> List:
+    def prove(
+        self, ppk, cs, assignment: Sequence[int], seed: Optional[int], *,
+        key_id: str,
+    ):
+        """Prove one assignment against a prepared key, on the calling
+        thread.  ``key_id`` (the circuit digest) names the prepared key:
+        worker processes cache it under that name."""
         from ..snark.groth16 import prove_prepared
 
-        # Pulling the iterator lazily keeps synthesis and proving
-        # interleaved even without real parallelism: claim i+1 is not
-        # synthesized until claim i has proved (bounded memory).
-        proofs = []
-        for assignment, seed in pairs:
-            self._track(+1)
-            try:
-                proofs.append(prove_prepared(ppk, cs, assignment, seed=seed))
-            finally:
-                self._track(-1)
-        return proofs
+        self._track(+1)
+        try:
+            return prove_prepared(ppk, cs, assignment, seed=seed)
+        finally:
+            self._track(-1)
 
     def close(self) -> None:
         """Release pooled resources (no-op for serial)."""
@@ -151,9 +131,6 @@ class SerialBackend(ComputeBackend):
     """Everything on the caller's thread -- the library default."""
 
     name = "serial"
-
-    def prove_stream(self, ppk, cs, pairs, *, key_id):
-        return self._prove_on_calling_thread(ppk, cs, pairs)
 
 
 def _stop_prove_pool(pool: ProcessPoolExecutor) -> None:
@@ -179,8 +156,9 @@ class ProcessBackend(ComputeBackend):
     set while it proves); the least recently used idle pool is stopped
     beyond that.
 
-    Several threads may stream batches for one digest at once: they share
-    the digest's pool, each keeping at most ``workers`` tasks outstanding.
+    Several threads may prove one digest at once: they share the digest's
+    pool, one task each.  With fewer than two workers a pool would only
+    add a process hop, so proofs run on the calling thread.
     """
 
     name = "process"
@@ -197,7 +175,7 @@ class ProcessBackend(ComputeBackend):
         self._ctx = multiprocessing.get_context("spawn")
         # Guarded by _pools_lock: scheduler threads sharing one backend
         # must not race pool creation, and eviction must never stop a pool
-        # with an in-flight batch (_prove_busy counts users).
+        # with a proof in flight (_prove_busy counts users).
         self._pools_lock = threading.Lock()
         self._prove_pools: "OrderedDict[str, ProcessPoolExecutor]" = OrderedDict()
         self._prove_busy: Dict[str, int] = {}
@@ -208,7 +186,7 @@ class ProcessBackend(ComputeBackend):
         """The persistent pool for one circuit digest, created on first use.
 
         The initializer ships (key id, prepared key, constraint system)
-        into every worker exactly once; all later batches for this digest
+        into every worker exactly once; all later proofs for this digest
         reuse the warm workers and ship only assignments.  The returned
         pool is pinned against eviction until :meth:`_release_prove_pool`;
         only *idle* LRU pools are stopped, so the cache can transiently
@@ -273,47 +251,29 @@ class ProcessBackend(ComputeBackend):
         except Exception:
             pass
 
-    def prove_stream(self, ppk, cs, pairs, *, key_id):
+    def prove(self, ppk, cs, assignment, seed, *, key_id):
         if self.workers < 2:
-            return self._prove_on_calling_thread(ppk, cs, pairs)
+            return super().prove(ppk, cs, assignment, seed, key_id=key_id)
         pool = self._acquire_prove_pool(key_id, ppk, cs)
-        outstanding: Deque = deque()
-        proofs = []
+        self._track(+1)
         try:
-            # The next pair is pulled (synthesized, budget-checked) while
-            # the workers prove the earlier ones, and submitted once fewer
-            # than ``workers`` tasks are outstanding.  Results are taken
-            # in submission order, so seeded proofs stay deterministic.
-            for assignment, seed in pairs:
-                if len(outstanding) >= self.workers:
-                    proofs.append(outstanding.popleft().result())
-                try:
-                    future = pool.submit(
-                        workers.prove_task, (key_id, assignment, seed)
-                    )
-                except (OSError, ValueError) as exc:
-                    # submit() starts workers on demand.  If one cannot be
-                    # started -- the OS refuses, or a worker just died and
-                    # the pool is closing the queues the new one was about
-                    # to inherit -- this pool is as lost as a broken one.
-                    raise BrokenProcessPool(str(exc)) from exc
-                self._track(+1)
-                future.add_done_callback(lambda _done: self._track(-1))
-                outstanding.append(future)
-            while outstanding:
-                proofs.append(outstanding.popleft().result())
-            return proofs
+            try:
+                future = pool.submit(workers.prove_task, (key_id, assignment, seed))
+            except (OSError, ValueError) as exc:
+                # submit() starts workers on demand.  If one cannot be
+                # started -- the OS refuses, or a worker just died and the
+                # pool is closing the queues the new one was about to
+                # inherit -- this pool is as lost as a broken one.
+                raise BrokenProcessPool(str(exc)) from exc
+            return future.result()
         except BrokenProcessPool as exc:
             self._drop_prove_pool(key_id, pool)
             raise ProveWorkerLost(
                 f"a prove worker for circuit {key_id[:12]} was lost ({exc}); "
-                "its pool was dropped and the next batch starts a fresh one"
+                "its pool was dropped and the next proof starts a fresh one"
             ) from exc
         finally:
-            # Reached with tasks outstanding only on an error: do not let
-            # them occupy workers the next batch is waiting for.
-            for future in outstanding:
-                future.cancel()
+            self._track(-1)
             self._release_prove_pool(key_id)
 
     def __repr__(self) -> str:

@@ -6,8 +6,8 @@ closure or a lambda, and nothing relies on state the parent built up (the
 field backend is resolved again from the inherited environment on first
 use).  Heavy shared state -- the prepared proving key and constraint
 system -- is shipped once per worker through the pool initializer and
-pinned in a *keyed* cache, so a pool that outlives one batch (the proof
-service serving many batches for one circuit digest) never re-receives
+pinned in a *keyed* cache, so a pool that outlives one proof (the proof
+service serving many claims for one circuit digest) never re-receives
 its key material.
 """
 

@@ -2,7 +2,7 @@
 
 The deployment shape the paper assumes but the in-process API cannot
 serve: many claimants submit models + watermark keys to a proving
-service, a scheduler batches same-shape claims through the cached
+service, a scheduler proves each claim through the cached
 :class:`~repro.engine.engine.ProvingEngine`, claims persist in a
 content-addressed registry for later dispute resolution, and any
 verifier fetches the ~hundreds-of-bytes claim plus verification key to
@@ -17,8 +17,8 @@ Layers (each usable on its own):
 * :mod:`repro.service.registry` -- the durable
   :class:`~repro.service.registry.ClaimRegistry` with audit log;
 * :mod:`repro.service.scheduler` -- the
-  :class:`~repro.service.scheduler.ProofScheduler` (priorities,
-  per-shape batching, streaming witness synthesis);
+  :class:`~repro.service.scheduler.ProofScheduler` (priorities, one
+  dispatch per claim, leases and the hung-prove watchdog);
 * :mod:`repro.service.server` / :mod:`repro.service.client` -- the
   stdlib HTTP JSON API and its
   :class:`~repro.service.client.ServiceClient`;

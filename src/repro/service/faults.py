@@ -12,8 +12,8 @@ service modules::
     registry.read                   record/blob reads  (transient OSError)
     registry.crash-before-persist   the process "dies" before os.replace
     registry.crash-after-persist    the process "dies" after os.replace
-    scheduler.dispatch              a batch entering _prove_batch
-    scheduler.prove                 between proofs inside a batch
+    scheduler.dispatch              a claim entering its dispatch
+    scheduler.prove                 a claim about to prove (in flight)
     http.request                    a request entering the HTTP handler
 
 Fault kinds: ``latency`` (sleep ``delay_seconds``), ``error`` (raise the

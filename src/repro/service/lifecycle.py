@@ -52,7 +52,7 @@ DISPATCH = "dispatch"  # a scheduler won the lease and starts proving
 YIELD = "yield"  # a scheduler leaves the claim to whoever holds it
 PROVE = "prove"  # the proof landed
 FAIL = "fail"  # the claim cannot be proved
-RETRY = "retry"  # a batch failed for a reason outside the claim
+RETRY = "retry"  # proving failed for a reason outside the claim
 QUARANTINE = "quarantine"
 REVOKE = "revoke"
 EVENTS = (

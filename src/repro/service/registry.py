@@ -84,14 +84,13 @@ _AUDIT_FIELDS = {
     "state": lambda r: {"state": r.state, "error": r.error},
     "revoked": lambda r: {"reason": r.revoked_reason},
     "quarantined": lambda r: {"attempts": r.attempts, "error": r.error},
-    "proved": lambda r: {"circuit_digest": r.circuit_digest,
-                         "batch_size": int(r.timings.get("batch_size", 1))},
+    "proved": lambda r: {"circuit_digest": r.circuit_digest},
     "rescued": lambda r: {},
     "recovered": lambda r: {},
 }
 
 # How long a proving lease lasts before other replicas may reclaim the
-# claim.  Generous: a lease only needs to outlive one proving batch.
+# claim.  Generous: a lease only needs to outlive one proof.
 DEFAULT_LEASE_SECONDS = 900.0
 
 

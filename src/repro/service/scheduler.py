@@ -1,19 +1,13 @@
-"""The proof scheduler: a job queue that understands circuit shapes.
+"""The proof scheduler: a job queue feeding the proving engine.
 
-The expensive stages of a Groth16 claim are per *shape*, not per claim
-(the engine caches compiled circuits and keypairs), and the compute
-backend proves a whole batch against one prepared key in a single
-dispatch.  The scheduler exploits both: queued jobs are grouped by their
-engine shape key, and each worker pass drains up to ``max_batch``
-same-shape jobs into ONE ``prove_stream`` call -- concurrent requests for
-one model architecture amortize compile + setup and share the backend's
-worker pool (which itself stays warm across batches, keyed by circuit
-digest).
-
-Witnesses are synthesized lazily through the engine's streaming path:
-the generator handed to :meth:`~repro.engine.engine.ProvingEngine.prove_stream`
-replays each job's trace only when the backend pulls it, so synthesis of
-claim *i+1* overlaps the proving of claim *i*.
+One claim is one dispatch: a dispatch thread pops the best queued job
+(priority, then submission order), synthesizes its witness, proves it and
+persists the claim.  The expensive stages are per circuit *shape*, not per
+claim, and the engine caches them (compile and setup run once per shape,
+even when several threads meet a new shape together), so claims of one
+model architecture pay only synthesis and proving.  The service starts one
+dispatch thread per backend worker, so same-shape claims prove side by
+side on the backend's warm per-digest pool.
 
 Job lifecycle: every state change is a row of the table in
 :mod:`~repro.service.lifecycle`.  For a registered claim the registry
@@ -28,12 +22,11 @@ only: the owner's transitions are the durable record).  The queue itself
 is in-memory: :meth:`~repro.service.server.ProofService.start` re-enqueues
 pending records from their persisted request frames after a restart.
 
-While batches prove, one *monitor* thread re-acquires the lease of every
+While claims prove, one *monitor* thread re-acquires the lease of every
 in-flight task still ``proving`` at a configurable interval (default: a
-third of the lease length), so even a **single proof** longer than the
-lease -- where the per-task refresh at batch boundaries never runs --
-cannot expire mid-prove and invite a takeover by another replica; with a
-prove budget it also quarantines batches wedged past twice the budget.
+third of the lease length), so a proof longer than the lease cannot
+expire it mid-prove and invite a takeover by another replica; with a
+prove budget it also quarantines claims wedged past twice the budget.
 """
 
 from __future__ import annotations
@@ -42,11 +35,11 @@ import threading
 import time
 from contextlib import suppress
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..analysis import CircuitAuditError
 from ..circuit.trace import TraceDivergence
-from ..engine.engine import ProveBudgetExceeded, ProvingEngine
+from ..engine.engine import ProvingEngine
 from ..obs import Tracer, get_metrics
 from ..snark.errors import ConstraintViolation
 from ..zkrownn.artifacts import OwnershipClaim, model_digest
@@ -66,7 +59,7 @@ class ProofTask:
 
     ``model`` / ``keys`` / ``config`` describe an ownership claim and are
     what gets packaged into the registry on success; tasks without them
-    (generic circuits) still batch and prove but store no claim.
+    (generic circuits) still prove but store no claim.
     """
 
     claim_id: str
@@ -94,17 +87,14 @@ class ProofTask:
 
 @dataclass
 class SchedulerStats:
-    """Counters for ``/stats`` and the batching tests."""
+    """Counters for ``/stats``."""
 
     submitted: int = 0
-    batches: int = 0
-    batched_jobs: int = 0
-    largest_batch: int = 0
     done: int = 0
     failed: int = 0
     yielded: int = 0  # lost the registry lease to another replica
     lease_renewals: int = 0  # heartbeat re-acquisitions during long proofs
-    retried: int = 0  # tasks requeued after a retryable batch failure
+    retried: int = 0  # tasks requeued after a retryable failure
     quarantined: int = 0  # tasks parked after exhausting max_attempts
     deadline_shed: int = 0  # tasks dropped at dispatch past their deadline
     watchdog_kills: int = 0  # tasks quarantined by the hung-prove watchdog
@@ -114,19 +104,16 @@ class SchedulerStats:
 
 
 class ProofScheduler:
-    """Thread-based scheduler feeding batches into a :class:`ProvingEngine`.
+    """Thread-based scheduler feeding claims into a :class:`ProvingEngine`.
 
-    Not started automatically: call :meth:`start` (tests and the batching
-    guarantee rely on being able to enqueue several jobs before the first
-    dispatch).  Each of the ``workers`` dispatch threads takes, per pass,
-    every queued job of the best job's shape (up to ``max_batch``): jobs
-    that are queued together prove as one batch, while a same-shape job
-    that arrives once that batch is under way is taken by the next free
-    thread and proves beside it -- on the backend's shared per-digest
-    pool when the backend has one -- instead of waiting a whole prove.
-    Distinct shapes run concurrently the same way.  A batch that fails
-    for a reason outside the claims (an I/O error, a prove worker that
-    died) is requeued up to ``max_attempts`` dispatches, then quarantined.
+    Not started automatically: call :meth:`start` (tests rely on being
+    able to enqueue several jobs before the first dispatch).  Each of the
+    ``workers`` dispatch threads takes the best queued job, proves it and
+    comes back for the next, so ``workers`` claims -- of one shape or of
+    several -- prove side by side, on the backend's shared per-digest pool
+    when the backend has one.  A claim whose proving fails for a reason
+    outside the claim (an I/O error, a prove worker that died) is requeued
+    up to ``max_attempts`` dispatches, then quarantined.
     """
 
     def __init__(
@@ -134,7 +121,6 @@ class ProofScheduler:
         engine: ProvingEngine,
         registry: ClaimRegistry,
         *,
-        max_batch: int = 8,
         workers: int = 1,
         lease_seconds: Optional[float] = None,
         heartbeat_seconds: Optional[float] = None,
@@ -142,19 +128,16 @@ class ProofScheduler:
         prove_budget_seconds: Optional[float] = None,
         faults: Optional[_faults.FaultPlan] = None,
     ):
-        if max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
         if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
         if workers < 1:
             raise ValueError(f"workers must be at least 1, not {workers}")
         self.engine = engine
         self.registry = registry
-        self.max_batch = max_batch
         self.workers = workers
         self.max_attempts = max_attempts
-        # Wall-clock budget for one proving batch: the engine checks it
-        # between stream pulls, the monitor (at 2x) inside one proof.
+        # Wall-clock budget for one claim's dispatch: the monitor
+        # quarantines a claim still proving at twice the budget.
         self.prove_budget_seconds = prove_budget_seconds
         self.faults = faults if faults is not None else _faults.active_plan()
         # Proving-lease length for this scheduler's acquisitions (None =
@@ -177,10 +160,6 @@ class ProofScheduler:
         metrics = get_metrics()
         self._m_queue_depth = metrics.gauge(
             "zkrownn_queue_depth", "jobs waiting for a proving worker",
-        )
-        self._m_batch_size = metrics.histogram(
-            "zkrownn_batch_size", "same-shape jobs proved per dispatch",
-            buckets=(1, 2, 4, 8, 16, 32, 64),
         )
         # The zkrownn_* series each SchedulerStats counter is mirrored to;
         # _count() is the one place either moves.  Claims reaching a
@@ -216,7 +195,8 @@ class ProofScheduler:
         self._running = False
         self._stopped = False  # stop() was called at least once
         self._sequence = 0
-        self._inflight: Dict[int, dict] = {}  # live batches, by id()
+        # Dispatched tasks and when their dispatch began, by id(task).
+        self._inflight: Dict[int, Tuple[ProofTask, float]] = {}
         self._inflight_lock = threading.Lock()
         self._monitor_stop = threading.Event()
         self._monitor_thread: Optional[threading.Thread] = None
@@ -250,7 +230,7 @@ class ProofScheduler:
         return self
 
     def stop(self, *, timeout: float = 10.0) -> None:
-        """Stop accepting dispatches; in-flight batches finish.
+        """Stop accepting dispatches; in-flight claims finish.
 
         Marks the scheduler *stopped*: a stopped (or stopping) scheduler
         will never dispatch again in this process, and the service layer
@@ -334,8 +314,8 @@ class ProofScheduler:
         """One locked, mutually-consistent copy of the counters.
 
         Every counter mutation happens under ``self._cv``, so a snapshot
-        taken under it can never pair (say) this batch's ``batches`` with
-        last batch's ``batched_jobs`` -- the guarantee ``/stats`` needs.
+        taken under it can never pair (say) this claim's ``done`` with
+        the last claim's ``submitted`` -- the guarantee ``/stats`` needs.
         """
         with self._cv:
             return self.stats.as_dict()
@@ -424,23 +404,15 @@ class ProofScheduler:
 
     # --------------------------------------------------------------- worker --
 
-    def _take_batch(self) -> List[ProofTask]:
-        """Pop the best job plus every queued job sharing its shape.
-
-        Priority (desc) then submission order picks the head; the drain
-        is sorted the same way -- priority desc, then submission order --
-        so when ``max_batch`` truncates it, the head (and any other
-        high-priority job) is never cut out of the very batch it
-        selected in favor of earlier-submitted low-priority jobs.
-        """
-        head = max(self._queue, key=lambda t: (t.priority, -t.sequence))
-        batch = [t for t in self._queue if t.shape_key == head.shape_key]
-        batch.sort(key=lambda t: (-t.priority, t.sequence))
-        batch = batch[: self.max_batch]
-        taken = set(id(t) for t in batch)
-        self._queue = [t for t in self._queue if id(t) not in taken]
+    def _take_task(self) -> ProofTask:
+        """Pop the best job: highest priority, then earliest submitted."""
+        best = max(
+            range(len(self._queue)),
+            key=lambda i: (self._queue[i].priority, -self._queue[i].sequence),
+        )
+        task = self._queue.pop(best)
         self._m_queue_depth.set(len(self._queue))
-        return batch
+        return task
 
     def _own_task(self, task: ProofTask) -> bool:
         """Win the registry lease (CAS), then ``dispatch`` the record.
@@ -474,77 +446,56 @@ class ProofScheduler:
                     self._cv.wait()
                 if not self._running:
                     return
-                batch = self._take_batch()
-            # Lease acquisition does file I/O, outside the queue lock; a
-            # transient I/O failure there is a retryable attempt of that
-            # one task.  (A SimulatedCrash is not an OSError: it propagates.)
-            owned: List[ProofTask] = []
-            for task in batch:
-                if task.deadline is not None and time.monotonic() > task.deadline:
-                    # Work the client has already given up on is failed
-                    # here instead of burning a proving slot on it.
-                    self._step(task, lifecycle.FAIL,
-                               error="deadline exceeded before dispatch",
-                               counter="deadline_shed")
-                    continue
-                # The queue-wait span covers submission (its backdated
-                # start) through this dispatch pass picking the task up.
-                self.tracer.finish(self.tracer.span(
-                    task.trace_id, "queue-wait", claim_id=task.claim_id,
-                    parent_id=task.parent_span_id,
-                    start_monotonic=task.submitted_at,
-                ))
-                lease_span = self.tracer.span(
-                    task.trace_id, "lease-acquire", claim_id=task.claim_id,
-                    parent_id=task.parent_span_id,
-                )
-                try:
-                    mine = self._own_task(task)
-                except OSError as exc:
-                    self.tracer.finish(
-                        lease_span, outcome="error", error=str(exc)
-                    )
-                    self._failed_attempt(
-                        task, f"lease acquisition failed: {exc}", retry=True
-                    )
-                    continue
-                self.tracer.finish(
-                    lease_span, outcome="owned" if mine else "yielded"
-                )
-                if mine:
-                    owned.append(task)
-                    self._advance(task.claim_id, lifecycle.DISPATCH)
-                else:
-                    self._advance(task.claim_id, lifecycle.YIELD)
-            if not owned:
+                task = self._take_task()
+            if not self._dispatch(task):
                 continue
             with self._cv:
-                self.processed_order.extend(t.claim_id for t in owned)
-                self.stats.batches += 1
-                self.stats.batched_jobs += len(owned)
-                self.stats.largest_batch = max(
-                    self.stats.largest_batch, len(owned)
-                )
-            self._m_batch_size.observe(len(owned))
+                self.processed_order.append(task.claim_id)
             try:
-                self._prove_batch(owned)
+                self._prove_task(task)
             except SimulatedCrash:
                 # The chaos harness's "process died here": propagate so the
                 # worker thread dies exactly like the process would -- the
                 # retry machinery must never resurrect a crash.
                 raise
-            except ProveBudgetExceeded as exc:
-                # A budget-blown prove would very likely blow it again:
-                # straight to quarantine, no retry.
-                for task in owned:
-                    self._failed_attempt(
-                        task, f"prove budget exceeded: {exc}", retry=False
-                    )
-            except Exception as exc:  # noqa: BLE001 - a batch must never kill the worker
-                for task in owned:
-                    self._failed_attempt(
-                        task, f"batch proving failed: {exc}", retry=True
-                    )
+            except Exception as exc:  # noqa: BLE001 - a claim must never kill the worker
+                self._failed_attempt(task, f"proving failed: {exc}", retry=True)
+
+    def _dispatch(self, task: ProofTask) -> bool:
+        """Shed, yield or own one popped task; True when this thread is to
+        prove it.  Lease acquisition does file I/O, outside the queue lock;
+        a transient I/O failure there is a retryable attempt.  (A
+        SimulatedCrash is not an OSError: it propagates.)"""
+        if task.deadline is not None and time.monotonic() > task.deadline:
+            # Work the client has already given up on is failed here
+            # instead of burning a proving slot on it.
+            self._step(task, lifecycle.FAIL,
+                       error="deadline exceeded before dispatch",
+                       counter="deadline_shed")
+            return False
+        # The queue-wait span covers submission (its backdated start)
+        # through this dispatch picking the task up.
+        self.tracer.finish(self.tracer.span(
+            task.trace_id, "queue-wait", claim_id=task.claim_id,
+            parent_id=task.parent_span_id, start_monotonic=task.submitted_at,
+        ))
+        lease_span = self.tracer.span(
+            task.trace_id, "lease-acquire", claim_id=task.claim_id,
+            parent_id=task.parent_span_id,
+        )
+        try:
+            mine = self._own_task(task)
+        except OSError as exc:
+            self.tracer.finish(lease_span, outcome="error", error=str(exc))
+            self._failed_attempt(
+                task, f"lease acquisition failed: {exc}", retry=True
+            )
+            return False
+        self.tracer.finish(lease_span, outcome="owned" if mine else "yielded")
+        self._advance(
+            task.claim_id, lifecycle.DISPATCH if mine else lifecycle.YIELD
+        )
+        return mine
 
     # --------------------------------------------------- retry + quarantine --
 
@@ -589,22 +540,15 @@ class ProofScheduler:
             return self.registry.acquire(claim_id)
         return self.registry.acquire(claim_id, lease_seconds=self.lease_seconds)
 
-    def _refresh_lease(self, task: ProofTask) -> None:
-        """Extend our proving lease at task boundaries within a batch, so
-        a long batch does not outlive it (one long proof: :meth:`_monitor`)."""
-        if task.claim_id in self.registry:
-            self._acquire(task.claim_id)
-
     def _monitor(self) -> None:
-        """Renew the leases of in-flight claims; quarantine wedged batches.
+        """Renew the leases of in-flight claims; quarantine wedged ones.
 
         Every ``heartbeat_seconds`` each in-flight task still ``proving``
         has its lease re-acquired (an owner's ``acquire`` is a refresh), so
-        a single proof longer than the lease cannot expire it mid-prove.
-        With a prove budget, a batch wedged past twice the budget -- stuck
-        *inside* one proof, where the engine's check between stream pulls
-        cannot see it -- is quarantined; whatever its thread reports later
-        is refused by the table.
+        a proof longer than the lease cannot expire it mid-prove.  With a
+        prove budget, a claim whose dispatch is wedged past twice the
+        budget is quarantined; whatever its thread reports later is
+        refused by the table.
         """
         beat = max(self.heartbeat_seconds or 0.0, 0.0)  # 0: no renewals
         budget = self.prove_budget_seconds
@@ -616,31 +560,30 @@ class ProofScheduler:
             if renew:
                 next_beat = now + beat
             with self._inflight_lock:
-                batches = list(self._inflight.values())
-            for batch in batches:
-                age = now - batch["started"]
-                for task in batch["tasks"]:
-                    if not self._proving(task.claim_id):
-                        continue
-                    if budget is not None and age > 2.0 * budget:
-                        self._failed_attempt(
-                            task,
-                            f"watchdog: prove wedged past {2.0 * budget:.3f}s "
-                            "wall clock",
-                            retry=False, counter="watchdog_kills",
-                            note=f"watchdog kill after {age:.3f}s",
-                        )
-                    elif (
-                        renew and task.claim_id in self.registry
-                        and self._acquire(task.claim_id)
-                    ):
-                        # The task may have settled (and released its
-                        # lease) since the check above; undo rather than
-                        # leave a dangling lease on a finished claim.
-                        if self._proving(task.claim_id):
-                            self._count("lease_renewals")
-                        else:
-                            self.registry.release(task.claim_id)
+                inflight = list(self._inflight.values())
+            for task, started in inflight:
+                if not self._proving(task.claim_id):
+                    continue
+                age = now - started
+                if budget is not None and age > 2.0 * budget:
+                    self._failed_attempt(
+                        task,
+                        f"watchdog: prove wedged past {2.0 * budget:.3f}s "
+                        "wall clock",
+                        retry=False, counter="watchdog_kills",
+                        note=f"watchdog kill after {age:.3f}s",
+                    )
+                elif (
+                    renew and task.claim_id in self.registry
+                    and self._acquire(task.claim_id)
+                ):
+                    # The task may have settled (and released its lease)
+                    # since the check above; undo rather than leave a
+                    # dangling lease on a finished claim.
+                    if self._proving(task.claim_id):
+                        self._count("lease_renewals")
+                    else:
+                        self.registry.release(task.claim_id)
 
     def _record_audit_rejection(self, task: ProofTask, exc: Exception) -> None:
         """Mirror a strict-mode circuit-audit rejection to the audit log.
@@ -691,98 +634,70 @@ class ProofScheduler:
         self.tracer.finish(span)
         return compiled, synthesis, time.perf_counter() - t0
 
-    def _prove_batch(self, batch: List[ProofTask]) -> None:
-        # The dispatch span (on the head task's trace) is *active* for the
-        # whole batch, so scheduler.dispatch / scheduler.prove fault fires
-        # -- and any fault inside synthesis or the prove stream, which run
-        # on this same thread -- attach to it as events.
-        head = batch[0]
+    def _prove_task(self, task: ProofTask) -> None:
+        # The dispatch span is *active* for the whole claim, so the
+        # scheduler.dispatch / scheduler.prove fault fires -- and any fault
+        # inside synthesis or the prove, which run on this same thread --
+        # attach to it as events.
         dispatch_span = self.tracer.span(
-            head.trace_id, "dispatch", claim_id=head.claim_id,
-            parent_id=head.parent_span_id, batch_size=len(batch),
+            task.trace_id, "dispatch", claim_id=task.claim_id,
+            parent_id=task.parent_span_id,
         )
         with self.tracer.active(dispatch_span):
             try:
                 if self.faults is not None:
                     self.faults.fire("scheduler.dispatch")
                 with self._inflight_lock:
-                    self._inflight[id(batch)] = {
-                        "tasks": batch, "started": time.monotonic(),
-                    }
+                    self._inflight[id(task)] = (task, time.monotonic())
                 try:
-                    self._prove_batch_inner(batch)
+                    self._synthesize_prove_persist(task)
                 finally:
                     with self._inflight_lock:
-                        del self._inflight[id(batch)]
+                        del self._inflight[id(task)]
             finally:
                 self.tracer.finish(dispatch_span)
 
-    def _prove_batch_inner(self, batch: List[ProofTask]) -> None:
-        # The batch head compiles (or cache-hits) the shape; later tasks
-        # replay the trace lazily inside the generator below.  A head that
-        # fails synthesis passes the role on (the batch stays in flight,
-        # so the monitor still covers every task of it).
-        head = self._synthesize(batch[0])
-        if head is None:
-            if len(batch) > 1:
-                self._prove_batch_inner(batch[1:])
+    def _synthesize_prove_persist(self, task: ProofTask) -> None:
+        synthesized = self._synthesize(task)
+        if synthesized is None:
             return
-        compiled = head[0]
-        proved = [(batch[0], head[2])]  # (task, synthesis seconds)
-
-        def pairs():
-            yield head[1], batch[0].seed
-            for task in batch[1:]:
-                if self.faults is not None:
-                    self.faults.fire("scheduler.prove")
-                self._refresh_lease(task)
-                synthesized = self._synthesize(task)
-                if synthesized is not None:
-                    proved.append((task, synthesized[2]))
-                    yield synthesized[1], task.seed
-
-        t0 = time.perf_counter()
-        prove_started_mono = time.monotonic()
-        proofs = self.engine.prove_stream(
-            compiled, pairs(), setup_seed=batch[0].setup_seed,
-            budget_seconds=self.prove_budget_seconds,
+        compiled, synthesis, synth_s = synthesized
+        if self.faults is not None:
+            self.faults.fire("scheduler.prove")
+        prove_started = time.monotonic()
+        proof = self.engine.prove(
+            compiled, synthesis, seed=task.seed, setup_seed=task.setup_seed
         )
-        prove_elapsed = time.perf_counter() - t0
-        # One prove span per claim, all sharing the batch's start/duration
-        # (the whole point of batching: each claim's prove cost IS the
-        # batch's), closed here so packaging time below is not included.
-        for task, _ in proved:
-            self.tracer.finish(self.tracer.span(
-                task.trace_id, "prove", claim_id=task.claim_id,
-                parent_id=task.parent_span_id,
-                start_monotonic=prove_started_mono,
-                batch_size=len(proved),
-            ))
+        prove_seconds = time.monotonic() - prove_started
+        self.tracer.finish(self.tracer.span(
+            task.trace_id, "prove", claim_id=task.claim_id,
+            parent_id=task.parent_span_id, start_monotonic=prove_started,
+        ))
 
         keypair = self.engine.setup(compiled)  # cached: resolved, not re-run
-        vk_bytes = keypair.verifying_key.to_bytes()
-        self.registry.store_verifying_key(compiled.digest, vk_bytes)
-
-        for (task, synth_s), proof in zip(proved, proofs):
-            persist_span = self.tracer.span(
-                task.trace_id, "persist", claim_id=task.claim_id,
-                parent_id=task.parent_span_id,
+        self.registry.store_verifying_key(
+            compiled.digest, keypair.verifying_key.to_bytes()
+        )
+        persist_span = self.tracer.span(
+            task.trace_id, "persist", claim_id=task.claim_id,
+            parent_id=task.parent_span_id,
+        )
+        with self.tracer.active(persist_span):
+            claim_frame = None
+            if task.model is not None and task.keys is not None:
+                claim_frame = wire.encode_claim(self._package(task, proof))
+            # "batch_prove_seconds" keeps its name: the e2e benchmark
+            # reads it as each claim's prove time.
+            self._step(
+                task, lifecycle.PROVE,
+                claim_frame=claim_frame,
+                circuit_digest=compiled.digest,
+                timings={
+                    "synthesize_seconds": synth_s,
+                    "batch_prove_seconds": prove_seconds,
+                },
             )
-            with self.tracer.active(persist_span):
-                claim_frame = None
-                if task.model is not None and task.keys is not None:
-                    claim_frame = wire.encode_claim(self._package(task, proof))
-                self._step(
-                    task, lifecycle.PROVE,
-                    claim_frame=claim_frame,
-                    circuit_digest=compiled.digest,
-                    timings={
-                        "synthesize_seconds": synth_s,
-                        "batch_prove_seconds": prove_elapsed,
-                        "batch_size": float(len(proved)),
-                    },
-                )
-            self.tracer.finish(persist_span)
+        self.tracer.finish(persist_span)
 
     @staticmethod
     def _package(task: ProofTask, proof) -> OwnershipClaim:

@@ -14,7 +14,7 @@ Endpoints (all JSON unless noted)::
     POST /verify              verify server-side ({"claim_id": ...} or a
                               binary claim frame)
     POST /verify-batch        audit many stored claims, batched per VK
-    POST /admin/drain         stop admitting; in-flight batches finish
+    POST /admin/drain         stop admitting; in-flight claims finish
     GET  /claims/<id>/trace   the claim's span tree (submit -> queue-wait
                               -> ... -> verify), JSON
     GET  /vks                 the signed key-transparency log (JSON)
@@ -115,10 +115,9 @@ class ProofService:
     The service sizes itself from the machine: its own engine gets
     :func:`~repro.parallel.backend.machine_backend` (a process pool on two
     or more usable CPUs, the serial backend on one; ``ZKROWNN_BACKEND`` /
-    ``ZKROWNN_WORKERS`` still win), and unless ``scheduler_workers`` says
-    otherwise it starts one dispatch thread per backend worker, so
-    same-shape claims that arrive a moment apart prove side by side
-    instead of queueing behind each other.
+    ``ZKROWNN_WORKERS`` still win), and it starts one dispatch thread per
+    backend worker, so same-shape claims prove side by side instead of
+    queueing behind each other.
     """
 
     def __init__(
@@ -127,8 +126,6 @@ class ProofService:
         *,
         engine: Optional[ProvingEngine] = None,
         scheduler: Optional[ProofScheduler] = None,
-        max_batch: int = 8,
-        scheduler_workers: Optional[int] = None,
         cache_dir: Optional[str] = None,
         max_queue_depth: Optional[int] = None,
         retry_after_seconds: float = 1.0,
@@ -146,18 +143,14 @@ class ProofService:
             engine = ProvingEngine(
                 cache_dir=cache_dir or str(registry.root / "engine-cache"),
                 backend=machine_backend(),
-                prove_budget_seconds=prove_budget_seconds,
             )
         if audit_mode is not None:
             engine.audit_mode = audit_mode
         self.engine = engine
-        if scheduler_workers is None:
-            scheduler_workers = engine.backend.workers
         self.scheduler = scheduler if scheduler is not None else ProofScheduler(
             self.engine,
             registry,
-            max_batch=max_batch,
-            workers=scheduler_workers,
+            workers=engine.backend.workers,
             max_attempts=max_attempts,
             prove_budget_seconds=prove_budget_seconds,
             faults=self.faults,
@@ -196,7 +189,7 @@ class ProofService:
         """Graceful shutdown, phase one: stop admitting, finish in-flight.
 
         Sets ``draining`` (new submissions get 503 + Retry-After, health
-        reports ``draining``), stops the scheduler -- in-flight batches
+        reports ``draining``), stops the scheduler -- in-flight claims
         finish, still-queued claims stay durable on disk for the next
         process (or another replica) to recover -- and audits the drain.
         With ``wait=False`` the scheduler stop runs on a background
@@ -286,8 +279,8 @@ class ProofService:
         Every record the table lets ``recover`` and no live replica holds
         (its owner crashed) is rebuilt from its persisted request frame;
         one with no recoverable frame fails rather than sit stranded.
-        Runs before the scheduler starts, so recovered same-shape claims
-        land in one batch.
+        Runs before the scheduler starts, so recovered claims dispatch
+        in submission order.
         """
         recovered: List[str] = []
         # Oldest first to keep submission order; claim_id breaks the tie
@@ -786,7 +779,7 @@ class ProofService:
 
     def stats(self) -> Dict:
         # Locked snapshots, not the live mutable counter objects: a
-        # /stats scrape concurrent with a proving batch must see each
+        # /stats scrape concurrent with a proving claim must see each
         # stats block at one consistent instant, not mid-increment.
         return {
             "engine": self.engine.stats_snapshot(),

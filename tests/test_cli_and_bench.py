@@ -29,6 +29,39 @@ class TestCli:
             with pytest.raises(SystemExit):
                 main([retired_or_unknown])
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-attempts", "0"),
+        ("--max-queue-depth", "0"),
+        ("--prove-budget", "-1"),
+        ("--prove-budget", "0"),
+        ("--prove-budget", "nan"),
+    ])
+    def test_serve_refuses_out_of_range_limits(
+        self, flag, value, tmp_path, capsys, monkeypatch
+    ):
+        """Refused while parsing -- exit 2, the flag named, no traceback --
+        never a service that 429s, quarantines or fails every claim."""
+        from repro.service import ProofServer
+
+        def started(self):
+            raise AssertionError(f"serve started with {flag} {value}")
+
+        monkeypatch.setattr(ProofServer, "serve_forever", started)
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--registry", str(tmp_path / "reg"),
+                  "--port", "0", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {value!r} is not" in err
+        assert "Traceback" not in err
+
+    def test_serve_limits_accept_what_they_promise(self):
+        from repro.cli import _positive_float, _positive_int
+
+        assert _positive_int("1") == 1
+        assert _positive_float("0.25") == 0.25
+        assert _positive_float("30") == 30.0
+
     def test_inspect_subcommand(self, tmp_path, capsys):
         from repro.snark.keys import Proof
         from repro.curves.g1 import G1Point

@@ -185,9 +185,10 @@ class TestProofByteIdentity:
 
         engine = ProvingEngine(backend=compute_backend)
         compiled, synthesis = engine.synthesize("chain-16", _mul_chain(16))
-        proofs = engine.prove_batch(
-            compiled, [synthesis] * 2, seeds=[11, 12], setup_seed=42
-        )
+        proofs = [
+            engine.prove(compiled, synthesis, seed=seed, setup_seed=42)
+            for seed in (11, 12)
+        ]
         assert engine.verify(compiled, synthesis.public_values, proofs[0])
         vk = engine.setup(compiled).verifying_key.to_bytes()
         return [p.to_bytes() for p in proofs], vk

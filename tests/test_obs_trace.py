@@ -236,7 +236,7 @@ class TestTraceEndToEnd:
         text = client.metrics_text()
         for stage in ("queue-wait", "prove", "persist"):
             assert f'zkrownn_stage_seconds_count{{stage="{stage}"}}' in text
-        assert 'zkrownn_engine_stage_seconds_count{stage="prove_stream"}' in text
+        assert 'zkrownn_engine_stage_seconds_count{stage="prove"}' in text
 
     def test_trace_of_unknown_claim_is_404(self, traced_claim):
         client, _, _, _ = traced_claim

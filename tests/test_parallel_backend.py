@@ -1,4 +1,4 @@
-"""Tests for the compute-backend subsystem and engine batch proving."""
+"""Tests for the compute-backend subsystem and where engine proofs run."""
 
 import json
 import multiprocessing
@@ -150,7 +150,7 @@ try:
     print(json.dumps({
         "window": pippenger_window_size(4096),
         "backend": get_backend().name,
-        "max_batch": service.scheduler.max_batch,
+        "dispatch_threads": service.scheduler.workers,
     }))
 finally:
     service.close()
@@ -162,7 +162,7 @@ class TestNoMachineProfile:
         """A profile file left by an older version -- at the path its
         variable named or in the home directory -- is never read: a fresh
         process sees the static window table, the serial library
-        default and the service's constant batch size."""
+        default and dispatch threads sized from the usable CPUs."""
         static_width = pippenger_window_size(4096)
         stray = json.dumps({
             "compute_backend": "process", "workers": 2, "max_batch": 3,
@@ -184,7 +184,8 @@ class TestNoMachineProfile:
         )
         seen = json.loads(done.stdout.splitlines()[-1])
         assert seen == {
-            "window": static_width, "backend": "serial", "max_batch": 8,
+            "window": static_width, "backend": "serial",
+            "dispatch_threads": usable_cpus(),
         }
 
     def test_profile_metadata_reports_nothing_loaded(self, tmp_path,
@@ -263,16 +264,29 @@ def _chain_synthesizer(depth, x=3):
     return synthesize
 
 
-class TestProveBatch:
+def _expected_proofs(seeds, depth=8):
+    """The serial backend's proofs of the chain circuit, one per seed."""
+    serial = ProvingEngine(backend=SerialBackend())
+    compiled, synthesis = serial.synthesize("chain", _chain_synthesizer(depth))
+    return [
+        serial.prove(compiled, synthesis, seed=seed, setup_seed=5).to_bytes()
+        for seed in seeds
+    ]
+
+
+class TestEngineProve:
+    """Every engine proof is one :meth:`ComputeBackend.prove` call."""
+
     def test_serial_and_process_proofs_byte_identical(self):
         seeds = [11, 22, 33]
         serial_engine = ProvingEngine(backend=SerialBackend())
         compiled, synthesis = serial_engine.synthesize(
             "chain", _chain_synthesizer(8)
         )
-        serial_proofs = serial_engine.prove_batch(
-            compiled, [synthesis] * 3, seeds=seeds, setup_seed=5
-        )
+        serial_proofs = [
+            serial_engine.prove(compiled, synthesis, seed=seed, setup_seed=5)
+            for seed in seeds
+        ]
 
         backend = ProcessBackend(2)
         process_engine = ProvingEngine(backend=backend)
@@ -280,9 +294,12 @@ class TestProveBatch:
             "chain", _chain_synthesizer(8)
         )
         try:
-            process_proofs = process_engine.prove_batch(
-                compiled_p, [synthesis_p] * 3, seeds=seeds, setup_seed=5
-            )
+            process_proofs = [
+                process_engine.prove(
+                    compiled_p, synthesis_p, seed=seed, setup_seed=5
+                )
+                for seed in seeds
+            ]
         finally:
             backend.close()
 
@@ -292,111 +309,89 @@ class TestProveBatch:
         for proof in serial_proofs:
             assert serial_engine.verify(compiled, synthesis.public_values, proof)
 
-    def test_prove_batch_updates_stats(self):
+    def test_every_proof_is_one_backend_dispatch(self):
         engine = ProvingEngine(backend=SerialBackend())
         compiled, synthesis = engine.synthesize("chain", _chain_synthesizer(4))
-        proofs = engine.prove_batch(
-            compiled, [synthesis, synthesis], seeds=[1, 2], setup_seed=3
-        )
-        assert len(proofs) == 2
-        assert engine.stats.proofs == 2
-        assert engine.stats.proof_batches == 1
+        engine.prove(compiled, synthesis, seed=1, setup_seed=3)
+        engine.prove(compiled, synthesis, seed=2)
+        engine.prove_job("chain", _chain_synthesizer(4), seed=3)
+        assert engine.stats.proofs == 3
+        assert engine.stats.proof_batches == 3
 
-    def test_prove_batch_seed_count_mismatch(self):
+    def test_prove_accepts_raw_assignments(self):
         engine = ProvingEngine(backend=SerialBackend())
         compiled, synthesis = engine.synthesize("chain", _chain_synthesizer(4))
-        with pytest.raises(ValueError):
-            engine.prove_batch(compiled, [synthesis], seeds=[1, 2])
+        proof = engine.prove(compiled, synthesis.assignment, seed=7, setup_seed=3)
+        assert engine.verify(compiled, synthesis.public_values, proof)
 
-    def test_prove_batch_accepts_raw_assignments(self):
-        engine = ProvingEngine(backend=SerialBackend())
-        compiled, synthesis = engine.synthesize("chain", _chain_synthesizer(4))
-        proofs = engine.prove_batch(
-            compiled, [synthesis.assignment], seeds=[7], setup_seed=3
-        )
-        assert engine.verify(compiled, synthesis.public_values, proofs[0])
-
-
-class TestStreamingProve:
-    """prove_batch with generators: synthesis pipelines with dispatch."""
-
-    def test_generator_matches_sequence_path(self):
+    def test_default_seeds_are_fresh(self):
         engine = ProvingEngine(backend=SerialBackend())
         compiled, synthesis = engine.synthesize("chain", _chain_synthesizer(6))
-        expected = engine.prove_batch(
-            compiled, [synthesis] * 3, seeds=[4, 5, 6], setup_seed=9
-        )
-        streamed = engine.prove_batch(
-            compiled,
-            (synthesis for _ in range(3)),
-            seeds=iter([4, 5, 6]),
-            setup_seed=9,
-        )
-        assert [p.to_bytes() for p in streamed] == [p.to_bytes() for p in expected]
+        first = engine.prove(compiled, synthesis, setup_seed=9)
+        second = engine.prove(compiled, synthesis, setup_seed=9)
+        assert first.to_bytes() != second.to_bytes()
 
-    def test_generator_default_seeds_are_fresh(self):
-        engine = ProvingEngine(backend=SerialBackend())
-        compiled, synthesis = engine.synthesize("chain", _chain_synthesizer(6))
-        proofs = engine.prove_batch(
-            compiled, (synthesis for _ in range(2)), setup_seed=9
-        )
-        assert len(proofs) == 2
-        assert proofs[0].to_bytes() != proofs[1].to_bytes()
+    def test_a_proof_counts_as_a_busy_worker_while_it_runs(self, monkeypatch):
+        from repro.snark import groth16
 
-    def test_stream_is_pulled_lazily(self):
-        # The backend must not materialize the whole generator before the
-        # first proof: with a serial backend, synthesis i happens only
-        # after proof i-1 completed.
-        engine = ProvingEngine(backend=SerialBackend())
-        compiled, synthesis = engine.synthesize("chain", _chain_synthesizer(6))
-        events = []
-
-        def gen():
-            for i in range(3):
-                events.append(("synth", i))
-                yield synthesis, i + 1
-
-        proofs = engine.prove_stream(compiled, gen(), setup_seed=9)
-        assert len(proofs) == 3
-        assert events == [("synth", 0), ("synth", 1), ("synth", 2)]
-
-    def test_process_stream_matches_serial(self):
-        serial_engine = ProvingEngine(backend=SerialBackend())
-        compiled, synthesis = serial_engine.synthesize(
-            "chain", _chain_synthesizer(8)
-        )
-        expected = serial_engine.prove_batch(
-            compiled, [synthesis] * 3, seeds=[1, 2, 3], setup_seed=5
-        )
-
-        backend = ProcessBackend(2)
+        backend = SerialBackend()
         engine = ProvingEngine(backend=backend)
-        compiled_p, synthesis_p = engine.synthesize("chain", _chain_synthesizer(8))
+        compiled, synthesis = engine.synthesize("chain", _chain_synthesizer(4))
+        seen = []
+        real = groth16.prove_prepared
+
+        def spy(*args, **kwargs):
+            seen.append(backend.busy_workers())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(groth16, "prove_prepared", spy)
+        engine.prove(compiled, synthesis, seed=1, setup_seed=3)
+        assert seen == [1]
+        assert backend.busy_workers() == 0
+
+
+class TestSingleFlightCompile:
+    def test_threads_meeting_a_new_shape_compile_it_once(self):
+        """Claims dispatched together on several threads pay one compile:
+        the rest replay the first one's trace."""
+        engine = ProvingEngine(backend=SerialBackend())
+        barrier = threading.Barrier(3)
+        results = []
+
+        def run():
+            barrier.wait(timeout=30)
+            results.append(engine.synthesize("chain", _chain_synthesizer(6)))
+
+        threads = [threading.Thread(target=run, daemon=True) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            streamed = engine.prove_batch(
-                compiled_p,
-                (synthesis_p for _ in range(3)),
-                seeds=iter([1, 2, 3]),
-                setup_seed=5,
-            )
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
         finally:
-            backend.close()
-        assert [p.to_bytes() for p in streamed] == [p.to_bytes() for p in expected]
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 3
+        assert len({compiled.digest for compiled, _ in results}) == 1
+        assert engine.stats.compile_misses == 1
+        assert engine.stats.compile_hits == 2
 
 
 class TestPersistentProvePools:
-    """ProcessBackend keeps per-digest prove pools warm across batches."""
+    """ProcessBackend keeps per-digest prove pools warm across proofs."""
 
-    def test_pool_survives_across_batches(self):
+    def test_pool_survives_across_proofs(self):
         backend = ProcessBackend(2)
         engine = ProvingEngine(backend=backend)
         compiled, synthesis = engine.synthesize("chain", _chain_synthesizer(8))
         try:
-            engine.prove_batch(compiled, [synthesis] * 2, seeds=[1, 2], setup_seed=5)
+            engine.prove(compiled, synthesis, seed=1, setup_seed=5)
             assert backend.prove_pool_keys() == [compiled.digest]
             pool_before = backend._prove_pools[compiled.digest]
-            engine.prove_batch(compiled, [synthesis] * 2, seeds=[3, 4], setup_seed=5)
-            # Same warm pool object: no re-fork for the second batch.
+            engine.prove(compiled, synthesis, seed=2)
+            # Same warm pool object: no new workers for the second proof.
             assert backend._prove_pools[compiled.digest] is pool_before
             assert backend.prove_pool_keys() == [compiled.digest]
         finally:
@@ -412,9 +407,7 @@ class TestPersistentProvePools:
                 compiled, synthesis = engine.synthesize(
                     f"chain-{depth}", _chain_synthesizer(depth)
                 )
-                engine.prove_batch(
-                    compiled, [synthesis] * 2, seeds=[1, 2], setup_seed=5
-                )
+                engine.prove(compiled, synthesis, seed=1, setup_seed=5)
                 digests.append(compiled.digest)
             # Only the most recent digest's pool is warm.
             assert backend.prove_pool_keys() == [digests[-1]]
@@ -426,7 +419,7 @@ class TestPersistentProvePools:
         # anonymous, per-call pool to fall back to.
         for backend in (SerialBackend(), ProcessBackend(2)):
             with pytest.raises(TypeError, match="key_id"):
-                backend.prove_stream(None, None, [])
+                backend.prove(None, None, [], None)
 
 
 class TestProcessBackend:
@@ -438,25 +431,26 @@ class TestProcessBackend:
         ppk = prepare_proving_key(engine.setup(compiled, seed=5).proving_key)
         short = list(synthesis.assignment)[:-1]
         with pytest.raises(UnsatisfiedWitness, match="entries") as serial:
-            SerialBackend().prove_stream(
-                ppk, compiled.cs, [(short, 1)], key_id=compiled.digest
+            SerialBackend().prove(
+                ppk, compiled.cs, short, 1, key_id=compiled.digest
             )
 
         backend = ProcessBackend(2)
         try:
             with pytest.raises(UnsatisfiedWitness) as process:
-                backend.prove_stream(
-                    ppk, compiled.cs, [(short, 1)], key_id=compiled.digest
+                backend.prove(
+                    ppk, compiled.cs, short, 1, key_id=compiled.digest
                 )
             assert str(process.value) == str(serial.value)
             assert backend.prove_pool_keys() == [compiled.digest]
             pool = backend._prove_pools[compiled.digest]
-            proofs = backend.prove_stream(
-                ppk, compiled.cs, [(synthesis.assignment, 1)],
+            proof = backend.prove(
+                ppk, compiled.cs, synthesis.assignment, 1,
                 key_id=compiled.digest,
             )
             assert backend._prove_pools[compiled.digest] is pool
-            assert engine.verify(compiled, synthesis.public_values, proofs[0])
+            assert engine.verify(compiled, synthesis.public_values, proof)
+            assert backend.busy_workers() == 0
         finally:
             backend.close()
 
@@ -464,32 +458,30 @@ class TestProcessBackend:
         engine = ProvingEngine(backend=SerialBackend())
         compiled, synthesis = engine.synthesize("chain", _chain_synthesizer(4))
         ppk = prepare_proving_key(engine.setup(compiled, seed=5).proving_key)
-        pairs = [(synthesis.assignment, 3)]
-        expected = SerialBackend().prove_stream(
-            ppk, compiled.cs, pairs, key_id=compiled.digest
+        expected = SerialBackend().prove(
+            ppk, compiled.cs, synthesis.assignment, 3, key_id=compiled.digest
         )
 
         backend = ProcessBackend(1)
         before = {p.pid for p in multiprocessing.active_children()}
         try:
-            proofs = backend.prove_stream(
-                ppk, compiled.cs, pairs, key_id=compiled.digest
+            proof = backend.prove(
+                ppk, compiled.cs, synthesis.assignment, 3,
+                key_id=compiled.digest,
             )
             assert {p.pid for p in multiprocessing.active_children()} == before
             assert backend.prove_pool_keys() == []
-            assert [p.to_bytes() for p in proofs] == [
-                p.to_bytes() for p in expected
-            ]
+            assert proof.to_bytes() == expected.to_bytes()
         finally:
             backend.close()
 
 
-class TestLoneProofsStayOnTheCallingThread:
-    """A backend runs streams of whole proofs.  ``engine.prove`` and
-    ``prove_job`` prove on the calling thread whatever the backend, while
-    ``prove_stream`` on the same engine still reaches the digest's pool."""
+class TestLoneProofsRunOnTheBackend:
+    """A backend proves one claim at a time, and every engine proof goes
+    through it: on ``ProcessBackend(2)`` a lone ``engine.prove`` or
+    ``prove_job`` runs in the digest's pool, with the serial bytes."""
 
-    def test_prove_and_prove_job_start_no_process(self):
+    def test_prove_and_prove_job_run_in_the_digests_pool(self):
         serial = ProvingEngine(backend=SerialBackend())
         compiled, synthesis = serial.synthesize("chain", _chain_synthesizer(8))
         expected = serial.prove(compiled, synthesis, seed=7, setup_seed=5)
@@ -505,18 +497,15 @@ class TestLoneProofsStayOnTheCallingThread:
                 "chain", _chain_synthesizer(8)
             )
             proof = engine.prove(compiled_p, synthesis_p, seed=7, setup_seed=5)
+            assert backend.prove_pool_keys() == [compiled_p.digest]
+            assert {p.pid for p in multiprocessing.active_children()} - before
+            pool = backend._prove_pools[compiled_p.digest]
             job = engine.prove_job(
                 "chain", _chain_synthesizer(8), seed=8, setup_seed=5
             )
-            assert {p.pid for p in multiprocessing.active_children()} == before
-            assert backend.prove_pool_keys() == []
+            assert backend._prove_pools[compiled_p.digest] is pool
             assert proof.to_bytes() == expected.to_bytes()
             assert job.proof.to_bytes() == expected_job.proof.to_bytes()
-
-            streamed = engine.prove_stream(compiled_p, [(synthesis_p, 7)])
-            assert backend.prove_pool_keys() == [compiled_p.digest]
-            assert {p.pid for p in multiprocessing.active_children()} - before
-            assert [p.to_bytes() for p in streamed] == [expected.to_bytes()]
         finally:
             backend.close()
 
@@ -540,49 +529,38 @@ def _run_with_timeout(fn, seconds=90):
 
 
 class TestProveWorkerLoss:
-    def test_killed_worker_fails_the_stream_and_the_pool_is_replaced(self):
-        seeds = list(range(1, 9))
-        serial = ProvingEngine(backend=SerialBackend())
-        compiled, synthesis = serial.synthesize("chain", _chain_synthesizer(8))
-        expected = serial.prove_batch(
-            compiled, [synthesis] * 8, seeds=seeds, setup_seed=5
-        )
-
+    def test_killed_worker_fails_the_proof_and_the_pool_is_replaced(self):
+        seeds = [1, 2]
+        expected = _expected_proofs(seeds)
         backend = ProcessBackend(2)
         engine = ProvingEngine(backend=backend)
         compiled_p, synthesis_p = engine.synthesize("chain", _chain_synthesizer(8))
+        engine.setup(compiled_p, seed=5)
         before = {p.pid for p in multiprocessing.active_children()}
 
-        def claims():
-            for i in range(8):
-                if i == 4:
-                    # Mid-batch: two proofs are back, two are with the
-                    # workers, four are still to be pulled.
-                    victim = next(
-                        p for p in multiprocessing.active_children()
-                        if p.pid not in before
-                    )
-                    os.kill(victim.pid, signal.SIGKILL)
-                yield synthesis_p
-
         try:
-            outcome = _run_with_timeout(lambda: engine.prove_batch(
-                compiled_p, claims(), seeds=iter(seeds), setup_seed=5
-            ))
+            engine.prove(compiled_p, synthesis_p, seed=seeds[0])  # warm pool
+            workers = [p for p in multiprocessing.active_children()
+                       if p.pid not in before]
+            assert workers
+            for victim in workers:
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(timeout=10)
+            outcome = _run_with_timeout(
+                lambda: engine.prove(compiled_p, synthesis_p, seed=seeds[1])
+            )
             assert isinstance(outcome.get("error"), ProveWorkerLost), outcome
             assert backend.prove_pool_keys() == []
             assert backend.busy_workers() == 0
-            # The same stream again: a fresh pool, the serial bytes.
-            again = _run_with_timeout(lambda: engine.prove_batch(
-                compiled_p, [synthesis_p] * 8, seeds=seeds, setup_seed=5
-            ))
-            assert [p.to_bytes() for p in again["value"]] == [
-                p.to_bytes() for p in expected
-            ]
+            # The same claims again: a fresh pool, the serial bytes.
+            again = _run_with_timeout(lambda: [
+                engine.prove(compiled_p, synthesis_p, seed=seed).to_bytes()
+                for seed in seeds
+            ])
+            assert again["value"] == expected
             assert backend.prove_pool_keys() == [compiled_p.digest]
         finally:
             backend.close()
-
 
     def test_a_worker_that_cannot_start_loses_the_pool_too(self, monkeypatch):
         # submit() starts workers on demand; when a worker dies under it
@@ -597,7 +575,7 @@ class TestProveWorkerLoss:
         backend = ProcessBackend(2)
         try:
             with pytest.raises(ProveWorkerLost, match="fds_to_keep"):
-                backend.prove_stream(None, None, [([1], 1)], key_id="d" * 64)
+                backend.prove(None, None, [1], 1, key_id="d" * 64)
             assert backend.prove_pool_keys() == []
         finally:
             backend.close()
@@ -616,7 +594,7 @@ def synthesize(b):
 if __name__ == "__main__":
     engine = ProvingEngine(backend=ProcessBackend(2))
     compiled, synthesis = engine.synthesize("square", synthesize)
-    engine.prove_batch(compiled, [synthesis] * 4, seeds=[1, 2, 3, 4], setup_seed=5)
+    engine.prove(compiled, synthesis, seed=1, setup_seed=5)
     print(*(p.pid for p in multiprocessing.active_children()), flush=True)
     os.kill(os.getpid(), signal.SIGKILL)
 """
@@ -661,9 +639,8 @@ class TestSpawnedWorkersShareNoLocks:
         engine = ProvingEngine(backend=SerialBackend())
         compiled, synthesis = engine.synthesize("chain", _chain_synthesizer(8))
         ppk = prepare_proving_key(engine.setup(compiled, seed=5).proving_key)
-        batch = list(zip([synthesis.assignment] * 3, [7, 8, 9]))
-        expected = SerialBackend().prove_stream(
-            ppk, compiled.cs, batch, key_id=compiled.digest
+        expected = SerialBackend().prove(
+            ppk, compiled.cs, synthesis.assignment, 7, key_id=compiled.digest
         )
 
         registry = obs_metrics.get_metrics()
@@ -679,53 +656,40 @@ class TestSpawnedWorkersShareNoLocks:
         assert held.wait(timeout=10)
         backend = ProcessBackend(2)
         try:
-            outcome = _run_with_timeout(lambda: backend.prove_stream(
-                ppk, compiled.cs, batch, key_id=compiled.digest
+            outcome = _run_with_timeout(lambda: backend.prove(
+                ppk, compiled.cs, synthesis.assignment, 7,
+                key_id=compiled.digest,
             ))
         finally:
             release.set()
             holder.join(timeout=10)
             backend.close()
-        assert [p.to_bytes() for p in outcome["value"]] == [
-            p.to_bytes() for p in expected
-        ]
-
-
-class TestStreamSeedExhaustion:
-    def test_short_seed_iterable_raises_instead_of_truncating(self):
-        engine = ProvingEngine(backend=SerialBackend())
-        compiled, synthesis = engine.synthesize("chain", _chain_synthesizer(6))
-        with pytest.raises(ValueError, match="ran short"):
-            engine.prove_batch(
-                compiled,
-                (synthesis for _ in range(3)),
-                seeds=iter([1, 2]),
-                setup_seed=9,
-            )
+        assert outcome["value"].to_bytes() == expected.to_bytes()
 
 
 class TestConcurrentProvePools:
-    def test_many_threads_stream_one_digest_through_one_pool(self):
-        """The service's shape after ISSUE 20: several dispatch threads,
-        one digest, one shared pool.  More threads than workers and a
-        short switch interval; every proof must be the serial one and the
-        in-flight count must come back to zero (a lost update would not)."""
-        serial = ProvingEngine(backend=SerialBackend())
-        compiled, synthesis = serial.synthesize("chain", _chain_synthesizer(8))
+    def test_many_threads_prove_one_digest_through_one_pool(self):
+        """The service's shape: several dispatch threads, one digest, one
+        shared pool.  More threads than workers and a short switch
+        interval; every proof must be the serial one and the in-flight
+        count must come back to zero (a lost update would not)."""
+        seeds = {index: [10 * index + k for k in range(1, 3)]
+                 for index in range(6)}
+        expected = {index: _expected_proofs(s) for index, s in seeds.items()}
         backend = ProcessBackend(2)
         engine = ProvingEngine(backend=backend)
         compiled_p, synthesis_p = engine.synthesize("chain", _chain_synthesizer(8))
         engine.setup(compiled_p, seed=5)
         results = {}
 
-        def stream(index):
-            seeds = [10 * index + k for k in range(1, 4)]
-            results[index] = (seeds, engine.prove_batch(
-                compiled_p, (synthesis_p for _ in seeds), seeds=iter(seeds),
-            ))
+        def prove(index):
+            results[index] = [
+                engine.prove(compiled_p, synthesis_p, seed=seed).to_bytes()
+                for seed in seeds[index]
+            ]
 
         threads = [
-            threading.Thread(target=stream, args=(i,), daemon=True)
+            threading.Thread(target=prove, args=(i,), daemon=True)
             for i in range(6)
         ]
         interval = sys.getswitchinterval()
@@ -741,14 +705,7 @@ class TestConcurrentProvePools:
         finally:
             sys.setswitchinterval(interval)
             backend.close()
-        assert sorted(results) == list(range(6))
-        for seeds, proofs in results.values():
-            expected = serial.prove_batch(
-                compiled, [synthesis] * 3, seeds=seeds, setup_seed=5
-            )
-            assert [p.to_bytes() for p in proofs] == [
-                p.to_bytes() for p in expected
-            ]
+        assert results == expected
 
     def test_busy_pool_is_not_evicted_under_cap_pressure(self):
         backend = ProcessBackend(2, max_prove_pools=1)
@@ -762,10 +719,10 @@ class TestConcurrentProvePools:
 
         def run(depth):
             compiled, synthesis = shapes[depth]
-            proofs = engine.prove_batch(
-                compiled, [synthesis] * 2, seeds=[depth, depth + 1],
-                setup_seed=5,
-            )
+            proofs = [
+                engine.prove(compiled, synthesis, seed=seed, setup_seed=5)
+                for seed in (depth, depth + 1)
+            ]
             results[depth] = all(
                 engine.verify(compiled, synthesis.public_values, p)
                 for p in proofs
@@ -779,7 +736,7 @@ class TestConcurrentProvePools:
                 t.start()
             for t in threads:
                 t.join(timeout=120)
-            # Both concurrent batches completed despite max_prove_pools=1:
+            # Both shapes' proofs completed despite max_prove_pools=1:
             # eviction skipped the busy pool instead of killing it.
             assert results == {6: True, 9: True}
             assert len(backend.prove_pool_keys()) <= 2

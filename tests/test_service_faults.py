@@ -39,7 +39,6 @@ import numpy as np
 import pytest
 
 from repro.engine import ProvingEngine
-from repro.engine.engine import ProveBudgetExceeded
 from repro.nn.layers import Dense, ReLU, Sigmoid
 from repro.nn.model import Sequential
 from repro.parallel import ProcessBackend
@@ -509,52 +508,70 @@ class TestRetryAndQuarantine:
 
 
 class TestWatchdogAndBudget:
-    def test_engine_budget_raises_between_pulls(self):
-        engine = ProvingEngine()
-        compiled, synthesis = engine.synthesize(
-            "chaos-budget-chain", _chain_synthesizer(), name="chaos-chain"
-        )
-        with pytest.raises(ProveBudgetExceeded):
-            engine.prove_stream(
-                compiled, [(synthesis, None)], budget_seconds=0.0
-            )
-        assert engine.stats.budget_exceeded == 1
+    """A prove budget is enforced by the monitor alone: a claim still in
+    flight at twice the budget is quarantined, judged by its own age."""
 
-    def test_scheduler_quarantines_a_budget_blown_batch(self, tmp_path):
-        registry = ClaimRegistry(tmp_path)
-        for cid in ("b1", "b2"):
-            registry.register(ClaimRecord(claim_id=cid, model_digest="m" * 64))
-        sched = ProofScheduler(
-            ProvingEngine(), registry, prove_budget_seconds=0.0
-        )
-        try:
-            sched.submit(_chain_task("b1"))
-            sched.submit(_chain_task("b2"))
-            sched.start()
-            for cid in ("b1", "b2"):
-                assert sched.wait(cid, timeout=60) == JobState.QUARANTINED
-                assert "budget" in registry.get(cid).error.lower() or \
-                    "watchdog" in registry.get(cid).error.lower()
-            assert sched.stats.quarantined == 2
-        finally:
-            sched.stop()
-
-    def test_watchdog_kills_a_wedged_prove(self, tmp_path):
-        # The injected latency wedges the witness stream *inside* the
-        # backend's pull -- the case the engine's cooperative budget check
-        # cannot reach until far too late.  The watchdog (2x budget) must
-        # quarantine the batch while it is stuck, and the limping thread's
-        # late DONE must not downgrade the terminal state.
+    def test_a_claim_over_its_budget_but_under_twice_it_is_proved(
+        self, tmp_path
+    ):
         plan = FaultPlan(seed=0, specs=[
             FaultSpec(site="scheduler.prove", kind="latency",
                       delay_seconds=1.2, max_fires=1),
         ])
         registry = ClaimRegistry(tmp_path)
+        registry.register(ClaimRecord(claim_id="slow", model_digest="m" * 64))
+        sched = ProofScheduler(
+            ProvingEngine(), registry, prove_budget_seconds=1.0, faults=plan,
+        )
+        try:
+            sched.submit(_chain_task("slow"))
+            sched.start()
+            assert sched.wait("slow", timeout=60) == JobState.DONE
+            assert sched.stats.watchdog_kills == 0
+            assert plan.fired("scheduler.prove") == 1
+        finally:
+            sched.stop()
+
+    def test_watchdog_judges_each_claim_by_its_own_age(self, tmp_path):
+        # Two dispatch threads, two claims: the one whose prove is wedged
+        # is quarantined, the one proving beside it is not.
+        plan = FaultPlan(seed=0, specs=[
+            FaultSpec(site="scheduler.prove", kind="latency",
+                      delay_seconds=2.0, max_fires=1),
+        ])
+        registry = ClaimRegistry(tmp_path)
+        for cid in ("j1", "j2"):
+            registry.register(ClaimRecord(claim_id=cid, model_digest="m" * 64))
+        sched = ProofScheduler(
+            ProvingEngine(), registry, prove_budget_seconds=0.5,
+            faults=plan, workers=2,
+        )
+        try:
+            sched.submit(_chain_task("j1"))
+            sched.submit(_chain_task("j2"))
+            sched.start()
+            states = sorted(
+                sched.wait(cid, timeout=60) for cid in ("j1", "j2")
+            )
+            assert states == sorted([JobState.DONE, JobState.QUARANTINED])
+            assert sched.stats.watchdog_kills == 1
+        finally:
+            sched.stop()
+
+    def test_watchdog_kills_a_wedged_prove(self, tmp_path):
+        # The injected latency wedges each claim just before its prove,
+        # inside the in-flight window.  The watchdog (2x budget) must
+        # quarantine each claim while it is stuck, and the limping
+        # thread's late DONE must not downgrade the terminal state.
+        plan = FaultPlan(seed=0, specs=[
+            FaultSpec(site="scheduler.prove", kind="latency",
+                      delay_seconds=1.2, max_fires=2),
+        ])
+        registry = ClaimRegistry(tmp_path)
         for cid in ("w1", "w2"):
             registry.register(ClaimRecord(claim_id=cid, model_digest="m" * 64))
         sched = ProofScheduler(
-            ProvingEngine(), registry, prove_budget_seconds=0.15,
-            faults=plan, max_batch=2,
+            ProvingEngine(), registry, prove_budget_seconds=0.15, faults=plan,
         )
         try:
             sched.submit(_chain_task("w1"))
@@ -564,11 +581,12 @@ class TestWatchdogAndBudget:
                 cid: sched.wait(cid, timeout=60) for cid in ("w1", "w2")
             }
             assert set(states.values()) == {JobState.QUARANTINED}
-            assert sched.stats.watchdog_kills >= 1
+            assert sched.stats.watchdog_kills == 2
             time.sleep(1.3)  # let the wedged thread limp to completion
             for cid in ("w1", "w2"):
                 assert sched.state(cid) == JobState.QUARANTINED  # no downgrade
                 assert registry.get(cid).state == JobState.QUARANTINED
+                assert "watchdog" in registry.get(cid).error
             # The scheduler itself survives: fresh work still proves.
             registry.register(ClaimRecord(claim_id="w3", model_digest="m" * 64))
             sched.submit(_chain_task("w3", shape="chaos-chain-after"))
@@ -634,15 +652,13 @@ class TestWatchdogAndBudget:
 
 class TestProveWorkerLoss:
     def test_killed_prove_worker_costs_a_retry_not_a_dispatch_thread(
-        self, tmp_path
+        self, tmp_path, small_claim_engine
     ):
-        """``kill -9`` (or the OOM killer) takes a prove-pool worker while
-        a batch of two claims is on the pool.  The batch must fail as
-        retryable and both claims reach ``done`` on a fresh pool, with the
-        bytes an undisturbed run gives and no lease left behind -- not sit
-        in ``proving`` under a heartbeat that renews the lease for good."""
-        from repro.parallel import SerialBackend
-        from repro.snark.groth16 import prepare_proving_key
+        """``kill -9`` (or the OOM killer) takes the digest's prove-pool
+        worker just before a claim is proved on it.  That claim must fail
+        as retryable and reach ``done`` on a fresh pool, with the bytes an
+        undisturbed run gives and no lease left behind -- not sit in
+        ``proving`` under a heartbeat that renews the lease for good."""
         from repro.zkrownn import (
             extraction_structure_key,
             extraction_synthesizer,
@@ -655,17 +671,16 @@ class TestProveWorkerLoss:
         killed = []
 
         def synthesize_then_kill(builder):
-            # Runs on the dispatch thread while the backend pulls the
-            # batch's second claim: the first is with a worker by now,
-            # and the second is about to make the pool start another.
+            # Runs on the dispatch thread before the second claim proves:
+            # the first claim's proof left the pool's worker idle.
             aux = synthesizer(builder)
             if not killed:
-                time.sleep(0.5)
                 victim = next(
                     p for p in multiprocessing.active_children()
                     if p.pid not in before
                 )
                 os.kill(victim.pid, signal.SIGKILL)
+                victim.join(timeout=10)
                 killed.append(victim.pid)
             return aux
 
@@ -673,7 +688,7 @@ class TestProveWorkerLoss:
             return ProofTask(
                 claim_id=claim_id, shape_key=shape_key, synthesize=synthesize,
                 model=model, keys=keys, config=config,
-                seed=seed, setup_seed=99,
+                seed=seed, setup_seed=SMALL_SETUP_SEED,
             )
 
         registry = ClaimRegistry(tmp_path)
@@ -690,11 +705,13 @@ class TestProveWorkerLoss:
                 assert sched.wait(cid, timeout=120) == JobState.DONE
             sched.stop()  # the dispatch thread releases leases last
             assert len(killed) == 1
-            assert sched.stats.retried == 2 and sched.stats.batches == 2
+            assert sched.stats.retried == 1
+            assert registry.get("k1").attempts == 0
+            record = registry.get("k2")
+            assert record.attempts == 1
+            assert "prove worker" in record.error_chain[0]
             for cid in ("k1", "k2"):
-                record = registry.get(cid)
-                assert record.state == JobState.DONE and record.attempts == 1
-                assert "prove worker" in record.error_chain[0]
+                assert registry.get(cid).state == JobState.DONE
                 assert registry.lease_owner(cid) is None
             # One warm pool for the digest, without the dead worker: the
             # broken pool is gone, not patched up.
@@ -703,16 +720,10 @@ class TestProveWorkerLoss:
                 p.pid for p in multiprocessing.active_children()
             }
 
-            compiled, synthesis = engine.synthesize(shape_key, synthesizer)
-            expected = SerialBackend().prove_stream(
-                prepare_proving_key(engine.setup(compiled).proving_key),
-                compiled.cs, zip([synthesis.assignment] * 2, [5, 6]),
-                key_id=compiled.digest,
-            )
             assert [
                 wire.decode_claim(registry.claim_bytes(cid)).proof_bytes
                 for cid in ("k1", "k2")
-            ] == [proof.to_bytes() for proof in expected]
+            ] == [direct_proof_bytes(small_claim_engine, seed) for seed in (5, 6)]
         finally:
             sched.stop()
             backend.close()

@@ -3,8 +3,8 @@
 The acceptance path of the service subsystem: a claim submitted through
 :class:`ServiceClient` must yield a proof byte-identical to the direct
 ``ProvingEngine.prove_job`` path, verify via ``POST /verify``, survive a
-server restart in the registry, and share compile/setup (and one
-scheduled batch) with a concurrent same-shape submission.
+server restart in the registry, and share one compile and one setup
+with a concurrent same-shape submission.
 """
 
 import time
@@ -115,11 +115,11 @@ class TestEndToEnd:
         finally:
             server2.stop()
 
-    def test_concurrent_same_shape_submissions_share_one_batch(self, tmp_path):
+    def test_concurrent_same_shape_submissions_share_one_setup(self, tmp_path):
         model, keys, config = small_claim()
         service = ProofService(ClaimRegistry(tmp_path / "reg2"))
-        # HTTP up, scheduler paused: both submissions are queued together,
-        # so the first dispatch must drain them as ONE batch.
+        # HTTP up, scheduler paused: both submissions are queued together
+        # and dispatched at once, one claim per dispatch thread.
         server = ProofServer(service).start(start_service=False)
         try:
             client = ServiceClient(server.url)
@@ -135,14 +135,12 @@ class TestEndToEnd:
                 )["state"] == "done"
 
             stats = client.stats()
-            # One scheduled batch served both claims...
-            assert stats["scheduler"]["batches"] == 1
-            assert stats["scheduler"]["largest_batch"] == 2
-            # ...over one compile and one setup (the cache hit).
+            # Two dispatches over one compile and one setup (cache hits).
+            assert stats["scheduler"]["done"] == 2
             assert stats["engine"]["compile_misses"] == 1
             assert stats["engine"]["compile_hits"] == 1
             assert stats["engine"]["setup_misses"] == 1
-            assert stats["engine"]["proof_batches"] == 1
+            assert stats["engine"]["proof_batches"] == 2
             # Distinct seeds -> distinct proofs for the same statement.
             a = client.fetch_claim(first["claim_id"])
             b = client.fetch_claim(second["claim_id"])
@@ -203,7 +201,7 @@ class TestMachineSizedService:
                 assert s["queue-wait"]["duration_seconds"] < (
                     0.25 * s["prove"]["duration_seconds"]
                 )
-            assert client.stats()["scheduler"]["batches"] == 3
+            assert client.stats()["engine"]["proof_batches"] == 3
         finally:
             server.stop()
 

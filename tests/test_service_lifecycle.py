@@ -5,7 +5,7 @@
 :class:`ProofService`.  Its rules are what happens to a proof service in
 production: submissions and resubmissions, revokes (one of them landing
 mid-prove), one-shot faults at ``scheduler.dispatch`` and
-``registry.write``, a prove worker lost mid-batch, restarts, and another
+``registry.write``, a prove worker lost mid-prove, restarts, and another
 replica that dies holding a claim until its lease expires.  After every
 step the three invariants of the lifecycle must hold:
 
@@ -276,13 +276,13 @@ class ClaimLifecycle(RuleBasedStateMachine):
 
     def _restart(self):
         if self.service is not None:
-            self.service.close()  # in-flight batches finish first
+            self.service.close()  # in-flight claims finish first
         registry = ClaimRegistry(self.root, faults=self.plan)
         service = ChainService(
             registry,
             engine=ENGINE,
             scheduler=ProofScheduler(
-                ENGINE, registry, max_batch=4, workers=1, max_attempts=2,
+                ENGINE, registry, workers=1, max_attempts=2,
                 faults=self.plan,
             ),
         )

@@ -1,4 +1,4 @@
-"""ProofScheduler tests: batching, priorities, failure containment.
+"""ProofScheduler tests: one claim per dispatch, priorities, failure containment.
 
 Fast tests use tiny generic chain circuits (no claim packaging); the
 end-of-file integration test drives real ownership claims from the
@@ -23,7 +23,7 @@ from repro.service import (
     ProofTask,
 )
 from repro.service import wire
-from shapes import small_claim
+from shapes import SMALL_SETUP_SEED, direct_proof_bytes, small_claim
 
 
 def _chain_synthesizer(depth, x=3):
@@ -52,7 +52,7 @@ def _task(claim_id, shape="chain-8", depth=8, priority=0, seed=None):
 @pytest.fixture
 def scheduler(tmp_path):
     registry = ClaimRegistry(tmp_path)
-    sched = ProofScheduler(ProvingEngine(), registry, max_batch=8)
+    sched = ProofScheduler(ProvingEngine(), registry)
     yield sched
     sched.stop(timeout=5.0)
 
@@ -113,60 +113,58 @@ class TestServiceSizesItselfFromTheMachine:
             engine=ProvingEngine(backend=ProcessBackend(2)),
         )
         assert self._sizes(pooled) == ("process", 2, 2)
-        threads = ProofService(
-            ClaimRegistry(tmp_path / "c"), scheduler_workers=3
-        )
-        assert self._sizes(threads) == ("process", 4, 3)
 
-    def test_batch_size_is_eight_unless_given(self, tmp_path, monkeypatch):
+    def test_dispatch_threads_always_follow_the_backend(
+        self, tmp_path, monkeypatch
+    ):
+        """One dispatch thread per backend worker: there is no separate
+        thread count and no batch size to set."""
         monkeypatch.setattr(backend_mod, "usable_cpus", lambda: 1)
-        default = ProofService(ClaimRegistry(tmp_path / "a"))
-        assert default.scheduler.max_batch == 8
-        explicit = ProofService(ClaimRegistry(tmp_path / "b"), max_batch=5)
-        assert explicit.scheduler.max_batch == 5
+        for knob in ({"scheduler_workers": 3}, {"max_batch": 5}):
+            with pytest.raises(TypeError):
+                ProofService(ClaimRegistry(tmp_path / "a"), **knob)
+        with pytest.raises(TypeError):
+            ProofScheduler(
+                ProvingEngine(), ClaimRegistry(tmp_path / "b"), max_batch=2
+            )
 
 
-class TestBatching:
-    def test_same_shape_jobs_share_one_batch(self, scheduler):
-        # Enqueue BEFORE starting: both jobs must land in one dispatch.
+class TestOneClaimPerDispatch:
+    def test_same_shape_jobs_share_one_compile_and_setup(self, scheduler):
+        # Enqueue BEFORE starting: the first dispatch pays compile and
+        # setup, the second replays the trace and reuses the key.
         scheduler.submit(_task("job-a", seed=1))
         scheduler.submit(_task("job-b", seed=2))
         scheduler.start()
         assert scheduler.wait("job-a", timeout=30) == JobState.DONE
         assert scheduler.wait("job-b", timeout=30) == JobState.DONE
-        assert scheduler.stats.batches == 1
-        assert scheduler.stats.batched_jobs == 2
-        assert scheduler.stats.largest_batch == 2
-        # One compile, one setup, one backend dispatch for the pair.
+        assert scheduler.processed_order == ["job-a", "job-b"]
         assert scheduler.engine.stats.compile_misses == 1
         assert scheduler.engine.stats.compile_hits == 1
         assert scheduler.engine.stats.setup_misses == 1
-        assert scheduler.engine.stats.proof_batches == 1
+        # One backend dispatch per claim.
+        assert scheduler.engine.stats.proof_batches == 2
         assert scheduler.engine.stats.proofs == 2
 
-    def test_different_shapes_get_separate_batches(self, scheduler):
+    def test_different_shapes_compile_and_set_up_separately(self, scheduler):
         scheduler.submit(_task("job-a", shape="chain-6", depth=6))
         scheduler.submit(_task("job-b", shape="chain-9", depth=9))
         scheduler.start()
-        scheduler.wait("job-a", timeout=30)
-        scheduler.wait("job-b", timeout=30)
-        assert scheduler.stats.batches == 2
-        assert scheduler.stats.largest_batch == 1
+        assert scheduler.wait("job-a", timeout=30) == JobState.DONE
+        assert scheduler.wait("job-b", timeout=30) == JobState.DONE
+        assert scheduler.engine.stats.compile_misses == 2
+        assert scheduler.engine.stats.setup_misses == 2
+        assert scheduler.engine.stats.proof_batches == 2
 
-    def test_max_batch_caps_a_dispatch(self, tmp_path):
-        sched = ProofScheduler(
-            ProvingEngine(), ClaimRegistry(tmp_path), max_batch=2
-        )
-        try:
-            for i in range(3):
-                sched.submit(_task(f"job-{i}", seed=i))
-            sched.start()
-            for i in range(3):
-                assert sched.wait(f"job-{i}", timeout=30) == JobState.DONE
-            assert sched.stats.batches == 2
-            assert sched.stats.largest_batch == 2
-        finally:
-            sched.stop(timeout=5.0)
+    def test_each_claim_is_its_own_dispatch(self, scheduler):
+        for i in range(3):
+            scheduler.submit(_task(f"job-{i}", seed=i))
+        scheduler.start()
+        for i in range(3):
+            assert scheduler.wait(f"job-{i}", timeout=30) == JobState.DONE
+        assert scheduler.processed_order == ["job-0", "job-1", "job-2"]
+        assert scheduler.stats.done == 3
+        assert scheduler.engine.stats.proof_batches == 3
 
     def test_idempotent_resubmission(self, scheduler):
         scheduler.submit(_task("job-a", seed=1))
@@ -194,30 +192,22 @@ class TestPriorities:
             scheduler.wait(name, timeout=30)
         assert scheduler.processed_order == ["first", "second", "third"]
 
-    def test_late_high_priority_head_is_in_the_first_batch(self, tmp_path):
-        """Regression: with max_batch smaller than the same-shape queue
-        depth, the sequence-ordered drain used to cut the late-submitted
-        high-priority head out of the very batch it selected, proving
-        lower-priority jobs first while the head sat queued."""
-        sched = ProofScheduler(
-            ProvingEngine(), ClaimRegistry(tmp_path), max_batch=2
-        )
-        try:
-            for name in ("low-0", "low-1", "low-2"):
-                sched.submit(_task(name, seed=1, priority=0))
-            sched.submit(_task("high", seed=2, priority=5))  # submitted LAST
-            sched.start()
-            for name in ("low-0", "low-1", "low-2", "high"):
-                assert sched.wait(name, timeout=60) == JobState.DONE
-            # The head must lead the first dispatched batch for its shape.
-            assert sched.processed_order[0] == "high"
-            assert "high" in sched.processed_order[: sched.max_batch]
-        finally:
-            sched.stop(timeout=5.0)
+    def test_late_high_priority_job_dispatches_first(self, scheduler):
+        """A same-shape job submitted last but at a higher priority is
+        proved before the lower-priority jobs queued ahead of it, which
+        then follow in submission order."""
+        for name in ("low-0", "low-1", "low-2"):
+            scheduler.submit(_task(name, seed=1, priority=0))
+        scheduler.submit(_task("high", seed=2, priority=5))  # submitted LAST
+        scheduler.start()
+        for name in ("low-0", "low-1", "low-2", "high"):
+            assert scheduler.wait(name, timeout=60) == JobState.DONE
+        assert scheduler.processed_order == ["high", "low-0", "low-1", "low-2"]
 
 
 class TestFailures:
     def test_synthesis_failure_marks_failed_not_batch(self, scheduler):
+        # One claim's failed synthesis fails that claim only.
         def broken(b):
             raise OverflowError("weights do not fit the fixed-point format")
 
@@ -239,8 +229,8 @@ class TestFailures:
         def broken(b):
             raise OverflowError("boom")
 
-        # The failing job is submitted FIRST, so it heads the batch and
-        # the scheduler must fall through to compiling from a later job.
+        # The failing job is submitted FIRST, so it meets the uncompiled
+        # shape; the next job must still compile it and prove.
         scheduler.submit(
             ProofTask(claim_id="bad", shape_key="chain-8",
                       synthesize=broken, require_valid=False)
@@ -268,8 +258,8 @@ class TestReplicaContention:
                 ClaimRecord(claim_id=claim_id, model_digest="m" * 64)
             )
         registry_b = ClaimRegistry(tmp_path, owner_token="replica-b")
-        sched_a = ProofScheduler(ProvingEngine(), registry_a, max_batch=8)
-        sched_b = ProofScheduler(ProvingEngine(), registry_b, max_batch=8)
+        sched_a = ProofScheduler(ProvingEngine(), registry_a)
+        sched_b = ProofScheduler(ProvingEngine(), registry_b)
         try:
             for i, claim_id in enumerate(claim_ids):
                 sched_a.submit(_task(claim_id, seed=i))
@@ -301,11 +291,9 @@ class TestReplicaContention:
 
 
 class TestLeaseHeartbeat:
-    """A single proof longer than the lease must keep its lease alive.
-
-    The per-task refresh only runs at batch boundaries; these tests pin
-    the renewal *heartbeat* that covers the inside of one long prove.
-    """
+    """A single proof longer than the lease must keep its lease alive:
+    these tests pin the monitor's renewal *heartbeat*, the only thing that
+    refreshes a lease while its claim is in flight."""
 
     @staticmethod
     def _slow_task(claim_id, started=None, sleep_s=0.6):
@@ -457,11 +445,19 @@ class TestRevocationIsFinal:
         self._run(tmp_path, synthesize, started, revoked)
 
 
-class TestOwnershipClaimBatch:
+class TestOwnershipClaims:
     """Real extraction circuits end to end through scheduler + registry."""
 
-    def test_batch_proves_stores_and_mirrors(self, tmp_path):
+    def test_two_queued_claims_prove_side_by_side(
+        self, tmp_path, small_claim_engine
+    ):
+        """What same-shape batching used to give, from one claim per
+        dispatch: two claims queued before ``start()`` on a two-worker
+        process backend with two dispatch threads share one compile and
+        one setup, prove at the same time, and give the serial bytes."""
+        from repro.obs import new_trace_id
         from repro.zkrownn import (
+            OwnershipVerifier,
             extraction_structure_key,
             extraction_synthesizer,
             model_digest,
@@ -470,10 +466,14 @@ class TestOwnershipClaimBatch:
         model, keys, config = small_claim()
         shape_key = extraction_structure_key(model, keys, config)
         registry = ClaimRegistry(tmp_path)
-        scheduler = ProofScheduler(ProvingEngine(), registry, max_batch=8)
+        backend = ProcessBackend(2)
+        scheduler = ProofScheduler(
+            ProvingEngine(backend=backend), registry, workers=2
+        )
         mdigest = model_digest(model, keys.embed_layer)
+        claim_ids = ("claim-1", "claim-2")
         try:
-            for i, claim_id in enumerate(("claim-1", "claim-2")):
+            for i, claim_id in enumerate(claim_ids):
                 registry.register(
                     ClaimRecord(claim_id=claim_id, model_digest=mdigest)
                 )
@@ -486,26 +486,45 @@ class TestOwnershipClaimBatch:
                         keys=keys,
                         config=config,
                         seed=100 + i,
-                        setup_seed=7,
+                        setup_seed=SMALL_SETUP_SEED,
+                        trace_id=new_trace_id(),
                     )
                 )
             scheduler.start()
-            assert scheduler.wait("claim-1", timeout=300) == JobState.DONE
-            assert scheduler.wait("claim-2", timeout=300) == JobState.DONE
+            for claim_id in claim_ids:
+                assert scheduler.wait(claim_id, timeout=300) == JobState.DONE
+            # A dispatch span closes after its claim is done: let the
+            # dispatch threads return before reading the traces.
+            scheduler.stop(timeout=30.0)
 
-            # One batch, one compile, one setup for both claims.
-            assert scheduler.stats.batches == 1
-            assert scheduler.engine.stats.setup_misses == 1
-            assert scheduler.engine.stats.proof_batches == 1
+            engine = scheduler.engine.stats
+            assert (engine.compile_misses, engine.setup_misses) == (1, 1)
+            assert engine.proof_batches == engine.proofs == 2
+            assert backend.busy_workers() == 0
+
+            spans = {
+                claim_id: {s["name"]: s for s in registry.trace_spans(claim_id)}
+                for claim_id in claim_ids
+            }
+            for name in ("dispatch", "prove"):
+                first, second = (spans[c][name] for c in claim_ids)
+                ends = [s["start_unix"] + s["duration_seconds"]
+                        for s in (first, second)]
+                assert max(first["start_unix"], second["start_unix"]) < min(ends), (
+                    f"{name} spans do not overlap: {first} {second}"
+                )
 
             # Registry mirrors: record state, timings, claim frame, VK.
-            for claim_id in ("claim-1", "claim-2"):
+            for i, claim_id in enumerate(claim_ids):
                 record = registry.get(claim_id)
                 assert record.state == JobState.DONE
                 assert record.circuit_digest
-                assert record.timings["batch_size"] == 2.0
+                assert record.timings["batch_prove_seconds"] > 0
                 claim = wire.decode_claim(registry.claim_bytes(claim_id))
                 assert claim.model_sha256 == mdigest
+                assert claim.proof_bytes == direct_proof_bytes(
+                    small_claim_engine, seed=100 + i
+                )
                 vk = wire.decode_verifying_key(
                     wire.encode_frame(
                         wire.MSG_VERIFYING_KEY,
@@ -513,13 +532,12 @@ class TestOwnershipClaimBatch:
                     )
                 )
                 # The stored VK verifies the stored claim.
-                from repro.zkrownn import OwnershipVerifier
-
                 assert OwnershipVerifier(vk).verify(model, claim).accepted
-            events = [e["event"] for e in registry.audit_entries("claim-1")]
-            assert events[-1] == "proved" or "proved" in events
+                events = [e["event"] for e in registry.audit_entries(claim_id)]
+                assert events.count("proved") == 1
         finally:
             scheduler.stop(timeout=5.0)
+            backend.close()
 
     def test_invalid_watermark_fails_cleanly(self, tmp_path, watermarked_mlp):
         import numpy as np
@@ -538,7 +556,7 @@ class TestOwnershipClaimBatch:
             theta=0.0, fixed_point=FixedPointFormat(frac_bits=14, total_bits=40)
         )
         registry = ClaimRegistry(tmp_path)
-        scheduler = ProofScheduler(ProvingEngine(), registry, max_batch=4)
+        scheduler = ProofScheduler(ProvingEngine(), registry)
         try:
             scheduler.submit(
                 ProofTask(

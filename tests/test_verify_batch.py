@@ -221,8 +221,8 @@ class TestGroupedBatches:
 
 class TestBackendParity:
     def test_serial_and_process_backends_agree(self, square_batch):
-        """Proofs streamed through either compute backend are the same
-        bytes, so a batch of them gets the same verdict."""
+        """Proofs from either compute backend are the same bytes, so a
+        batch of them gets the same verdict."""
         cs, keypair, batch = square_batch
         ppk = prepare_proving_key(keypair.proving_key)
         pairs = [([1, v * v, v], v) for v in (2, 3, 5, 8, 13)]
@@ -230,7 +230,10 @@ class TestBackendParity:
         process = ProcessBackend(2)
         try:
             for backend in (SerialBackend(), process):
-                proofs = backend.prove_stream(ppk, cs, pairs, key_id="square")
+                proofs = [
+                    backend.prove(ppk, cs, assignment, seed, key_id="square")
+                    for assignment, seed in pairs
+                ]
                 assert [p.to_bytes() for p in proofs] == [
                     proof.to_bytes() for _, proof in batch
                 ]
