@@ -605,8 +605,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="compute backend (default: ZKROWNN_BACKEND, else "
                             "process with two or more workers, else serial)")
     serve.add_argument("--workers", type=_positive_int, default=None,
-                       help="claims proved at the same time: prove-pool "
-                            "processes and dispatch threads (default: "
+                       help="prove-pool processes of the process backend, "
+                            "and as many dispatch threads, so that many "
+                            "claims prove at the same time; the serial "
+                            "backend always proves one (default: "
                             "ZKROWNN_WORKERS, else the usable CPUs)")
     serve.add_argument("--cache-dir", default=None,
                        help="ProvingEngine keypair cache directory "

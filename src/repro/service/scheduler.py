@@ -107,11 +107,12 @@ class ProofScheduler:
     """Thread-based scheduler feeding claims into a :class:`ProvingEngine`.
 
     Not started automatically: call :meth:`start` (tests rely on being
-    able to enqueue several jobs before the first dispatch).  Each of the
-    ``workers`` dispatch threads takes the best queued job, proves it and
-    comes back for the next, so ``workers`` claims -- of one shape or of
-    several -- prove side by side, on the backend's shared per-digest pool
-    when the backend has one.  A claim whose proving fails for a reason
+    able to enqueue several jobs before the first dispatch).  It starts
+    one dispatch thread per backend worker (``engine.backend.workers``);
+    each takes the best queued job, proves it and comes back for the
+    next, so that many claims -- of one shape or of several -- prove side
+    by side, on the backend's shared per-digest pool when the backend has
+    one.  A claim whose proving fails for a reason
     outside the claim (an I/O error, a prove worker that died) is requeued
     up to ``max_attempts`` dispatches, then quarantined.
     """
@@ -121,7 +122,6 @@ class ProofScheduler:
         engine: ProvingEngine,
         registry: ClaimRegistry,
         *,
-        workers: int = 1,
         lease_seconds: Optional[float] = None,
         heartbeat_seconds: Optional[float] = None,
         max_attempts: int = 3,
@@ -130,11 +130,12 @@ class ProofScheduler:
     ):
         if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
+        workers = engine.backend.workers
         if workers < 1:
             raise ValueError(f"workers must be at least 1, not {workers}")
         self.engine = engine
         self.registry = registry
-        self.workers = workers
+        self.workers = workers  # dispatch threads
         self.max_attempts = max_attempts
         # Wall-clock budget for one claim's dispatch: the monitor
         # quarantines a claim still proving at twice the budget.
@@ -356,7 +357,7 @@ class ProofScheduler:
         return step
 
     def _step(self, task: ProofTask, event: str, *, error: str = "",
-              counter: str = "", **fields) -> bool:
+              counter: str = "", spans=(), **fields) -> bool:
         """Take one lifecycle event for a dispatched task; False if refused.
 
         The durable record decides.  A refusal means someone else (a
@@ -364,10 +365,13 @@ class ProofScheduler:
         the local state adopts the durable one and this thread lets go of
         its lease.  With no record to ask (a generic circuit, or a
         registry that keeps failing to write) the table decides locally.
+        ``spans`` are finished once the record has the event and before
+        the local state moves, so a waiter it wakes finds them stored.
         The lease goes last: renewals gate on the local state.
         """
         claim_id = task.claim_id
         decided = None
+        refused = None
         # Transient write failures are retried briefly: losing a ``done``
         # to one flaky write would leave a proved claim ``proving``
         # forever.  (A SimulatedCrash is not an OSError: it propagates.)
@@ -380,14 +384,19 @@ class ProofScheduler:
                 )
                 break
             except TransitionRefused as exc:
-                adopted = lifecycle.Transition(lifecycle.adopted(exc.state))
-                self._advance(claim_id, event, decided=adopted)
-                self.registry.release(claim_id)
-                return False
+                refused = exc
+                break
             except KeyError:
                 break  # no durable record
             except OSError:
                 continue
+        for span in spans:
+            self.tracer.finish(span)
+        if refused is not None:
+            adopted = lifecycle.Transition(lifecycle.adopted(refused.state))
+            self._advance(claim_id, event, decided=adopted)
+            self.registry.release(claim_id)
+            return False
         step = self._advance(
             claim_id, event, error=error, decided=decided, counter=counter
         )
@@ -650,14 +659,15 @@ class ProofScheduler:
                 with self._inflight_lock:
                     self._inflight[id(task)] = (task, time.monotonic())
                 try:
-                    self._synthesize_prove_persist(task)
+                    self._synthesize_prove_persist(task, dispatch_span)
                 finally:
                     with self._inflight_lock:
                         del self._inflight[id(task)]
             finally:
-                self.tracer.finish(dispatch_span)
+                if not dispatch_span.ended:  # persisting the claim ends it
+                    self.tracer.finish(dispatch_span)
 
-    def _synthesize_prove_persist(self, task: ProofTask) -> None:
+    def _synthesize_prove_persist(self, task: ProofTask, dispatch_span) -> None:
         synthesized = self._synthesize(task)
         if synthesized is None:
             return
@@ -690,6 +700,7 @@ class ProofScheduler:
             # reads it as each claim's prove time.
             self._step(
                 task, lifecycle.PROVE,
+                spans=(persist_span, dispatch_span),
                 claim_frame=claim_frame,
                 circuit_digest=compiled.digest,
                 timings={
@@ -697,7 +708,6 @@ class ProofScheduler:
                     "batch_prove_seconds": prove_seconds,
                 },
             )
-        self.tracer.finish(persist_span)
 
     @staticmethod
     def _package(task: ProofTask, proof) -> OwnershipClaim:

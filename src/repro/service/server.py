@@ -150,7 +150,6 @@ class ProofService:
         self.scheduler = scheduler if scheduler is not None else ProofScheduler(
             self.engine,
             registry,
-            workers=engine.backend.workers,
             max_attempts=max_attempts,
             prove_budget_seconds=prove_budget_seconds,
             faults=self.faults,

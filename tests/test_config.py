@@ -223,12 +223,17 @@ class TestOneReader:
 
 class TestNoZeroThreadService:
     def test_scheduler_refuses_fewer_than_one_worker(self, tmp_path):
+        # The dispatch threads are the backend's workers: a backend that
+        # reports none would leave every claim queued for good.
         from repro.service import ClaimRegistry, ProofScheduler
 
-        engine = ProvingEngine(backend=SerialBackend())
         for workers in (0, -3):
+            backend = SerialBackend()
+            backend.workers = workers
             with pytest.raises(ValueError, match="workers must be at least 1"):
-                ProofScheduler(engine, ClaimRegistry(tmp_path), workers=workers)
+                ProofScheduler(
+                    ProvingEngine(backend=backend), ClaimRegistry(tmp_path)
+                )
 
     def test_serve_refuses_bad_worker_counts(self, tmp_path):
         flag = _run(

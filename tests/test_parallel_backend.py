@@ -562,6 +562,62 @@ class TestProveWorkerLoss:
         finally:
             backend.close()
 
+    def test_worker_killed_under_a_proof_fails_it_and_the_pool_is_replaced(
+        self,
+    ):
+        # The proof is on the pool and its caller blocks in
+        # future.result() when the worker dies: the result must be the
+        # loss, not a thread waiting on a dead process for good.
+        seeds = [1, 2]
+        expected = _expected_proofs(seeds)
+        backend = ProcessBackend(2)
+        engine = ProvingEngine(backend=backend)
+        compiled_p, synthesis_p = engine.synthesize("chain", _chain_synthesizer(8))
+        engine.setup(compiled_p, seed=5)
+        before = {p.pid for p in multiprocessing.active_children()}
+        outcome = {}
+
+        def prove():
+            try:
+                outcome["value"] = engine.prove(
+                    compiled_p, synthesis_p, seed=seeds[0]
+                )
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=prove, daemon=True)
+        try:
+            thread.start()
+            deadline = time.monotonic() + 60
+            victim = None
+            while victim is None and time.monotonic() < deadline:
+                # A worker exists only once submit() has queued the proof.
+                if backend.busy_workers() == 1:
+                    victim = next((
+                        p for p in multiprocessing.active_children()
+                        if p.pid not in before
+                    ), None)
+                if victim is None:
+                    time.sleep(0.001)
+            assert victim is not None, "no prove worker started"
+            os.kill(victim.pid, signal.SIGKILL)
+            thread.join(timeout=90)
+            assert not thread.is_alive(), "the prove blocked on a dead worker"
+            assert isinstance(outcome.get("error"), ProveWorkerLost), outcome
+            assert backend.prove_pool_keys() == []
+            assert backend.busy_workers() == 0
+            again = _run_with_timeout(lambda: [
+                engine.prove(compiled_p, synthesis_p, seed=seed).to_bytes()
+                for seed in seeds
+            ])
+            assert again["value"] == expected
+            assert backend.prove_pool_keys() == [compiled_p.digest]
+            assert victim.pid not in {
+                p.pid for p in multiprocessing.active_children()
+            }
+        finally:
+            backend.close()
+
     def test_a_worker_that_cannot_start_loses_the_pool_too(self, monkeypatch):
         # submit() starts workers on demand; when a worker dies under it
         # the start can fail on the queues the pool is already closing

@@ -32,6 +32,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -41,7 +42,7 @@ import pytest
 from repro.engine import ProvingEngine
 from repro.nn.layers import Dense, ReLU, Sigmoid
 from repro.nn.model import Sequential
-from repro.parallel import ProcessBackend
+from repro.parallel import ProcessBackend, SerialBackend
 from repro.service import (
     CircuitBreaker,
     ClaimRecord,
@@ -542,9 +543,11 @@ class TestWatchdogAndBudget:
         registry = ClaimRegistry(tmp_path)
         for cid in ("j1", "j2"):
             registry.register(ClaimRecord(claim_id=cid, model_digest="m" * 64))
+        backend = SerialBackend()
+        backend.workers = 2  # proves on each calling thread
         sched = ProofScheduler(
-            ProvingEngine(), registry, prove_budget_seconds=0.5,
-            faults=plan, workers=2,
+            ProvingEngine(backend=backend), registry,
+            prove_budget_seconds=0.5, faults=plan,
         )
         try:
             sched.submit(_chain_task("j1"))
@@ -651,28 +654,115 @@ class TestWatchdogAndBudget:
 
 
 class TestProveWorkerLoss:
-    def test_killed_prove_worker_costs_a_retry_not_a_dispatch_thread(
-        self, tmp_path, small_claim_engine
-    ):
-        """``kill -9`` (or the OOM killer) takes the digest's prove-pool
-        worker just before a claim is proved on it.  That claim must fail
-        as retryable and reach ``done`` on a fresh pool, with the bytes an
-        undisturbed run gives and no lease left behind -- not sit in
-        ``proving`` under a heartbeat that renews the lease for good."""
+    @staticmethod
+    def _task(claim_id, seed, synthesize=None):
         from repro.zkrownn import (
             extraction_structure_key,
             extraction_synthesizer,
         )
 
         model, keys, config = small_claim()
-        shape_key = extraction_structure_key(model, keys, config)
+        return ProofTask(
+            claim_id=claim_id,
+            shape_key=extraction_structure_key(model, keys, config),
+            synthesize=synthesize or extraction_synthesizer(model, keys, config),
+            model=model, keys=keys, config=config,
+            seed=seed, setup_seed=SMALL_SETUP_SEED,
+        )
+
+    @staticmethod
+    def _assert_recovered(registry, backend, sched, killed, retried, expected):
+        """Each retried claim failed once on the lost worker, every claim
+        is ``done`` with the undisturbed bytes and no lease, and the
+        digest has one warm pool without the dead worker: the broken pool
+        is gone, not patched up."""
+        assert len(killed) == 1
+        assert sched.stats.retried == len(retried)
+        for cid, proof_bytes in expected.items():
+            record = registry.get(cid)
+            assert record.state == JobState.DONE
+            assert registry.lease_owner(cid) is None
+            if cid in retried:
+                assert record.attempts == 1
+                assert "prove worker" in record.error_chain[0]
+            else:
+                assert record.attempts == 0
+            assert wire.decode_claim(
+                registry.claim_bytes(cid)
+            ).proof_bytes == proof_bytes
+        assert len(backend.prove_pool_keys()) == 1
+        assert killed[0] not in {
+            p.pid for p in multiprocessing.active_children()
+        }
+
+    def test_killed_prove_worker_costs_a_retry_not_a_dispatch_thread(
+        self, tmp_path, small_claim_engine
+    ):
+        """``kill -9`` (or the OOM killer) takes the digest's prove-pool
+        worker while a claim's proof is on the pool and its dispatch
+        thread waits for it.  That thread must get the loss back, and the
+        claim fail as retryable and reach ``done`` on a fresh pool, with
+        the bytes an undisturbed run gives and no lease left behind --
+        not sit in ``proving`` under a heartbeat that renews the lease
+        for good."""
+        registry = ClaimRegistry(tmp_path)
+        registry.register(ClaimRecord(claim_id="k1", model_digest="m" * 64))
+        backend = ProcessBackend(2)
+        sched = ProofScheduler(
+            ProvingEngine(backend=backend), registry, max_attempts=3
+        )
+        before = {p.pid for p in multiprocessing.active_children()}
+        killed = []
+        done = threading.Event()
+
+        def kill_under_the_proof():
+            # A worker exists only once the proof has been submitted to
+            # the pool, and it cannot have proved before it started.
+            while not done.is_set():
+                if backend.busy_workers() == 1:
+                    victim = next((
+                        p for p in multiprocessing.active_children()
+                        if p.pid not in before
+                    ), None)
+                    if victim is not None:
+                        os.kill(victim.pid, signal.SIGKILL)
+                        killed.append(victim.pid)
+                        return
+                time.sleep(0.001)
+
+        killer = threading.Thread(target=kill_under_the_proof, daemon=True)
+        try:
+            sched.submit(self._task("k1", 5))
+            killer.start()
+            sched.start()
+            assert sched.wait("k1", timeout=120) == JobState.DONE
+            sched.stop()  # the dispatch thread releases leases last
+            self._assert_recovered(
+                registry, backend, sched, killed, retried={"k1"},
+                expected={"k1": direct_proof_bytes(small_claim_engine, 5)},
+            )
+        finally:
+            done.set()
+            killer.join(timeout=10)
+            sched.stop()
+            backend.close()
+
+    def test_a_worker_killed_between_claims_costs_the_next_one_a_retry(
+        self, tmp_path, small_claim_engine
+    ):
+        """The digest's warm worker dies while it is idle, between two
+        claims: the next claim's prove meets the broken pool, fails as
+        retryable and proves on a fresh one."""
+        from repro.zkrownn import extraction_synthesizer
+
+        model, keys, config = small_claim()
         synthesizer = extraction_synthesizer(model, keys, config)
         before = {p.pid for p in multiprocessing.active_children()}
         killed = []
 
         def synthesize_then_kill(builder):
-            # Runs on the dispatch thread before the second claim proves:
-            # the first claim's proof left the pool's worker idle.
+            # Runs on the dispatch thread just before the second claim
+            # proves: the first claim's proof left the worker idle.
             aux = synthesizer(builder)
             if not killed:
                 victim = next(
@@ -684,46 +774,27 @@ class TestProveWorkerLoss:
                 killed.append(victim.pid)
             return aux
 
-        def task(claim_id, seed, synthesize):
-            return ProofTask(
-                claim_id=claim_id, shape_key=shape_key, synthesize=synthesize,
-                model=model, keys=keys, config=config,
-                seed=seed, setup_seed=SMALL_SETUP_SEED,
-            )
-
         registry = ClaimRegistry(tmp_path)
         for cid in ("k1", "k2"):
             registry.register(ClaimRecord(claim_id=cid, model_digest="m" * 64))
         backend = ProcessBackend(2)
-        engine = ProvingEngine(backend=backend)
-        sched = ProofScheduler(engine, registry, max_attempts=3)
+        sched = ProofScheduler(
+            ProvingEngine(backend=backend), registry, max_attempts=3
+        )
         try:
-            sched.submit(task("k1", 5, synthesizer))
-            sched.submit(task("k2", 6, synthesize_then_kill))
+            sched.submit(self._task("k1", 5))
             sched.start()
-            for cid in ("k1", "k2"):
-                assert sched.wait(cid, timeout=120) == JobState.DONE
-            sched.stop()  # the dispatch thread releases leases last
-            assert len(killed) == 1
-            assert sched.stats.retried == 1
-            assert registry.get("k1").attempts == 0
-            record = registry.get("k2")
-            assert record.attempts == 1
-            assert "prove worker" in record.error_chain[0]
-            for cid in ("k1", "k2"):
-                assert registry.get(cid).state == JobState.DONE
-                assert registry.lease_owner(cid) is None
-            # One warm pool for the digest, without the dead worker: the
-            # broken pool is gone, not patched up.
-            assert len(backend.prove_pool_keys()) == 1
-            assert killed[0] not in {
-                p.pid for p in multiprocessing.active_children()
-            }
-
-            assert [
-                wire.decode_claim(registry.claim_bytes(cid)).proof_bytes
-                for cid in ("k1", "k2")
-            ] == [direct_proof_bytes(small_claim_engine, seed) for seed in (5, 6)]
+            assert sched.wait("k1", timeout=120) == JobState.DONE
+            sched.submit(self._task("k2", 6, synthesize_then_kill))
+            assert sched.wait("k2", timeout=120) == JobState.DONE
+            sched.stop()  # the dispatch threads release leases last
+            self._assert_recovered(
+                registry, backend, sched, killed, retried={"k2"},
+                expected={
+                    cid: direct_proof_bytes(small_claim_engine, seed)
+                    for cid, seed in (("k1", 5), ("k2", 6))
+                },
+            )
         finally:
             sched.stop()
             backend.close()

@@ -282,7 +282,7 @@ class ClaimLifecycle(RuleBasedStateMachine):
             registry,
             engine=ENGINE,
             scheduler=ProofScheduler(
-                ENGINE, registry, workers=1, max_attempts=2,
+                ENGINE, registry, max_attempts=2,
                 faults=self.plan,
             ),
         )
@@ -393,7 +393,7 @@ class ClaimLifecycle(RuleBasedStateMachine):
         registry = ClaimRegistry(self.root, owner_token="dead-replica")
         dead = ProofService(
             registry, engine=ENGINE,
-            scheduler=ProofScheduler(ENGINE, registry, workers=1),
+            scheduler=ProofScheduler(ENGINE, registry),
         )
         self.submissions[claim_id] += 1
         dead.submit(FRAMES[i])  # acked; its scheduler never runs
