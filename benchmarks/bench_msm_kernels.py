@@ -115,7 +115,7 @@ def test_native_msm_ablation(bench_scale, bench_json):
     """
     n = _sizes(bench_scale)[-1]
     points, scalars = _inputs(n)
-    entry = {"n": n, **native.status()}
+    entry = {"n": n, **native.status()["g1_msm"]}
     with native.pin_pure():
         t_pure, r_pure = _best_of(lambda: msm_g1(points, scalars))
     entry["python_seconds"] = t_pure

@@ -20,6 +20,7 @@ queues them behind each other pushes to 2.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 from statistics import median
@@ -303,15 +304,24 @@ def test_degraded_mode_throughput(bench_scale, bench_json, tmp_path):
           f"{degraded['retried']} retries")
 
 
+#: On/off claim pairs of the instrumentation-overhead gate.
+OVERHEAD_PAIRS = 150
+
+
 def test_instrumentation_overhead(bench_scale, bench_json, tmp_path):
     """Observability hooks must stay under 3% on the scheduled proving path.
 
-    The same scheduled workload runs with observability disabled and with
-    it fully enabled (tracing with a live trace id, stage metrics, span
-    persistence; kernel profiling stays off, as in a default deployment).
-    Runs alternate so cache warmup and machine drift hit both modes; the
-    min of each mode is compared, which is the standard way to strip
-    scheduler noise from a does-this-hook-cost-anything question.
+    One engine and one running scheduler prove every claim; an untimed
+    first claim compiles, sets up and prepares the shape.  Then claims are
+    proved one at a time with observability disabled and fully enabled
+    (tracing with a live trace id, stage metrics, span persistence;
+    kernel profiling stays off, as in a default deployment), in
+    OVERHEAD_PAIRS adjacent pairs of one model each whose order
+    alternates.  Each claim is timed from submit to done.  The gate is
+    the median of the per-pair enabled/disabled ratios: the two claims of
+    a pair run a second apart and share the machine's state of the
+    moment, and the median ignores the pairs a neighbour's burst landed
+    in.
     """
     from repro.obs import new_trace_id, set_obs_enabled
 
@@ -320,67 +330,63 @@ def test_instrumentation_overhead(bench_scale, bench_json, tmp_path):
     keys = _keys(_model(5, scale), scale)
     models = [_model(5 + i, scale) for i in range(NUM_CLAIMS)]
     shape_key = extraction_structure_key(models[0], keys, config)
+    scheduler = ProofScheduler(ProvingEngine(), ClaimRegistry(tmp_path / "obs"))
+    trace_id = new_trace_id()
 
-    def run(tag: str) -> float:
-        engine = ProvingEngine()
-        registry = ClaimRegistry(tmp_path / f"obs-{tag}")
-        scheduler = ProofScheduler(engine, registry)
-        trace_id = new_trace_id()
-        for i, model in enumerate(models):
-            scheduler.submit(
-                ProofTask(
-                    claim_id=f"{tag}-{i}",
-                    shape_key=shape_key,
-                    synthesize=extraction_synthesizer(model, keys, config),
-                    model=model,
-                    keys=keys,
-                    config=config,
-                    seed=50 + i,
-                    setup_seed=9,
-                    trace_id=trace_id,
-                )
-            )
+    def prove(claim_id: str, model) -> float:
         t0 = time.perf_counter()
-        scheduler.start()
-        try:
-            for i in range(NUM_CLAIMS):
-                assert scheduler.wait(
-                    f"{tag}-{i}", timeout=1200
-                ) == JobState.DONE
-        finally:
-            scheduler.stop()
+        scheduler.submit(
+            ProofTask(
+                claim_id=claim_id,
+                shape_key=shape_key,
+                synthesize=extraction_synthesizer(model, keys, config),
+                model=model,
+                keys=keys,
+                config=config,
+                seed=50,
+                setup_seed=9,
+                trace_id=trace_id,
+            )
+        )
+        assert scheduler.wait(claim_id, timeout=1200) == JobState.DONE
         return time.perf_counter() - t0
 
-    pairs = 3
-    disabled_times, enabled_times = [], []
     previous = set_obs_enabled(True)
+    disabled_times, enabled_times, ratios = [], [], []
+    scheduler.start()
     try:
-        for i in range(pairs):
-            set_obs_enabled(False)
-            disabled_times.append(run(f"off-{i}"))
-            set_obs_enabled(True)
-            enabled_times.append(run(f"on-{i}"))
+        prove("warm-up", models[0])  # compile, setup and prepare: not timed
+        # A full collection over the key graph (tens of ms) would land in
+        # one claim of some pairs: noise that is not the hooks' cost.
+        gc.collect()
+        gc.freeze()
+        for i in range(OVERHEAD_PAIRS):
+            model = models[i % NUM_CLAIMS]
+            times = {}
+            for enabled in (False, True) if i % 2 == 0 else (True, False):
+                set_obs_enabled(enabled)
+                times[enabled] = prove(f"{'on' if enabled else 'off'}-{i}", model)
+            disabled_times.append(times[False])
+            enabled_times.append(times[True])
+            ratios.append(times[True] / times[False])
     finally:
+        scheduler.stop()
         set_obs_enabled(previous)
 
-    disabled_best = min(disabled_times)
-    enabled_best = min(enabled_times)
-    overhead = enabled_best / disabled_best - 1.0
+    overhead = median(ratios) - 1.0
     bench_json(
         "instrumentation-overhead",
-        num_claims=NUM_CLAIMS,
-        runs_per_mode=pairs,
+        pairs=OVERHEAD_PAIRS,
         disabled_seconds=disabled_times,
         enabled_seconds=enabled_times,
-        disabled_best_seconds=disabled_best,
-        enabled_best_seconds=enabled_best,
+        pair_ratios=ratios,
         overhead_fraction=overhead,
     )
-    print(f"\nobservability overhead: enabled {enabled_best:.3f}s vs "
-          f"disabled {disabled_best:.3f}s ({overhead * 100:+.2f}%)")
+    print(f"\nobservability overhead: median of {OVERHEAD_PAIRS} pair ratios "
+          f"{overhead * 100:+.2f}% (pairs {min(ratios):.3f}..{max(ratios):.3f})")
     assert overhead < 0.03, (
-        f"observability hooks cost {overhead * 100:.2f}% "
-        f"(enabled {enabled_best:.3f}s vs disabled {disabled_best:.3f}s); "
+        f"observability hooks cost {overhead * 100:.2f}% (median of "
+        f"{OVERHEAD_PAIRS} on/off claim pairs, ratios {sorted(ratios)}); "
         "the <3% budget is the contract that keeps them always-on"
     )
 

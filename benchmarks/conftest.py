@@ -37,8 +37,8 @@ def _active_field_backend() -> str:
     return active_field_backend()
 
 
-def _g1_msm_status() -> dict:
-    from repro.curves import native
+def _kernel_status() -> dict:
+    from repro import native
 
     return native.status()
 
@@ -64,7 +64,7 @@ def _json_report_for(module: str) -> dict:
             "workers_env": os.environ.get("ZKROWNN_WORKERS"),
             "field_backend": _active_field_backend(),
             "msm_kernel": "glv+signed-window+batch-affine",
-            "g1_msm": _g1_msm_status(),
+            "kernels": _kernel_status(),
             "ntt_kernel": "cached-twiddle-registry",
             "test_seconds": {},
             "entries": {},

@@ -212,14 +212,16 @@ def _service_config(args: argparse.Namespace):
     )
 
 
-def _g1_msm_line() -> str:
-    """``native``, or ``python (<reason>)``: which G1 MSM this process runs."""
-    from .curves import native
+def _kernels_line() -> str:
+    """``<kernel> native`` or ``<kernel> python (<reason>)`` for each
+    compiled kernel: which path this process runs."""
+    from . import native
 
-    status = native.status()
-    if status["reason"] is None:
-        return status["g1_msm"]
-    return f"{status['g1_msm']} ({status['reason']})"
+    return ", ".join(
+        f"{name} {entry['path']}"
+        + ("" if entry["reason"] is None else f" ({entry['reason']})")
+        for name, entry in native.status().items()
+    )
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -253,7 +255,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"backend: {engine.backend.name}")
     print(f"  prove workers: {engine.backend.workers}  "
           f"dispatch threads: {service.scheduler.workers}  "
-          f"g1 msm: {_g1_msm_line()}")
+          f"kernels: {_kernels_line()}")
     if args.max_queue_depth or args.prove_budget:
         print(f"  max_queue_depth: {args.max_queue_depth}  "
               f"prove_budget: {args.prove_budget}  "

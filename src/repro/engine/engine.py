@@ -42,6 +42,7 @@ from ..circuit.builder import CircuitBuilder
 from ..circuit.trace import TraceDivergence
 from ..obs import metrics as _obs_metrics
 from ..parallel import ComputeBackend, get_backend
+from ..parallel.workers import freeze_heap
 from ..snark.groth16 import (
     Groth16Keypair,
     PreparedProvingKey,
@@ -399,6 +400,7 @@ class ProvingEngine:
             prepared = prepare_proving_key(keypair.proving_key)
             with self._lock:
                 self._prepared_pk[digest] = prepared
+            freeze_heap()
         return prepared
 
     def prove(

@@ -233,6 +233,20 @@ class EvaluationDomain:
         # _coset_inv_powers carries the 1/n factor of the inverse NTT.
         return [c * g % R for c, g in zip(coeffs, self._coset_inv_powers)]
 
+    def tables(self) -> Tuple[List[int], List[int], List[int], List[int], int]:
+        """The constants every transform here reads, for a compiled
+        transform to take as given: ``(omega^j, omega^-j)`` for ``j <
+        size/2``, the coset powers ``g^i``, the inverse coset powers with
+        the ``1/size`` factor folded in, and ``1/size``."""
+        n = self.size
+        return (
+            _stage_twiddles(n, self.omega)[-1],
+            _stage_twiddles(n, self.omega_inv)[-1],
+            self._coset_powers,
+            self._coset_inv_powers,
+            self._size_inv,
+        )
+
     # -- vanishing polynomial -----------------------------------------------------
 
     def vanishing_at(self, point: int) -> int:

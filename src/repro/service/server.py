@@ -57,7 +57,7 @@ from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from .. import config
-from ..curves import native
+from .. import native
 from ..engine.engine import ProvingEngine
 from ..obs import Tracer, get_logger, get_metrics, new_trace_id, obs_enabled
 from ..obs.trace import sanitize_trace_id

@@ -33,7 +33,6 @@ from ..curves.g1 import (
     G1Point,
     JacobianPoint,
     jac_add,
-    jac_scalar_mul,
     jac_to_affine_many,
 )
 from ..curves.g2 import G2Point
@@ -343,30 +342,29 @@ def prove_prepared(
 
     # The A and B1 commitments multiply different bases by the SAME witness
     # vector; the shared-scalar multi-MSM decomposes and recodes z once.
-    a_acc, b1_acc = msm_g1_multi([ppk.points_a, ppk.points_b1], z)
+    a_wit, b1_wit = jac_to_affine_many(
+        msm_g1_multi([ppk.points_a, ppk.points_b1], z)
+    )
+    delta = _g1_affine(pk.delta_g1)
 
-    # A = alpha + sum z_j u_j(tau) + r*delta   (in G1)
-    a_acc = jac_add(a_acc, pk.alpha_g1.to_jacobian())
-    a_acc = jac_add(a_acc, jac_scalar_mul(pk.delta_g1.to_jacobian(), r))
-
-    # B = beta + sum z_j v_j(tau) + s*delta    (in G2, and mirrored in G1)
-    proof_b2 = msm_g2(pk.b_g2_query, z) + pk.beta_g2 + pk.delta_g2 * s
-    b1_acc = jac_add(b1_acc, pk.beta_g1.to_jacobian())
-    b1_acc = jac_add(b1_acc, jac_scalar_mul(pk.delta_g1.to_jacobian(), s))
+    # A = alpha + sum z_j u_j(tau) + r*delta            (in G1)
+    # B = beta + sum z_j v_j(tau) + s*delta             (in G2, mirrored in G1)
+    # Each blinding term is one more (point, scalar) pair of an MSM.
+    a, b1 = jac_to_affine_many([
+        msm_g1([a_wit, _g1_affine(pk.alpha_g1), delta], [1, 1, r]),
+        msm_g1([b1_wit, _g1_affine(pk.beta_g1), delta], [1, 1, s]),
+    ])
+    proof_b2 = msm_g2([*pk.b_g2_query, pk.delta_g2], [*z, s]) + pk.beta_g2
 
     # C = sum_private z_j K_j + sum h_i H_i + s*A + r*B1 - r*s*delta
     h_coeffs = compute_h(cs, z)
     private_z = z[pk.num_public + 1 :]
     c_acc = msm_g1(ppk.points_k, private_z)
     c_acc = jac_add(c_acc, msm_g1(ppk.points_h, h_coeffs[: len(pk.h_query)]))
-    c_acc = jac_add(c_acc, jac_scalar_mul(a_acc, s))
-    c_acc = jac_add(c_acc, jac_scalar_mul(b1_acc, r))
-    c_acc = jac_add(
-        c_acc, jac_scalar_mul(pk.delta_g1.to_jacobian(), (-r * s) % R)
-    )
-    # Both G1 proof points normalized with one shared inversion.
-    proof_a, proof_c = _g1_points_from_jacs([a_acc, c_acc])
+    c_acc = jac_add(c_acc, msm_g1([a, b1, delta], [s, r, (-r * s) % R]))
 
+    proof_a = G1Point.infinity() if a is None else G1Point(a[0], a[1])
+    (proof_c,) = _g1_points_from_jacs([c_acc])
     return Proof(proof_a, proof_b2, proof_c)
 
 

@@ -41,17 +41,30 @@ def nprng() -> np.random.Generator:
     return np.random.default_rng(0xC0FFEE)
 
 
+def _kernel_path(request, kernel: str):
+    """Yield ``request.param``: ``native`` (skipped where ``kernel`` did
+    not load) or ``python`` (every kernel pinned to its pure path)."""
+    from repro import native
+
+    pure = request.param == "python"
+    if not pure and native.kernel(kernel) is None:
+        pytest.skip(f"no native {kernel} here: {native.status()[kernel]}")
+    with native.pin_pure(pure):
+        yield request.param
+
+
 @pytest.fixture(params=["native", "python"])
 def g1_msm_path(request):
     """Run the test once on each G1 MSM path: the compiled kernel (skipped
     where none can be built) and the pure-Python pipeline."""
-    from repro.curves import native
+    yield from _kernel_path(request, "g1_msm")
 
-    pure = request.param == "python"
-    if not pure and native.g1_kernel() is None:
-        pytest.skip(f"no native G1 MSM here: {native.status()['reason']}")
-    with native.pin_pure(pure):
-        yield request.param
+
+@pytest.fixture(params=["native", "python"])
+def compute_h_path(request):
+    """Run the test once on each quotient path: the compiled kernel
+    (skipped where none can be built) and the pure-Python NTTs."""
+    yield from _kernel_path(request, "compute_h")
 
 
 # ----------------------------------------------------------- snark fixtures --

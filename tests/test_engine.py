@@ -212,6 +212,34 @@ class TestEngineCaching:
         assert engine.stats.setup_misses == 0
 
 
+class TestHeapFreeze:
+    def test_first_prove_freezes_the_key_graph(self):
+        """The prepared key is frozen out of the cyclic collector on the
+        first proof, and freezing changes no proof byte."""
+        import gc
+
+        from repro.snark import prove
+
+        gc.unfreeze()  # forget what earlier tests' engines froze
+        engine = ProvingEngine()
+        compiled, synthesis = engine.synthesize("k", _chain_synth(3, 5))
+        pk = engine.setup(compiled, seed=7).proving_key
+        assert gc.get_freeze_count() == 0
+        proof = engine.prove(compiled, synthesis, seed=11)
+
+        key_points = [*pk.a_query, *pk.b_g1_query, *pk.h_query, *pk.b_g2_query]
+        assert gc.get_freeze_count() >= len(key_points)
+        tracked = {id(obj) for obj in gc.get_objects()}
+        assert not any(id(p) in tracked for p in key_points)
+        assert proof.to_bytes() == prove(
+            pk, compiled.cs, synthesis.assignment, seed=11
+        ).to_bytes()
+        # A second proof on the cached key freezes nothing new.
+        frozen = gc.get_freeze_count()
+        engine.prove(compiled, synthesis, seed=12)
+        assert gc.get_freeze_count() == frozen
+
+
 # ------------------------------------------------------- ownership claims --
 
 

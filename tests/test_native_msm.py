@@ -7,7 +7,10 @@
 * every way the library can be missing -- no compiler, a failed build, a
   corrupt cached file, a wrong known answer -- leaves the pure path, the
   same proof bytes and one log line; many threads' first use builds once;
-* ``GET /stats`` and ``zkrownn serve`` say which path runs.
+* ``GET /stats`` and ``zkrownn serve`` say which path each kernel runs.
+
+Building, trusting and falling back belong to :mod:`repro.native`, shared
+with the quotient kernel (``tests/test_native_qap.py``).
 """
 
 import logging
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import native as loader
 from repro.curves import native
 from repro.curves.bn254 import P, R
 from repro.curves.g1 import G1Point, jac_add, jac_to_affine_many
@@ -29,7 +33,7 @@ G = G1Point.generator()
 def kernel():
     kernel = native.g1_kernel()
     if kernel is None:
-        pytest.skip(f"no native G1 MSM here: {native.status()['reason']}")
+        pytest.skip(f"no native G1 MSM here: {native.status()['g1_msm']}")
     return kernel
 
 
@@ -37,9 +41,9 @@ def kernel():
 def fresh_load(monkeypatch, tmp_path):
     """Forget the process's loaded library for one test, with the cache in
     ``tmp_path``; the real state comes back afterwards."""
-    monkeypatch.setattr(native, "_STATE", None)
-    monkeypatch.setattr(native, "_PINNED", False)
-    monkeypatch.setattr(native, "_cache_dir", lambda: tmp_path)
+    monkeypatch.setattr(loader, "_STATE", None)
+    monkeypatch.setattr(loader, "_PINNED", False)
+    monkeypatch.setattr(loader, "_cache_dir", lambda: tmp_path)
     return tmp_path
 
 
@@ -215,21 +219,23 @@ class TestProofByteIdentity:
 
 class TestFallback:
     def test_no_compiler(self, fresh_load, monkeypatch, caplog, chain_reference):
-        monkeypatch.setattr(native.shutil, "which", lambda name: None)
-        caplog.set_level(logging.WARNING, logger="zkrownn.curves")
+        monkeypatch.setattr(loader.shutil, "which", lambda name: None)
+        caplog.set_level(logging.WARNING, logger="zkrownn.native")
         assert native.g1_kernel() is None
-        assert native.status() == {"g1_msm": "python", "reason": native.NO_COMPILER}
+        assert native.status()["g1_msm"] == {
+            "path": "python", "reason": native.NO_COMPILER
+        }
         assert _chain_proof_bytes() == chain_reference
         assert len(_fallback_lines(caplog)) == 1
 
     def test_corrupt_cached_library(
         self, kernel, fresh_load, monkeypatch, caplog, chain_reference
     ):
-        cc = native.shutil.which("cc")
-        native._library_path(cc).write_bytes(b"\x7fELF not a library")
-        caplog.set_level(logging.WARNING, logger="zkrownn.curves")
+        cc = loader.shutil.which("cc")
+        loader._library_path(cc).write_bytes(b"\x7fELF not a library")
+        caplog.set_level(logging.WARNING, logger="zkrownn.native")
         assert native.g1_kernel() is None
-        assert native.status()["reason"] == native.LOAD_FAILED
+        assert native.status()["g1_msm"]["reason"] == native.LOAD_FAILED
         assert _chain_proof_bytes() == chain_reference
         (line,) = _fallback_lines(caplog)
         assert native.LOAD_FAILED in line.getMessage()
@@ -237,10 +243,10 @@ class TestFallback:
     def test_build_failure(self, kernel, fresh_load, monkeypatch, tmp_path, caplog):
         broken = tmp_path / "broken.c"
         broken.write_text("this is not C\n")
-        monkeypatch.setattr(native, "SOURCE", broken)
-        caplog.set_level(logging.WARNING, logger="zkrownn.curves")
+        monkeypatch.setattr(loader, "SOURCES", (broken,))
+        caplog.set_level(logging.WARNING, logger="zkrownn.native")
         assert native.g1_kernel() is None
-        assert native.status()["reason"] == native.BUILD_FAILED
+        assert native.status()["g1_msm"]["reason"] == native.BUILD_FAILED
         assert len(_fallback_lines(caplog)) == 1
         # The failed build's temporary file does not stay behind.
         assert [p.name for p in tmp_path.iterdir()] == ["broken.c"]
@@ -253,14 +259,14 @@ class TestFallback:
 
         monkeypatch.setattr(native.G1Kernel, "msm_many", off_by_one)
         assert native.g1_kernel() is None
-        assert native.status()["reason"] == native.SELF_CHECK_FAILED
+        assert native.status()["g1_msm"]["reason"] == native.SELF_CHECK_FAILED
 
     def test_builds_once_then_loads_from_the_cache(self, kernel, fresh_load):
         assert native.g1_kernel() is not None
         (built,) = fresh_load.iterdir()
-        assert built.name.startswith("g1msm-") and built.suffix == ".so"
+        assert built.name.startswith("kernels-") and built.suffix == ".so"
         stamp = built.stat().st_mtime_ns
-        native._STATE = None
+        loader._STATE = None
         assert native.g1_kernel() is not None
         assert built.stat().st_mtime_ns == stamp
 
@@ -294,11 +300,11 @@ class TestFallback:
         assert [p.suffix for p in fresh_load.iterdir()] == [".so"]
 
     def test_cache_directory_is_private(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(native.Path, "home", lambda: tmp_path)
+        monkeypatch.setattr(loader.Path, "home", lambda: tmp_path)
         path = tmp_path / ".cache" / "zkrownn"
         path.mkdir(parents=True, mode=0o755)
         path.chmod(0o755)
-        assert native._cache_dir() == path
+        assert loader._cache_dir() == path
         assert path.stat().st_mode & 0o777 == 0o700
 
 
@@ -317,18 +323,24 @@ class TestReportedPath:
         return service.stats()["kernels"]
 
     def test_stats_native(self, kernel, tmp_path):
-        assert self._stats(tmp_path) == {"g1_msm": "native", "reason": None}
+        # One entry per kernel, each with its path and reason.
+        assert self._stats(tmp_path) == {
+            name: {"path": "native", "reason": None} for name in loader.KERNELS
+        }
 
     def test_stats_python(self, tmp_path):
         with native.pin_pure():
             assert self._stats(tmp_path) == {
-                "g1_msm": "python", "reason": native.PINNED
+                name: {"path": "python", "reason": native.PINNED}
+                for name in loader.KERNELS
             }
 
     def test_serve_line(self, kernel, fresh_load, monkeypatch):
-        from repro.cli import _g1_msm_line
+        from repro.cli import _kernels_line
 
-        assert _g1_msm_line() == "native"
-        monkeypatch.setattr(native, "_STATE", None)
-        monkeypatch.setattr(native.shutil, "which", lambda name: None)
-        assert _g1_msm_line() == "python (no compiler)"
+        assert _kernels_line() == "g1_msm native, compute_h native"
+        monkeypatch.setattr(loader, "_STATE", None)
+        monkeypatch.setattr(loader.shutil, "which", lambda name: None)
+        assert _kernels_line() == (
+            "g1_msm python (no compiler), compute_h python (no compiler)"
+        )

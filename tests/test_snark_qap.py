@@ -184,10 +184,12 @@ def _small_systems(draw, satisfied):
     return cs, assignment
 
 
+@pytest.mark.usefixtures("compute_h_path")
 class TestAgainstReferenceQuotient:
     """``compute_h`` against schoolbook multiplication and long division by
     ``X^n - 1`` (``tests/reference/qap.py``), which share no transform with
-    it -- on valid witnesses and on assignments that satisfy nothing."""
+    it -- on valid witnesses and on assignments that satisfy nothing, on
+    the compiled kernel and on the pure path."""
 
     @staticmethod
     def _reference(cs, assignment):
