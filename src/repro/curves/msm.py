@@ -16,31 +16,43 @@ There is ONE variable-base pipeline (:func:`_pippenger`) and ONE comb
 table (:class:`_FixedBaseTable`); both are written against a small
 group-ops record (:class:`_GroupOps`) and the public G1/G2 names are thin
 adapters that pick the record and convert points at the edge.  The
-pipeline stacks three classic optimizations on top of textbook Pippenger
+pipeline stacks four classic optimizations on top of textbook Pippenger
 bucketing:
 
-1. **GLV splitting** (G1 only, :mod:`repro.curves.glv`): every 254-bit
-   scalar becomes two ~127-bit halves via the curve's cube-root-of-unity
-   endomorphism, halving the number of digit windows.  The split is the
-   one stage several point sets sharing a scalar vector have in common,
-   so :func:`msm_g1_multi` pays it once;
-2. **signed digits**: base-``2^c`` digits recoded into ``[-2^(c-1),
+1. **signed scalars**: a scalar above ``(R - 1) / 2`` is folded into its
+   point as ``(R - s) * (-P)``, the same product.  A prover's witness is
+   quantised -- magnitudes of at most ~36 bits -- but a small negative
+   ``-k`` arrives as ``R - k``; folded, it is ``k`` again, and since the
+   window count follows the largest magnitude, the witness and instance
+   MSMs run ~36-bit windows instead of 254-bit ones;
+2. **GLV splitting** (G1 only, :mod:`repro.curves.glv`): every magnitude
+   of 128 bits or more becomes two ~127-bit halves via the curve's
+   cube-root-of-unity endomorphism, halving the number of digit windows
+   (a shorter one is left whole: its halves would be no shorter).  The
+   split is the one stage several point sets sharing a scalar vector have
+   in common, so :func:`msm_g1_multi` pays it once;
+3. **signed digits**: base-``2^c`` digits recoded into ``[-2^(c-1),
    2^(c-1)]`` so negative digits reuse the (free) point negation and the
    bucket count halves;
-3. **batch-affine buckets**: bucket contents are summed with plain affine
+4. **batch-affine buckets**: bucket contents are summed with plain affine
    addition whose slope denominators are inverted together (Montgomery's
    trick, :func:`~repro.field.prime.batch_inverse_ints`), ~6 modular
    multiplications per add versus ~12 for a Jacobian mixed add.
 
 G2 runs the same stages over Fp2 coordinates with each round's Fp2
 inversions amortized through :func:`~repro.curves.g2.g2_batch_affine_add`
-and no GLV split (the G2 endomorphism has a different eigenvalue and G2
-MSMs are a single-digit percentage of prove time).
+and no GLV split (the G2 endomorphism has a different eigenvalue).  The
+G2 MSM is the largest interpreted kernel of a prove (~20% of a warm MLP
+prove).  A full-width scalar in an otherwise short MSM still sets every
+window's width, which is why the prover passes its G2 blinding scalar as
+eight 32-bit limbs against precomputed ``2^(32 k) * delta`` (see
+:mod:`repro.snark.groth16`).
 
 Every G1 point set goes to the compiled kernel of
 :mod:`repro.curves.native` when one is loaded (the pipeline above then
-runs for G2 only) and through the Python pipeline otherwise; both return
-the same group element, so nothing downstream can tell them apart.
+runs for G2 only) and through the Python pipeline otherwise; the kernel
+reduces and folds each scalar the same way, in C.  Both return the same
+group element, so nothing downstream can tell them apart.
 
 The naive double-and-add versions (:func:`naive_msm_g1` /
 :func:`naive_msm_g2`) remain the reference the pipeline is
@@ -92,6 +104,11 @@ __all__ = [
 AffinePoint = Optional[Tuple[int, int]]
 
 SCALAR_BITS = 254
+
+#: Scalars above this are folded to ``s - R`` (negative, shorter).
+_HALF_R = (R - 1) // 2
+#: Magnitudes below this skip the GLV split.
+_GLV_MIN = 1 << 128
 
 
 def pippenger_window_size(n: int) -> int:
@@ -395,7 +412,8 @@ def _pippenger(
     then be non-negative ints below ``2^256`` (canonical ones are).
 
     Only the scalar-side work is shared between point sets: reduction mod
-    ``R``, zero skipping and the GLV decomposition run once per scalar.
+    ``R``, zero skipping, the sign fold and the GLV decomposition run once
+    per scalar.
     Everything point-set-specific -- applying the endomorphism, sign flips,
     the window width (chosen from the set's surviving pair count), digit
     recoding inside the scatter, reduction -- runs per set.  Replaying one
@@ -414,17 +432,22 @@ def _pippenger(
     neg = group.neg
     # One pass over the scalars; the split of each is handed to every point
     # set before moving on, so nothing scalar-sized is kept besides the
-    # per-set inputs of the scatter.  Negative GLV halves flip the point's
-    # sign instead, so every bucketed magnitude is non-negative.
+    # per-set inputs of the scatter.  A scalar above (R - 1) / 2 is folded
+    # to -(R - s), so a small negative stays small; negative magnitudes and
+    # negative GLV halves flip the point's sign instead, so every bucketed
+    # magnitude is non-negative.  A magnitude below 2^128 is not split: its
+    # halves would be no shorter than it is.
     sets: List[Tuple[List, List[int]]] = [([], []) for _ in points_lists]
     for i, s in enumerate(scalars):
         s %= R
         if s == 0:
             continue
-        if endo is None:
-            k1, k2 = s, 0
-        else:
+        if s > _HALF_R:
+            s -= R
+        if endo is not None and abs(s) >= _GLV_MIN:
             k1, k2 = glv_decompose(s)
+        else:
+            k1, k2 = s, 0
         for points, (set_points, set_scalars) in zip(points_lists, sets):
             p = points[i]
             if p is None:
@@ -510,13 +533,14 @@ def msm_g1_multi(
 def msm_g2(points: Sequence[G2Point], scalars: Sequence[int]) -> G2Point:
     """Signed-window + batch-affine Pippenger MSM over G2.
 
-    The G1 pipeline with the G2 record: signed base-``2^c`` digits, one
-    global bucket tree reduction, lockstep suffix sums, with every batched
-    affine addition sharing a single Fp2 inversion through
-    :func:`~repro.curves.g2.g2_batch_affine_add` (whose one base-field
-    inversion Montgomery's trick amortizes across the whole round).  No
-    GLV split: the G2 endomorphism (psi) has a different eigenvalue and
-    G2 MSMs are a single-digit percentage of prove time.
+    The G1 pipeline with the G2 record: each scalar's sign folded into its
+    point, signed base-``2^c`` digits, one global bucket tree reduction,
+    lockstep suffix sums, with every batched affine addition sharing a
+    single Fp2 inversion through :func:`~repro.curves.g2.g2_batch_affine_add`
+    (whose one base-field inversion Montgomery's trick amortizes across
+    the whole round).  No GLV split: the G2 endomorphism (psi) has a
+    different eigenvalue.  The prover's B commitment is this MSM over the
+    witness, ~20% of a warm MLP prove with short windows.
     """
     affine = [None if p.is_infinity() else (p.x, p.y) for p in points]
     return g2_from_jacobian(_pippenger(_G2, [affine], scalars)[0])

@@ -67,8 +67,9 @@ class G1Kernel:
         Points are affine ``(x, y)`` int pairs with coordinates below
         ``2^256`` (``None`` = infinity, dropped per set); scalars are any
         ints, reduced mod ``R`` here, zeros dropped.  Each scalar is reduced
-        and packed once for every set.  Results are Jacobian with ``z`` 1
-        or 0.  Lengths are the caller's to check.
+        and packed once for every set; the kernel folds its sign into the
+        point (``s > (R - 1) / 2`` runs as ``(R - s) * (-P)``).  Results
+        are Jacobian with ``z`` 1 or 0.  Lengths are the caller's to check.
         """
         live = []
         for i, s in enumerate(scalars):
@@ -119,7 +120,9 @@ class G1Kernel:
         multiplication: the same point twice under one scalar (a bucket
         doubling), a point and its negation under one scalar (a bucket
         cancelling to the identity), a full-width scalar, ``R - 1`` and a
-        run of ones that carries into the spare window.
+        run of ones that carries into the spare window; then a vector of
+        small negative scalars, whose signs the kernel folds into the
+        points.
         """
         g = (G1_GENERATOR[0], G1_GENERATOR[1], 1)
         multiples = [1, 1, 2, R - 2, 5, 7, 3]
@@ -132,9 +135,14 @@ class G1Kernel:
         want = jac_to_affine(jac_scalar_mul(g, total))
         (got,) = self.msm_many([points], scalars)
         cancel = self.msm_many([[points[2], points[3]]], [9, 9])[0]
+        # Small negatives, stored as R - k: every sign folds into its point.
+        negatives = [3, 1, 0xFFFF, 1 << 40]
+        (neg,) = self.msm_many([points[:4]], [R - k for k in negatives])
+        neg_total = -sum(m * k for m, k in zip(multiples, negatives)) % R
         return (
             jac_to_affine(got) == want
             and cancel == G1_INFINITY_JAC
+            and jac_to_affine(neg) == jac_to_affine(jac_scalar_mul(g, neg_total))
             and self.fp("mul", P - 1, P - 1) == 1
         )
 

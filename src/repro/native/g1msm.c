@@ -15,10 +15,16 @@
  * (equal points, opposite points, the identity) is handled, so inputs may
  * repeat and cancel.
  *
+ * Before recoding, each scalar is reduced below the group order r and its
+ * sign folded into its point: s > (r - 1) / 2 becomes (r - s, -P), the
+ * same product.  Every magnitude is then at most (r - 1) / 2, and a small
+ * negative (a witness value -k, stored as r - k) is small, so the window
+ * count follows the largest magnitude rather than 254 bits.
+ *
  * Byte layout, all little-endian:
  *   points   n * 64 bytes, x then y: finite points on the curve, each
  *            coordinate < 2^256 (values >= p are reduced);
- *   scalars  n * 32 bytes, any value < 2^256 (callers reduce mod r);
+ *   scalars  n * 32 bytes, any value < 2^256 (reduced mod r here);
  *   out      64 bytes, x then y of the affine sum, each < p.
  */
 
@@ -177,6 +183,41 @@ static void jac_add(jacobian *r, const jacobian *p, const jacobian *q)
 
 /* -- Pippenger -------------------------------------------------------------- */
 
+/* The group order r and (r - 1) / 2, least significant limb first. */
+static const uint64_t ORDER[4] = {
+    0x43e1f593f0000001ULL, 0x2833e84879b97091ULL,
+    0xb85045b68181585dULL, 0x30644e72e131a029ULL,
+};
+static const uint64_t HALF_ORDER[4] = {
+    0xa1f0fac9f8000000ULL, 0x9419f4243cdcb848ULL,
+    0xdc2822db40c0ac2eULL, 0x183227397098d014ULL,
+};
+
+/* d = a - b over four limbs; returns the borrow (1 when a < b).  d may
+ * alias a or b. */
+static uint64_t sub4(uint64_t d[4], const uint64_t a[4], const uint64_t b[4])
+{
+    uint64_t borrow = 0;
+    for (int k = 0; k < 4; k++)
+        d[k] = sub_borrow(a[k], b[k], &borrow);
+    return borrow;
+}
+
+/* Reduce s below r (s < 2^256 < 6r: at most five subtractions), then fold
+ * its sign: s > (r - 1) / 2 becomes r - s, and the caller negates the
+ * point.  Returns whether it did. */
+static int fold_scalar(uint64_t s[4])
+{
+    uint64_t t[4];
+    while (!sub4(t, s, ORDER))
+        for (int k = 0; k < 4; k++)
+            s[k] = t[k];
+    if (!sub4(t, HALF_ORDER, s))
+        return 0;
+    sub4(s, ORDER, s);
+    return 1;
+}
+
 /* Bits [off, off + c) of a 256-bit scalar (c <= 16). */
 static unsigned scalar_bits(const uint64_t s[4], unsigned off, unsigned c)
 {
@@ -244,6 +285,8 @@ int zk_g1_msm(size_t n, const uint8_t *points, const uint8_t *scalars,
         fp_load(&s, scalars + 32 * i);
         for (int k = 0; k < 4; k++)
             sc[i][k] = s.l[k];
+        if (fold_scalar(sc[i]))
+            fp_neg(&pts[i].y, &pts[i].y);
         unsigned b = bit_length(sc[i]);
         if (b > bits)
             bits = b;

@@ -35,7 +35,12 @@ from ..curves.g1 import (
     jac_add,
     jac_to_affine_many,
 )
-from ..curves.g2 import G2Point
+from ..curves.g2 import (
+    G2Point,
+    g2_jac_double,
+    g2_jac_to_affine_many,
+    g2_to_jacobian,
+)
 from ..curves.msm import (
     FixedBaseTableG1,
     FixedBaseTableG2,
@@ -51,7 +56,7 @@ from ..curves.pairing import (
 )
 from .errors import UnsatisfiedWitness
 from .keys import Proof, ProvingKey, VerifyingKey
-from .qap import compute_h, evaluate_qap_at
+from .qap import evaluate_qap_at, h_from_rows
 from .r1cs import ConstraintSystem
 
 __all__ = [
@@ -268,6 +273,35 @@ def _g1_affine(p: G1Point) -> Optional[Tuple[int, int]]:
     return None if p.is_infinity() else (p.x, p.y)
 
 
+#: Bits per limb of the blinding scalar ``s`` in the G2 MSM.  The MSM's
+#: window count follows its largest scalar, and witness values are short
+#: (32-36 bits on the MLP shape), so ``s`` enters as eight 32-bit limbs
+#: against ``2^(32 k) * delta_2`` rather than as one 254-bit scalar that
+#: would set the width of every window.
+_BLIND_LIMB_BITS = 32
+_BLIND_LIMBS = 8  # 8 * 32 >= 254
+
+
+def _limbs(s: int) -> List[int]:
+    mask = (1 << _BLIND_LIMB_BITS) - 1
+    return [(s >> (_BLIND_LIMB_BITS * k)) & mask for k in range(_BLIND_LIMBS)]
+
+
+def _delta_g2_limbs(delta_g2: G2Point) -> List[G2Point]:
+    """``2^(32 k) * delta_2`` for every limb ``k`` of a blinding scalar:
+    one doubling chain and one batch normalization."""
+    chain = [g2_to_jacobian(delta_g2)]
+    for _ in range(_BLIND_LIMBS - 1):
+        pt = chain[-1]
+        for _ in range(_BLIND_LIMB_BITS):
+            pt = g2_jac_double(pt)
+        chain.append(pt)
+    return [
+        G2Point.infinity() if aff is None else G2Point(*aff)
+        for aff in g2_jac_to_affine_many(chain)
+    ]
+
+
 @dataclass(frozen=True)
 class PreparedProvingKey:
     """A proving key with its MSM bases pre-converted to affine tuples.
@@ -277,7 +311,8 @@ class PreparedProvingKey:
     Pippenger MSM consumes.  A prover issuing many proofs under one key
     (the amortized ZKROWNN lifecycle) does the conversion once; the
     :class:`~repro.engine.engine.ProvingEngine` caches one of these per
-    structure digest.
+    structure digest.  ``delta_g2_limbs`` are the bases of the G2
+    blinding term's limbs (see :data:`_BLIND_LIMB_BITS`).
     """
 
     pk: ProvingKey
@@ -285,6 +320,7 @@ class PreparedProvingKey:
     points_b1: List[Optional[Tuple[int, int]]]
     points_k: List[Optional[Tuple[int, int]]]
     points_h: List[Optional[Tuple[int, int]]]
+    delta_g2_limbs: List[G2Point]
 
 
 def prepare_proving_key(pk: ProvingKey) -> PreparedProvingKey:
@@ -294,6 +330,7 @@ def prepare_proving_key(pk: ProvingKey) -> PreparedProvingKey:
         points_b1=[_g1_affine(p) for p in pk.b_g1_query],
         points_k=[_g1_affine(p) for p in pk.k_query],
         points_h=[_g1_affine(p) for p in pk.h_query],
+        delta_g2_limbs=_delta_g2_limbs(pk.delta_g2),
     )
 
 
@@ -327,7 +364,9 @@ def prove_prepared(
     still passes it (ROADMAP, Housekeeping, says when this goes).
     """
     pk = ppk.pk
-    cs.check_satisfied(assignment)
+    # One evaluation of every constraint's rows: checked here, then
+    # interpolated by the quotient.
+    rows = cs.satisfied_rows(assignment)
     if len(pk.a_query) != cs.num_variables:
         raise UnsatisfiedWitness(
             "proving key was generated for a different circuit "
@@ -336,8 +375,8 @@ def prove_prepared(
     rng = _Randomness(seed)
     r, s = rng.scalar(), rng.scalar()
 
-    # Canonical witness residues: one reduction here feeds the A/B1/K MSM
-    # scalar paths and the NTT-based h computation alike.
+    # Canonical witness residues for the A/B1/K and G2 MSMs, which fold
+    # each value's sign into its point (a small negative stays short).
     z = [v % R for v in assignment]
 
     # The A and B1 commitments multiply different bases by the SAME witness
@@ -354,10 +393,13 @@ def prove_prepared(
         msm_g1([a_wit, _g1_affine(pk.alpha_g1), delta], [1, 1, r]),
         msm_g1([b1_wit, _g1_affine(pk.beta_g1), delta], [1, 1, s]),
     ])
-    proof_b2 = msm_g2([*pk.b_g2_query, pk.delta_g2], [*z, s]) + pk.beta_g2
+    # s*delta_2 as eight 32-bit limbs, so s does not widen the windows.
+    proof_b2 = msm_g2(
+        [*pk.b_g2_query, *ppk.delta_g2_limbs], [*z, *_limbs(s)]
+    ) + pk.beta_g2
 
     # C = sum_private z_j K_j + sum h_i H_i + s*A + r*B1 - r*s*delta
-    h_coeffs = compute_h(cs, z)
+    h_coeffs = h_from_rows(cs, *rows)
     private_z = z[pk.num_public + 1 :]
     c_acc = msm_g1(ppk.points_k, private_z)
     c_acc = jac_add(c_acc, msm_g1(ppk.points_h, h_coeffs[: len(pk.h_query)]))

@@ -46,6 +46,7 @@ __all__ = [
     "QuotientKernel",
     "evaluate_qap_at",
     "compute_h",
+    "h_from_rows",
     "qap_domain",
 ]
 
@@ -271,8 +272,17 @@ def compute_h(cs: ConstraintSystem, assignment: Sequence[int]) -> List[int]:
     """Coefficients of the quotient ``h(X) = (u v - w) / t``, one per
     domain point: the compiled kernel's when it loaded, else
     :func:`_quotient`'s (the same values)."""
+    return h_from_rows(cs, *_assignment_evaluations(cs, assignment))
+
+
+def h_from_rows(
+    cs: ConstraintSystem, ua: List[int], va: List[int], wa: List[int]
+) -> List[int]:
+    """:func:`compute_h` from the rows' values on H, already evaluated
+    (canonical, one per constraint), as
+    :meth:`~repro.snark.r1cs.ConstraintSystem.satisfied_rows` returns
+    them."""
     domain = qap_domain(cs)
-    ua, va, wa = _assignment_evaluations(cs, assignment)
     kernel = native.kernel("compute_h")
     if kernel is not None:
         return kernel.quotient(domain, ua, va, wa)

@@ -210,6 +210,18 @@ class ConstraintSystem:
 
     def check_satisfied(self, assignment: Sequence[int]) -> None:
         """Raise :class:`UnsatisfiedWitness` on the first failing constraint."""
+        self.satisfied_rows(assignment)
+
+    def satisfied_rows(
+        self, assignment: Sequence[int]
+    ) -> Tuple[List[int], List[int], List[int]]:
+        """``<A_k, z>``, ``<B_k, z>`` and ``<C_k, z>`` for every constraint
+        ``k``, canonical, checked as they are computed: raise
+        :class:`UnsatisfiedWitness` on the first failing constraint.
+
+        The prover's one evaluation of the rows: the values that pass the
+        check are the ones the quotient interpolates.
+        """
         if len(assignment) != self.num_variables:
             raise UnsatisfiedWitness(
                 f"assignment has {len(assignment)} entries, "
@@ -217,14 +229,23 @@ class ConstraintSystem:
             )
         if assignment[ONE_INDEX] % R != 1:
             raise UnsatisfiedWitness("assignment[0] must be the constant 1")
+        ua: List[int] = []
+        va: List[int] = []
+        wa: List[int] = []
         for k, (a, b, c) in enumerate(self.constraints):
-            lhs = a.evaluate(assignment) * b.evaluate(assignment) % R
+            x = a.evaluate(assignment)
+            y = b.evaluate(assignment)
             rhs = c.evaluate(assignment)
+            lhs = x * y % R
             if lhs != rhs:
                 raise UnsatisfiedWitness(
                     f"constraint {k} violated: "
                     f"<A,z>*<B,z> = {lhs} but <C,z> = {rhs}"
                 )
+            ua.append(x)
+            va.append(y)
+            wa.append(rhs)
+        return ua, va, wa
 
     def public_inputs_of(self, assignment: Sequence[int]) -> List[int]:
         """Extract the public instance (excluding ONE) from an assignment."""

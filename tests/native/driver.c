@@ -6,6 +6,8 @@
  *     including a 2^256 - 1 input that must be reduced;
  *   - the G1 MSM's exceptional cases: n = 0, n = 1, a repeated point, P
  *     next to -P, and the scalars 0, 1, r - 1 and >= r;
+ *   - the sign fold on each side of (r - 1) / 2: the scalars (r +- 1) / 2,
+ *     and vectors of small negatives (r - k), alone and beside a positive;
  *   - an NTT -> inverse NTT round trip at every size 2^0 .. 2^13;
  *   - the quotient on rows where u v - w vanishes on H (so h's top
  *     coefficient is zero, and all of h when the rows are constant) at
@@ -188,6 +190,13 @@ static elem r_plus(int64_t k)
              0xb85045b68181585dULL, 0x30644e72e131a029ULL);
 }
 
+/* (r - 1) / 2 + k, for k in {0, 1}. */
+static elem half_r_plus(uint64_t k)
+{
+    return E(0xa1f0fac9f8000000ULL + k, 0x9419f4243cdcb848ULL,
+             0xdc2822db40c0ac2eULL, 0x183227397098d014ULL);
+}
+
 /* sum_i scalars[i] * points[i] == want (want_k 0: the identity). */
 static void check_msm(const char *what, size_t n, const point *points,
                       const elem *scalars, int want_k)
@@ -230,6 +239,18 @@ static void check_msm_cases(void)
     check_msm("scalar r - 1", 1, (point[]){g}, (elem[]){r_plus(-1)}, -1);
     check_msm("scalar r", 1, (point[]){g2}, (elem[]){r_plus(0)}, 0);
     check_msm("scalar r + 5", 1, (point[]){g}, (elem[]){r_plus(5)}, 5);
+    /* 2G * (r + 1) / 2 = G, which the fold reaches as 2G * -((r - 1) / 2). */
+    check_msm("scalar (r + 1) / 2", 1, (point[]){g2},
+              (elem[]){half_r_plus(1)}, 1);
+    check_msm("scalar (r - 1) / 2", 1, (point[]){g2},
+              (elem[]){half_r_plus(0)}, -1);
+    check_msm("(r - 1) / 2 and (r + 1) / 2 on one point", 2, (point[]){g, g},
+              (elem[]){half_r_plus(0), half_r_plus(1)}, 0);
+    check_msm("small negatives only", 2, (point[]){neg_g, neg_g},
+              (elem[]){r_plus(-20), r_plus(-10)}, 30);
+    check_msm("small negatives and a positive", 4,
+              (point[]){g, g2, neg_g, g5},
+              (elem[]){r_plus(-1), r_plus(-2), r_plus(-12), small(0)}, 7);
 }
 
 /* -- Fr transforms ------------------------------------------------------------ */

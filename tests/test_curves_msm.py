@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import native
 from repro.curves import msm as msm_mod
 from repro.curves.bn254 import P, R
 from repro.curves.g1 import G1Point
@@ -155,26 +156,39 @@ _G2_POOL = [H, H * 2, H * 7, -H, -(H * 2), G2Point.infinity()]
 # 120 ones do that at every width small inputs get (3, 5, 6), and
 # ``a +- a*lambda`` GLV-splits back into exactly those halves; the
 # all-ones full-width scalars do the same to G2, which does not split.
+#
+# Every entry point also folds a scalar above (R - 1) / 2 into its point as
+# -(R - s), so a small negative reaches the buckets short: the boundary
+# scalars sit on both sides of that fold, of the reduction mod R and of the
+# 2^128 cut-off below which the pure G1 path does not GLV-split, and small
+# negatives R - k are drawn on their own.
 _ONES_120 = (1 << 120) - 1
-_ADVERSARIAL_SCALARS = [
-    0, 1, 2, R - 1, R, R + 1, 2 * R - 1, 2 * R,
+_HALF_R = (R - 1) // 2
+_BOUNDARY_SCALARS = [
+    0, 1, 2, _HALF_R, _HALF_R + 1, R - 2, R - 1, R, R + 5,
+    (1 << 128) - 1, 1 << 128, (1 << 128) + 1,
+]
+_ADVERSARIAL_SCALARS = _BOUNDARY_SCALARS + [
+    R + 1, 2 * R - 1, 2 * R,
     _ONES_120,
     (_ONES_120 + _ONES_120 * GLV_LAMBDA) % R,
     (_ONES_120 - _ONES_120 * GLV_LAMBDA) % R,
     (1 << 250) - 1, (1 << 252) - 1, (1 << 256) - 1,
 ]
+_small = st.integers(1, 1 << 40)
 _msm_scalars = st.one_of(
     st.sampled_from(_ADVERSARIAL_SCALARS),
     st.integers(0, 15),
+    _small.map(lambda k: R - k),
     st.integers(0, R - 1),
     st.integers(R, 1 << 260),
 )
 
 
 @st.composite
-def _msm_case(draw):
+def _msm_case(draw, scalar_values=_msm_scalars):
     n = draw(st.integers(0, 10))
-    scalars = draw(st.lists(_msm_scalars, min_size=n, max_size=n))
+    scalars = draw(st.lists(scalar_values, min_size=n, max_size=n))
     sets = draw(st.integers(1, 3))
     g1_lists = [
         draw(st.lists(st.sampled_from(_G1_POOL), min_size=n, max_size=n))
@@ -203,6 +217,28 @@ class TestPipelineAgainstNaive:
             G1Point.from_jacobian(msm_g1(ps, scalars)) for ps in g1_lists
         ] == want
         assert msm_g2(g2_points, scalars) == naive_msm_g2(g2_points, scalars)
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=_msm_case(_small))
+    def test_all_negative_is_minus_the_sum(self, case):
+        magnitudes, g1_lists, g2_points = case
+        negatives = [R - k for k in magnitudes]
+        want = [
+            -G1Point.from_jacobian(naive_msm_g1(ps, magnitudes))
+            for ps in g1_lists
+        ]
+        multi = msm_g1_multi(g1_lists, negatives)
+        assert [G1Point.from_jacobian(p) for p in multi] == want
+        assert [
+            G1Point.from_jacobian(msm_g1(ps, negatives)) for ps in g1_lists
+        ] == want
+        assert msm_g2(g2_points, negatives) == -naive_msm_g2(g2_points, magnitudes)
+
+    def test_each_boundary_scalar_alone(self):
+        p = _affine(G * 5)
+        for s in _BOUNDARY_SCALARS:
+            assert G1Point.from_jacobian(msm_g1([p], [s])) == G * (5 * s % R)
+            assert msm_g2([H], [s]) == H * (s % R)
 
     def test_recoding_carry_reaches_the_spare_window(self):
         """Pin the adversarial scalar: its halves really do carry out of
@@ -406,3 +442,23 @@ class TestSharedScalarMultiMsm:
 class TestSharedScalarMultiMsmPure(TestSharedScalarMultiMsm):
     """:class:`TestSharedScalarMultiMsm` on the pure-Python G1 path (the class itself runs
     on whichever path the process has, the compiled one where it loads)."""
+
+
+def test_small_negatives_reach_the_buckets_short(monkeypatch):
+    """The pure pipeline's scatter sees ``k`` for ``R - k``: the window
+    count follows the magnitudes, not 254 bits."""
+    seen = []
+    scatter = msm_mod._scatter_signed
+
+    def spy(points, scalars, c, neg):
+        seen.append(max(scalars))
+        return scatter(points, scalars, c, neg)
+
+    monkeypatch.setattr(msm_mod, "_scatter_signed", spy)
+    scalars = [R - 3, 7, R - (1 << 35), 1, 0]
+    points = [_affine(G * k) for k in (1, 2, 3, 5, 64)]
+    with native.pin_pure():
+        got = G1Point.from_jacobian(msm_g1(points, scalars))
+    assert msm_g2([H, H, H], scalars[:3]) == H * ((4 - (1 << 35)) % R)
+    assert got == G1Point.from_jacobian(naive_msm_g1(points, scalars))
+    assert seen == [1 << 35, 1 << 35]

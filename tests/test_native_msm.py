@@ -214,6 +214,38 @@ class TestProofByteIdentity:
         assert _chain_proof_bytes() == chain_reference
 
 
+class TestNegativeWires:
+    """A witness with negative wires (stored as ``R - k``), whose signs both
+    G1 paths and the G2 MSM fold into their points: the proof is the one
+    the unfolded 254-bit MSMs gave, byte for byte."""
+
+    #: sha256 of the proof below, recorded before any MSM folded a sign.
+    PINNED = "69f36aca75a44fde121d8f8df4ef02fafcca42dd3fbb9bfd3251a1b3a72e10aa"
+
+    @pytest.fixture(scope="class")
+    def claim(self):
+        from repro.engine import ProvingEngine
+        from repro.snark import setup
+
+        compiled, synthesis = ProvingEngine().synthesize(
+            "chain-neg", _mul_chain(9, x=-3)
+        )
+        keypair = setup(compiled.cs, seed=8)
+        return compiled.cs, synthesis, keypair
+
+    def test_proof_bytes_are_pinned(self, claim, g1_msm_path):
+        import hashlib
+
+        from repro.snark import prepare_proving_key, prove_prepared, verify
+
+        cs, synthesis, keypair = claim
+        assert sum(v % R > R // 2 for v in synthesis.assignment) == 5
+        ppk = prepare_proving_key(keypair.proving_key)
+        proof = prove_prepared(ppk, cs, synthesis.assignment, seed=9)
+        assert verify(keypair.verifying_key, synthesis.public_values, proof)
+        assert hashlib.sha256(proof.to_bytes()).hexdigest() == self.PINNED
+
+
 # ---------------------------------------------------------------- fallback --
 
 

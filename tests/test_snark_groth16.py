@@ -109,6 +109,19 @@ class TestSoundness:
         with pytest.raises(UnsatisfiedWitness):
             prove(cubic_keypair.proving_key, cs, bad, seed=1)
 
+    def test_unsatisfying_witness_names_its_constraint(
+        self, cubic_circuit, cubic_keypair
+    ):
+        cs, assignment = cubic_circuit
+        bad = list(assignment)
+        bad[3] = 10  # x2 = 10 breaks constraint 0 (x * x = x2) first
+        with pytest.raises(UnsatisfiedWitness) as expected:
+            cs.check_satisfied(bad)
+        assert "constraint 0 violated" in str(expected.value)
+        with pytest.raises(UnsatisfiedWitness) as refused:
+            prove(cubic_keypair.proving_key, cs, bad, seed=1)
+        assert str(refused.value) == str(expected.value)
+
     def test_mismatched_circuit_rejected(self, cubic_keypair):
         other = ConstraintSystem()
         y = other.allocate_public("y")
@@ -231,6 +244,29 @@ def _chain_circuit(n_public=3, length=20):
     for p in pubs:
         cs.enforce(LC.variable(prev), LC.constant(1), LC.variable(p))
     return cs
+
+
+class TestBlindingLimbs:
+    """The G2 MSM takes the blinding scalar ``s`` as eight 32-bit limbs
+    against ``2^(32 k) * delta_2``, precomputed with the prepared key."""
+
+    def test_limb_bases(self, cubic_keypair):
+        from repro.snark import prepare_proving_key
+
+        pk = cubic_keypair.proving_key
+        limbs = prepare_proving_key(pk).delta_g2_limbs
+        assert limbs == [pk.delta_g2 * (1 << (32 * k)) for k in range(8)]
+
+    def test_limbs_recompose_any_scalar(self, cubic_keypair):
+        from repro.curves.msm import msm_g2
+        from repro.snark import prepare_proving_key
+        from repro.snark.groth16 import _limbs
+
+        pk = cubic_keypair.proving_key
+        bases = prepare_proving_key(pk).delta_g2_limbs
+        for s in (1, (1 << 32) - 1, 1 << 32, R - 1, (R - 1) // 2):
+            assert sum(l << (32 * k) for k, l in enumerate(_limbs(s))) == s
+            assert msm_g2(bases, _limbs(s)) == pk.delta_g2 * s
 
 
 class TestGoldenKeys:

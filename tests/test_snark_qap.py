@@ -16,7 +16,14 @@ from reference.qap import quotient_naive
 
 from repro.field.ntt import EvaluationDomain
 from repro.field.prime import BN254_R as R
-from repro.snark.qap import _lagrange_basis_at, compute_h, evaluate_qap_at, qap_domain
+from repro.snark.qap import (
+    _assignment_evaluations,
+    _lagrange_basis_at,
+    compute_h,
+    evaluate_qap_at,
+    h_from_rows,
+    qap_domain,
+)
 from repro.snark.r1cs import ConstraintSystem, LinearCombination as LC
 
 
@@ -90,6 +97,14 @@ class TestQapEvaluation:
     def test_domain_size_power_of_two(self):
         cs, _ = cubic_cs()
         assert qap_domain(cs).size == 4
+
+    def test_h_from_checked_rows(self):
+        """The prover's route: rows evaluated once by ``satisfied_rows``
+        give ``compute_h``'s quotient."""
+        cs, assignment = cubic_cs()
+        rows = cs.satisfied_rows(assignment)
+        assert rows == _assignment_evaluations(cs, assignment)
+        assert h_from_rows(cs, *rows) == compute_h(cs, assignment)
 
     def test_h_degree_bound(self):
         cs, assignment = cubic_cs()

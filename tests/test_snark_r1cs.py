@@ -124,6 +124,24 @@ class TestSatisfaction:
         with pytest.raises(UnsatisfiedWitness, match="constant 1"):
             cs.check_satisfied([2, 9, 3])
 
+    def test_satisfied_rows_are_the_evaluations(self):
+        cs = self._simple()
+        assert cs.satisfied_rows([1, 9, 3]) == ([3], [3], [9])
+        assert cs.satisfied_rows([1, 9 - R, 3 + R]) == ([3], [3], [9])
+
+    @pytest.mark.parametrize("bad, message", [
+        ([1, 10, 3], "constraint 0"),
+        ([1, 9], "entries"),
+        ([2, 9, 3], "constant 1"),
+    ])
+    def test_satisfied_rows_refuse_like_check_satisfied(self, bad, message):
+        cs = self._simple()
+        with pytest.raises(UnsatisfiedWitness, match=message) as rows_error:
+            cs.satisfied_rows(bad)
+        with pytest.raises(UnsatisfiedWitness) as check_error:
+            cs.check_satisfied(bad)
+        assert str(rows_error.value) == str(check_error.value)
+
     def test_empty_system_satisfied(self):
         cs = ConstraintSystem()
         assert cs.is_satisfied([1])
