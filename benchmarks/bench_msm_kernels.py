@@ -14,10 +14,10 @@ benchmark isolates exactly that kernel:
   fold each scalar's sign into its point, so these run ~36-bit windows;
   the G2 row must beat full width on the same points by 1.5x, and its
   small negatives may cost at most 1.5x the same magnitudes made positive,
-* fixed-base ``FixedBaseTableG1/G2.mul_many`` (lockstep batched affine
-  additions, what Groth16 setup runs) vs the per-scalar Jacobian ``mul``
-  loop it replaced, gated at 1.3x, plus the window sweep behind the
-  table defaults.
+* fixed-base ``FixedBaseTableG1/G2.mul_many`` (what Groth16 setup runs):
+  the pure lockstep batched-affine comb vs the per-scalar Jacobian ``mul``
+  loop it replaced, gated at 1.3x, the compiled comb vs the pure one,
+  gated at 4x, plus the window sweep behind the table defaults.
 
 Every row lands in ``BENCH_msm_kernels.json`` together with the window
 sizes the heuristic picked, so regressions in either the kernels or the
@@ -223,18 +223,27 @@ def test_msm_g2_timing(bench_scale, bench_json):
 
 
 def test_fixed_base_lockstep_vs_loop(bench_json):
-    """Setup's kernel: lockstep ``mul_many`` vs the per-scalar ``mul`` loop.
+    """Setup's kernel: the compiled comb, the pure lockstep ``mul_many`` and
+    the per-scalar ``mul`` loop, per group.
 
-    The gate (>= 1.3x on both groups; measured ~1.7x on each) fails if
-    ``mul_many`` is ever routed back through per-scalar Jacobian chains.
-    The sweep records what the default windows were chosen from: per-mul
-    time falls with the window while the table build (paid once per
-    process, inside ``setup_s`` of a cold run) doubles per bit.  Measured
-    on the dev box: G1 7/8/9/10 = 113/106/97/92 us per mul for a
+    The pure rows run under ``pin_pure``, so their gate (lockstep >= 1.3x
+    the loop on both groups; measured ~1.7x on each) still fails if the
+    pure ``mul_many`` is ever routed back through per-scalar Jacobian
+    chains.  The native row, where the ``fixed_base`` kernel loaded, must
+    be >= 4x the pure lockstep on the same scalars (measured ~8x on each
+    group); every row records the kernel path it ran.
+
+    The windows trade the table build, which doubles per bit and is
+    Python work paid once per process (inside ``setup_s`` of a cold run),
+    against per-mul time, which falls with the window on both paths.
+    Pure, on the dev box: G1 7/8/9/10 = 113/106/97/92 us per mul for a
     18/33/59/107 ms build, G2 5/6/7/8 = 713/568/477/409 us for
-    26/44/70/137 ms.  Hence G1 = 8 (9 buys 8% for +26 ms of build) and
-    G2 = 7 (16% under 6 for +26 ms; 8 would cost another +67 ms): a cold
-    process pays ~0.1 s for both tables.
+    26/44/70/137 ms.  Compiled (process CPU, 8,192 G1 and 2,048 G2
+    scalars): G1 7/8/9/10 = 16.6/14.4/14.5/12.2 us per mul, G2 5/6/7/8 =
+    74/65/58/53 us.  At the MLP key's 22,630 G1 and 4,812 G2 scalars,
+    build plus comb is 0.36/0.40/0.40 s for G1 at 8/9/10 and
+    0.35/0.35/0.38 s for G2 at 6/7/8.  Hence G1 = 8 and G2 = 7 on both
+    paths: a cold process pays ~0.1 s for both tables.
     """
     from repro.curves.g2 import G2Point
 
@@ -248,11 +257,13 @@ def test_fixed_base_lockstep_vs_loop(bench_json):
             lambda **kw: FixedBaseTableG2(G2Point.generator(), **kw), 512, (5, 6, 7, 8)
         ),
     }
+    compiled = native.status()["fixed_base"]
     for group, (build, n, sweep) in groups.items():
         scalars = [rng.randrange(R) for _ in range(n)]
         table = build()
-        t_loop, r_loop = _best_of(lambda: [table.mul(s) for s in scalars])
-        t_many, r_many = _best_of(lambda: table.mul_many(scalars))
+        with native.pin_pure():
+            t_loop, r_loop = _best_of(lambda: [table.mul(s) for s in scalars])
+            t_many, r_many = _best_of(lambda: table.mul_many(scalars))
         if group == "g1":
             assert jac_to_affine_many(r_loop) == jac_to_affine_many(r_many)
         else:
@@ -260,24 +271,44 @@ def test_fixed_base_lockstep_vs_loop(bench_json):
         windows = {}
         for window in sweep:
             t_build, swept = _best_of(lambda: build(window=window), repeats=1)
-            t_sweep, _ = _best_of(lambda: swept.mul_many(scalars[: n // 2]))
-            windows[str(window)] = {
+            with native.pin_pure():
+                t_sweep, _ = _best_of(lambda: swept.mul_many(scalars[: n // 2]))
+            row = {
                 "table_build_seconds": t_build,
                 "us_per_mul": t_sweep / (n // 2) * 1e6,
             }
+            if compiled["path"] == "native":
+                t_native, _ = _best_of(lambda: swept.mul_many(scalars[: n // 2]), 3)
+                row["native_us_per_mul"] = t_native / (n // 2) * 1e6
+            windows[str(window)] = row
+        native_row = {"path": compiled["path"], "reason": compiled["reason"]}
+        if compiled["path"] == "native":
+            table.mul_many(scalars[:1])  # packs the table, once per table
+            t_native, r_native = _best_of(lambda: table.mul_many(scalars), 3)
+            assert r_native == r_many
+            native_row.update(
+                us_per_mul=t_native / n * 1e6, speedup_vs_lockstep=t_many / t_native
+            )
         bench_json(
             f"fixed-base-{group}-n{n}",
             n=n,
             default_window=table.window,
+            path="python",
             loop_us_per_mul=t_loop / n * 1e6,
             mul_many_us_per_mul=t_many / n * 1e6,
             speedup_mul_many_vs_loop=t_loop / t_many,
+            native=native_row,
             window_sweep=windows,
         )
         assert t_loop / t_many >= 1.3, (
             f"{group} mul_many only {t_loop / t_many:.2f}x the per-scalar "
             f"mul loop at n={n}: is the lockstep batch-affine path bypassed?"
         )
+        if compiled["path"] == "native":
+            assert t_many / t_native >= 4, (
+                f"{group} compiled comb only {t_many / t_native:.2f}x the pure "
+                f"lockstep comb at n={n}"
+            )
 
 
 def _mul_chain_synthesizer(depth: int, x: int = 3):

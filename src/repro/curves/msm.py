@@ -6,8 +6,10 @@ Groth16 cost structure:
   *fixed* base (the group generator) -- served by the comb-style
   :class:`FixedBaseTableG1` / :class:`FixedBaseTableG2`, whose tables are
   built with batch-affine addition (one shared inversion per digit) and
-  whose ``mul_many`` walks all scalars through the windows in lockstep,
-  again one shared inversion per batched affine addition;
+  whose ``mul_many`` runs the compiled comb of the ``fixed_base`` kernel
+  (:class:`CombKernel`) when one loaded, else walks all scalars through
+  the windows in lockstep, one shared inversion per batched affine
+  addition (:func:`_lockstep_comb`);
 * the prover computes a handful of large *variable-base* MSMs
   ``sum_i  s_i * P_i`` -- served by :func:`msm_g1` / :func:`msm_g1_multi`
   / :func:`msm_g2`.
@@ -61,12 +63,16 @@ property-tested against.
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import random
 import time
 from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
+from ..field.tower import Fp2Element
+from ..native import kernel as _native_kernel
 from ..obs import metrics as _obs_metrics
-from .bn254 import P, R
+from .bn254 import G1_GENERATOR, G2_GENERATOR, P, R
 from .g1 import (
     G1_INFINITY_JAC,
     JacobianPoint,
@@ -208,6 +214,18 @@ def _neg_affine_g2(p) -> tuple:
     return (p[0], -p[1])
 
 
+def _coords_g2(p) -> Tuple[int, int, int, int]:
+    return (p[0].c0, p[0].c1, p[1].c0, p[1].c1)
+
+
+def _from_coords_g2(c: Sequence[int]) -> tuple:
+    return (Fp2Element(c[0], c[1]), Fp2Element(c[2], c[3]))
+
+
+def _same(p):
+    return p
+
+
 class _GroupOps(NamedTuple):
     """Everything the MSM pipeline and the comb table know about a group.
 
@@ -232,6 +250,12 @@ class _GroupOps(NamedTuple):
     to_affine_many: Callable[[Sequence], List]
     #: GLV endomorphism on affine points, or ``None`` for "do not split".
     endo: Optional[Callable[[Any], Any]]
+    #: The group's prefix in the compiled combs' names (``zk_g1_comb``).
+    name: str
+    #: Affine point -> its Fp coordinates, in the compiled layout's order.
+    coords: Callable[[Any], Tuple[int, ...]]
+    #: The inverse of :attr:`coords`.
+    from_coords: Callable[[Tuple[int, ...]], Any]
 
 
 _G1 = _GroupOps(
@@ -243,6 +267,9 @@ _G1 = _GroupOps(
     infinity=G1_INFINITY_JAC,
     to_affine_many=jac_to_affine_many,
     endo=glv_endomorphism,
+    name="g1",
+    coords=_same,
+    from_coords=_same,
 )
 
 _G2 = _GroupOps(
@@ -254,6 +281,9 @@ _G2 = _GroupOps(
     infinity=G2_INFINITY_JAC,
     to_affine_many=g2_jac_to_affine_many,
     endo=None,
+    name="g2",
+    coords=_coords_g2,
+    from_coords=_from_coords_g2,
 )
 
 
@@ -569,6 +599,10 @@ def naive_msm_g2(points: Sequence[G2Point], scalars: Sequence[int]) -> G2Point:
 #: lists; one shared inversion per window per tile is already noise.
 _COMB_TILE = 1024
 
+#: The default comb windows (see ``benchmarks/bench_msm_kernels.py``).
+_G1_WINDOW = 8
+_G2_WINDOW = 7
+
 
 def _lockstep_comb(
     table: List[List], window: int, scalars: Sequence[int], batch_add: BatchAffineAdd
@@ -581,6 +615,9 @@ def _lockstep_comb(
     multiplications per add versus ~11 for the mixed Jacobian add of the
     single-scalar ``mul``.  Zero digits and still-empty accumulators skip
     the lane.  Returns affine points, ``None`` where ``s % R == 0``.
+
+    The pure path of :meth:`_FixedBaseTable._mul_many`, and the oracle
+    :meth:`CombKernel.self_check` holds the compiled comb to.
     """
     mask = (1 << window) - 1
     out: List = []
@@ -610,15 +647,145 @@ def _lockstep_comb(
     return out
 
 
+def _pack_table(group: _GroupOps, table: List[List]) -> bytes:
+    """A comb table's entries, row by row and digit 1 up, in the compiled
+    combs' layout: each coordinate 32 little-endian bytes."""
+    coords = group.coords
+    return b"".join(
+        [c.to_bytes(32, "little") for row in table for e in row[1:] for c in coords(e)]
+    )
+
+
+class CombKernel:
+    """The library's fixed-base combs (``comb.c``): :func:`_lockstep_comb`
+    for a G1 or G2 table in one call, plus the Fp2 operations the limb
+    tests drive.  Loaded, checked and reported by :mod:`repro.native` as
+    the ``fixed_base`` kernel."""
+
+    #: Bytes per affine point out of each group's comb.
+    _WIDTH = {"g1": 64, "g2": 128}
+    #: Scalars per C call: bounds what one call allocates, in C and here,
+    #: to ~2 MB, so setup's peak memory does not grow with the key; each
+    #: call reloads the table (~1 ms for G1's).
+    _BATCH = 4096
+
+    def __init__(self, lib: ctypes.CDLL):
+        buf = ctypes.c_char_p
+        self._comb = {}
+        for group in self._WIDTH:
+            fn = getattr(lib, f"zk_{group}_comb")
+            fn.argtypes = [ctypes.c_size_t, ctypes.c_uint, buf, buf, buf]
+            fn.restype = ctypes.c_int
+            self._comb[group] = fn
+        self._fp2 = {}
+        for op, arity in (("mul", 2), ("sqr", 1), ("inv", 1)):
+            fn = getattr(lib, f"zk_fp2_{op}")
+            fn.argtypes = [buf] * (arity + 1)
+            fn.restype = None
+            self._fp2[op] = fn
+
+    def mul_many(
+        self, group: _GroupOps, table: bytes, window: int, scalars: Sequence[int]
+    ) -> List:
+        """``s * base`` per scalar off a table :func:`_pack_table` packed:
+        the group's affine points, ``None`` where ``s % R == 0``.  Scalars
+        in ``[0, 2^256)`` go to C as they are (it reduces them); others are
+        reduced here first."""
+        out: List = []
+        for lo in range(0, len(scalars), self._BATCH):
+            out.extend(
+                self._call(group, table, window, scalars[lo : lo + self._BATCH])
+            )
+        return out
+
+    def _call(
+        self, group: _GroupOps, table: bytes, window: int, scalars: Sequence[int]
+    ) -> List:
+        try:
+            packed = b"".join([s.to_bytes(32, "little") for s in scalars])
+        except OverflowError:
+            packed = b"".join([(s % R).to_bytes(32, "little") for s in scalars])
+        n, width = len(scalars), self._WIDTH[group.name]
+        out = ctypes.create_string_buffer(width * n)
+        rc = self._comb[group.name](n, window, table, packed, out)
+        if rc < 0:
+            raise MemoryError("native comb could not allocate its accumulators")
+        if rc:
+            raise ValueError(f"native comb refused window {window}")
+        raw = out.raw
+        ints = [int.from_bytes(raw[o : o + 32], "little") for o in range(0, len(raw), 32)]
+        from_coords = group.from_coords
+        return [
+            from_coords(c) if any(c) else None
+            for c in zip(*[iter(ints)] * (width // 32))
+        ]
+
+    def fp2(self, op: str, *args: Tuple[int, int]) -> Tuple[int, int]:
+        """One Fp2 operation in the library's limbs (``op``: ``mul`` on two
+        elements, ``sqr`` or ``inv`` on one), each a ``(c0, c1)`` pair of
+        ints below ``2^256``; ``inv`` of zero is zero."""
+        out = ctypes.create_string_buffer(64)
+        self._fp2[op](
+            *(c0.to_bytes(32, "little") + c1.to_bytes(32, "little") for c0, c1 in args),
+            out,
+        )
+        raw = out.raw
+        return int.from_bytes(raw[:32], "little"), int.from_bytes(raw[32:], "little")
+
+    def self_check(self) -> bool:
+        """Known answers from :func:`_lockstep_comb`, at each group's
+        default window, then one Fp2 product and inverse.
+
+        The tables hold +-1..4 times the generator, so accumulators keep
+        meeting their next entry (a doubling) and its negation (the
+        identity); the scalars are the boundaries ``0, 1, (R +- 1) / 2,
+        R - 1, R, R + 5, 2^256 - 1`` and two seeded full-width ones.
+        """
+        rng = random.Random(0xC0B)
+        scalars = [
+            0, 1, (R - 1) // 2, (R + 1) // 2, R - 1, R, R + 5, (1 << 256) - 1,
+            rng.randrange(R), rng.randrange(R),
+        ]
+        for group, base, window in (
+            (_G1, G1_GENERATOR, _G1_WINDOW), (_G2, G2_GENERATOR, _G2_WINDOW)
+        ):
+            multiples = [group.jac_add_mixed(group.infinity, base)]
+            for _ in range(3):
+                multiples.append(group.jac_add_mixed(multiples[-1], base))
+            pool = group.to_affine_many(multiples)
+            pool += [group.neg(p) for p in pool]
+            rows = (SCALAR_BITS + window - 1) // window
+            picks = [
+                [(7 * k + d) % len(pool) for d in range(1, 1 << window)]
+                for k in range(rows)
+            ]
+            table = [[None] + [pool[i] for i in row] for row in picks]
+            # Each pool point packed once: the table repeats them.
+            packed_pool = [_pack_table(group, [[None, p]]) for p in pool]
+            packed = b"".join([packed_pool[i] for row in picks for i in row])
+            want = _lockstep_comb(table, window, scalars, group.batch_add)
+            if self.mul_many(group, packed, window, scalars) != want:
+                return False
+        a, b = Fp2Element(P - 1, 5), Fp2Element(3, P - 2)
+        return (
+            self.fp2("mul", (P - 1, 5), (3 + P, P - 2)) == _pair(a * b)
+            and self.fp2("inv", (P - 1, 5)) == _pair(a.inverse())
+        )
+
+
+def _pair(e: Fp2Element) -> Tuple[int, int]:
+    return (e.c0, e.c1)
+
+
 class _FixedBaseTable:
     """Comb-method fixed-base multiplier over one group record.
 
     Precomputes ``digit * 2^(w*i) * base`` for every window ``i`` and digit,
     so each subsequent scalar multiplication costs only ``ceil(254/w)``
-    additions: mixed Jacobian ones in :meth:`_mul`, batched affine ones
-    (:func:`_lockstep_comb`) in :meth:`_mul_many`.  Used by the trusted
-    setup, which multiplies the generators by thousands of evaluation
-    scalars.
+    additions: mixed Jacobian ones in :meth:`_mul` and in the compiled
+    comb, batched affine ones (:func:`_lockstep_comb`) in the pure
+    :meth:`_mul_many`.  Used by the trusted setup, which multiplies the
+    generators by thousands of evaluation scalars.
 
     The table is built in affine coordinates: the per-window bases come from
     one Jacobian doubling chain batch-normalized at the end, and every
@@ -650,6 +817,9 @@ class _FixedBaseTable:
             for row, acc in zip(rows, accs):
                 row.append(acc)
         self.table: List[List] = rows
+        #: The table in the compiled layout, packed on the first compiled
+        #: ``_mul_many`` and kept.
+        self._packed: Optional[bytes] = None
 
     def _mul(self, scalar: int):
         """``scalar * base`` as a Jacobian point."""
@@ -666,7 +836,14 @@ class _FixedBaseTable:
         return acc
 
     def _mul_many(self, scalars: Sequence[int]) -> List:
-        """``scalar * base`` per scalar, affine (``None`` = infinity)."""
+        """``scalar * base`` per scalar, affine (``None`` = infinity): the
+        compiled comb when the ``fixed_base`` kernel loaded, else
+        :func:`_lockstep_comb`."""
+        kernel = _native_kernel("fixed_base")
+        if kernel is not None:
+            if self._packed is None:
+                self._packed = _pack_table(self._group, self.table)
+            return kernel.mul_many(self._group, self._packed, self.window, scalars)
         return _lockstep_comb(
             self.table, self.window, scalars, self._group.batch_add
         )
@@ -678,7 +855,7 @@ class FixedBaseTableG1(_FixedBaseTable):
     Takes an affine ``(x, y)`` int pair, returns Jacobian points.
     """
 
-    def __init__(self, base_affine: Tuple[int, int], window: int = 8):
+    def __init__(self, base_affine: Tuple[int, int], window: int = _G1_WINDOW):
         super().__init__(_G1, (base_affine[0] % P, base_affine[1] % P), window)
 
     def mul(self, scalar: int) -> JacobianPoint:
@@ -698,13 +875,14 @@ class FixedBaseTableG2(_FixedBaseTable):
     """Comb-method fixed-base multiplier for G2 (see :class:`_FixedBaseTable`).
 
     Takes and returns :class:`~repro.curves.g2.G2Point`; rows hold affine
-    ``(x, y)`` Fp2 pairs.  Per-mul time keeps falling with the window while
-    the table build doubles per bit; 7 is where the next bit would add
-    ~70 ms to every process's first setup (``bench_msm_kernels`` records
-    the sweep).
+    ``(x, y)`` Fp2 pairs.  Per-mul time falls with the window on both
+    paths while the table build, Python work once per process, doubles
+    per bit.  On the compiled path 7 is where build plus comb is least for
+    the MLP key's 4,812 G2 scalars (6 ties), and 8 would add ~60 ms to
+    every process's first setup (``bench_msm_kernels`` records the sweep).
     """
 
-    def __init__(self, base: G2Point, window: int = 7):
+    def __init__(self, base: G2Point, window: int = _G2_WINDOW):
         super().__init__(_G2, (base.x, base.y), window)
 
     def mul(self, scalar: int) -> G2Point:
@@ -712,7 +890,8 @@ class FixedBaseTableG2(_FixedBaseTable):
 
     @_profiled_msm("g2_fixed")
     def mul_many(self, scalars: Sequence[int]) -> List[G2Point]:
-        """``[mul(s) for s in scalars]`` through :func:`_lockstep_comb`."""
+        """``[mul(s) for s in scalars]``, through the compiled comb or
+        :func:`_lockstep_comb`."""
         return [
             G2Point.infinity() if aff is None else G2Point(aff[0], aff[1])
             for aff in self._mul_many(scalars)

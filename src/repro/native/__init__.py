@@ -1,6 +1,6 @@
 """The compiled kernels: one library built on first use, optional for ever.
 
-Two kernels share one library, each standing in for a pure-Python path
+Three kernels share one library, each standing in for a pure-Python path
 that gives the same value, so proofs, keys and verdicts are
 byte-identical either way:
 
@@ -8,10 +8,17 @@ byte-identical either way:
   :func:`repro.curves.msm._pippenger` (:class:`repro.curves.native.G1Kernel`);
 * ``compute_h`` (``qap.c``): the Groth16 quotient of
   :func:`repro.snark.qap.compute_h`, all six NTTs in one call
-  (:class:`repro.snark.qap.QuotientKernel`).
+  (:class:`repro.snark.qap.QuotientKernel`);
+* ``fixed_base`` (``comb.c``): the trusted setup's fixed-base combs for
+  G1 and G2, :func:`repro.curves.msm._lockstep_comb` in one call per
+  batch (:class:`repro.curves.msm.CombKernel`).
 
-Both are written over ``mont.h``, one Montgomery limb layer instantiated
-at compile time for the base field (G1) and the scalar field (the NTTs).
+They are written over ``mont.h``, one Montgomery limb layer instantiated
+at compile time for the base field (``bn254.h``) and the scalar field
+(the NTTs); ``fp2.h`` builds G2's Fp2 on the former and ``jacobian.h``
+holds the point formulas once for both groups.  Every ``.c`` file of
+this directory is compiled into the library and every ``.h`` file is
+part of its content address (:data:`SOURCES`, :data:`HEADERS`).
 
 Build and trust rules:
 
@@ -67,12 +74,20 @@ __all__ = [
 ]
 
 _HERE = Path(__file__).parent
-#: Compiled into the one library; ``mont.h`` is included by both.
-SOURCES = (_HERE / "g1msm.c", _HERE / "qap.c")
-HEADERS = (_HERE / "mont.h",)
+
+
+def _listing(directory: Path) -> Tuple[Tuple[Path, ...], Tuple[Path, ...]]:
+    """A directory's C sources and headers, each sorted by name."""
+    return tuple(sorted(directory.glob("*.c"))), tuple(sorted(directory.glob("*.h")))
+
+
+#: Compiled into the one library, and the headers they include: the
+#: package directory's ``*.c`` and ``*.h`` files, so a file added there
+#: is built and addressed without being listed.
+SOURCES, HEADERS = _listing(_HERE)
 
 #: The kernels, in the order :func:`status` lists them.
-KERNELS = ("g1_msm", "compute_h")
+KERNELS = ("g1_msm", "compute_h", "fixed_base")
 
 #: Why a pure path runs; :func:`status` reports one of these.
 NO_COMPILER = "no compiler"
@@ -87,10 +102,11 @@ _BUILD_TIMEOUT_S = 120
 def _kernel_classes() -> Dict[str, Any]:
     """Each kernel's ctypes wrapper, imported on first load: they live
     with the Python path they stand in for."""
+    from ..curves.msm import CombKernel
     from ..curves.native import G1Kernel
     from ..snark.qap import QuotientKernel
 
-    return {"g1_msm": G1Kernel, "compute_h": QuotientKernel}
+    return {"g1_msm": G1Kernel, "compute_h": QuotientKernel, "fixed_base": CombKernel}
 
 
 def _cache_dir() -> Path:

@@ -1,6 +1,7 @@
 /* Montgomery arithmetic on four 64-bit limbs, written once and
  * instantiated at compile time for one modulus per translation unit
- * (g1msm.c: the BN254 base field Fp; qap.c: the scalar field Fr).
+ * (bn254.h: the BN254 base field Fp, for g1msm.c and comb.c; qap.c: the
+ * scalar field Fr).
  *
  * Define before including:
  *   FIELD             the element type, also every function's prefix
@@ -11,6 +12,10 @@
  *   M_R2              2^512 mod modulus, as a braced limb list: multiplying
  *                     by it enters Montgomery form;
  *   M_ONE             2^256 mod modulus, likewise: one in Montgomery form.
+ *
+ * Define MONT_NO_EXPORTS as well in a translation unit whose field another
+ * unit of the same library already instantiates: the zk_<field>_* entry
+ * points below must be defined once per library.
  *
  * The modulus is a compile-time constant in every instruction, as it was
  * when Fp was the only field: nothing is read through a pointer.
@@ -208,6 +213,7 @@ MONT_FN void F(to_bytes)(uint8_t *out, const FIELD *a)
     F(store)(out, &c);
 }
 
+#ifndef MONT_NO_EXPORTS
 /* Single field operations on 32-byte values below 2^256, for the limb
  * tests: each enters Montgomery form, operates and leaves it. */
 void ZK(mul)(const uint8_t *a, const uint8_t *b, uint8_t *out)
@@ -236,3 +242,4 @@ void ZK(sub)(const uint8_t *a, const uint8_t *b, uint8_t *out)
     F(sub)(&x, &x, &y);
     F(to_bytes)(out, &x);
 }
+#endif

@@ -4,8 +4,9 @@
  * inverse on the coset), the pointwise product and the division by the
  * vanishing polynomial's constant value on the coset.
  *
- * Built with g1msm.c into one library by repro/native (`cc -O2 -shared
- * -fPIC`, on first use) and called through ctypes.  Plain C99 plus
+ * Built with the package's other C sources into one library by
+ * repro/native (`cc -O2 -shared -fPIC`, on first use) and called through
+ * ctypes.  Plain C99 plus
  * `unsigned __int128`: no CPython API, no global state, nothing kept
  * between calls.  Fr elements are mont.h's limbs.
  *

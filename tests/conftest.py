@@ -67,6 +67,13 @@ def compute_h_path(request):
     yield from _kernel_path(request, "compute_h")
 
 
+@pytest.fixture(params=["native", "python"])
+def fixed_base_path(request):
+    """Run the test once on each fixed-base comb path: the compiled combs
+    (skipped where none can be built) and the pure lockstep comb."""
+    yield from _kernel_path(request, "fixed_base")
+
+
 # ----------------------------------------------------------- snark fixtures --
 
 

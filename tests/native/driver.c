@@ -11,13 +11,21 @@
  *   - an NTT -> inverse NTT round trip at every size 2^0 .. 2^13;
  *   - the quotient on rows where u v - w vanishes on H (so h's top
  *     coefficient is zero, and all of h when the rows are constant) at
- *     sizes 1, 16 and 2^13, and the refused arguments of both transforms.
+ *     sizes 1, 16 and 2^13, and the refused arguments of both transforms;
+ *   - Fp2 known answers (zk_fp2_*): (-1 - u)^2 = 2u, u^-1 = -u, the
+ *     inverse of zero is zero, and coefficients >= p are reduced;
+ *   - both fixed-base combs (zk_g1_comb, zk_g2_comb) at two windows: n = 0,
+ *     n = 1, an all-zero batch, repeated scalars, the scalars 0, 1,
+ *     (r +- 1) / 2, r - 1, r, r + 5 and 2^256 - 1, batches across the
+ *     comb's tile, a batch equal to its scalars one by one, and refused
+ *     windows.  G1 answers come from the MSM; G2 ones from group-law
+ *     relations (r - 1 gives -H, twice (r + 1) / 2 gives H, ...).
  *
  * Build and run from the repository root:
  *
  *   cc -std=c99 -g -O1 -fsanitize=address,undefined -fno-omit-frame-pointer \
  *      -fno-sanitize-recover=all tests/native/driver.c \
- *      src/repro/native/g1msm.c src/repro/native/qap.c -o driver && ./driver
+ *      $(find src/repro/native -name '*.c') -o driver && ./driver
  *
  * It prints one line per failed check and "ok" at the end, exiting 0
  * only when every check passed.  tests/test_native_sanitized.py does the
@@ -39,6 +47,11 @@ void zk_fr_sub(const uint8_t *, const uint8_t *, uint8_t *);
 int zk_g1_msm(size_t, const uint8_t *, const uint8_t *, uint8_t *);
 int zk_fr_ntt(size_t, uint8_t *, const uint8_t *);
 int zk_qap_h(size_t, size_t, const uint8_t *, const uint8_t *, uint8_t *);
+void zk_fp2_mul(const uint8_t *, const uint8_t *, uint8_t *);
+void zk_fp2_sqr(const uint8_t *, uint8_t *);
+void zk_fp2_inv(const uint8_t *, uint8_t *);
+int zk_g1_comb(size_t, unsigned, const uint8_t *, const uint8_t *, uint8_t *);
+int zk_g2_comb(size_t, unsigned, const uint8_t *, const uint8_t *, uint8_t *);
 
 typedef void (*field_op)(const uint8_t *, const uint8_t *, uint8_t *);
 typedef struct { uint8_t b[32]; } elem;
@@ -253,6 +266,290 @@ static void check_msm_cases(void)
               (elem[]){r_plus(-1), r_plus(-2), r_plus(-12), small(0)}, 7);
 }
 
+/* -- Fp2 --------------------------------------------------------------------- */
+
+static elem p_minus_1(void)
+{
+    return E(0x3c208c16d87cfd46ULL, 0x97816a916871ca8dULL,
+             0xb85045b68181585dULL, 0x30644e72e131a029ULL);
+}
+
+/* c0 + c1 u as 64 bytes. */
+static void fp2_bytes(uint8_t out[64], elem c0, elem c1)
+{
+    memcpy(out, c0.b, 32);
+    memcpy(out + 32, c1.b, 32);
+}
+
+static void check_fp2(void)
+{
+    uint8_t a[64], b[64], out[64], want[64];
+    fp2_bytes(a, p_minus_1(), p_minus_1()); /* -1 - u */
+    fp2_bytes(want, small(0), small(2));
+    zk_fp2_sqr(a, out);
+    check(memcmp(out, want, 64) == 0, "fp2 (-1 - u)^2", 0);
+    zk_fp2_mul(a, a, out);
+    check(memcmp(out, want, 64) == 0, "fp2 (-1 - u)(-1 - u)", 0);
+    fp2_bytes(b, small(0), small(1)); /* u */
+    fp2_bytes(want, small(0), p_minus_1());
+    zk_fp2_inv(b, out);
+    check(memcmp(out, want, 64) == 0, "fp2 1/u", 0);
+    zk_fp2_mul(b, b, out); /* u^2 = -1 */
+    fp2_bytes(want, p_minus_1(), small(0));
+    check(memcmp(out, want, 64) == 0, "fp2 u^2", 0);
+    fp2_bytes(b, small(0), small(0));
+    zk_fp2_inv(b, out);
+    check(memcmp(out, b, 64) == 0, "fp2 1/0 = 0", 0);
+    /* 2^256 - 1 in each coefficient, times one: both reduced mod p. */
+    memset(a, 0xff, 64);
+    fp2_bytes(b, small(1), small(0));
+    elem reduced = E(0xd35d438dc58f0d9cULL, 0x0a78eb28f5c70b3dULL,
+                     0x666ea36f7879462cULL, 0x0e0a77c19a07df2fULL);
+    fp2_bytes(want, reduced, reduced);
+    zk_fp2_mul(a, b, out);
+    check(memcmp(out, want, 64) == 0, "fp2 reduces inputs >= p", 0);
+}
+
+/* -- fixed-base combs --------------------------------------------------------- */
+
+static elem random_element(void);
+
+typedef int (*comb_fn)(size_t, unsigned, const uint8_t *, const uint8_t *,
+                       uint8_t *);
+
+typedef struct {
+    const char *name;
+    comb_fn comb;
+    size_t width; /* bytes per affine point: 64 (G1), 128 (G2) */
+} group;
+
+static size_t comb_rows(unsigned window)
+{
+    return (254 + window - 1) / window;
+}
+
+static size_t comb_entries(unsigned window)
+{
+    return comb_rows(window) * (((size_t)1 << window) - 1);
+}
+
+/* The comb over exact-size heap copies of the table and the scalars; the
+ * n results land in out.  Returns the entry's code. */
+static int comb_call(const group *g, unsigned window, const uint8_t *table,
+                     const elem *scalars, size_t n, uint8_t *out)
+{
+    size_t tb = window >= 1 && window <= 16 ? comb_entries(window) * g->width : 0;
+    uint8_t *t = malloc(tb ? tb : 1), *sc = malloc(n ? 32 * n : 1),
+            *o = malloc(n ? g->width * n : 1);
+    if (tb)
+        memcpy(t, table, tb);
+    for (size_t i = 0; i < n; i++)
+        memcpy(sc + 32 * i, scalars[i].b, 32);
+    int rc = g->comb(n, window, t, sc, o);
+    if (rc == 0 && n)
+        memcpy(out, o, g->width * n);
+    free(t);
+    free(sc);
+    free(o);
+    return rc;
+}
+
+/* d * 2^bits for d < 2^16, bits < 240. */
+static elem shifted(uint64_t d, unsigned bits)
+{
+    uint64_t l[4] = {0, 0, 0, 0};
+    l[bits / 64] = d << (bits % 64);
+    if (bits % 64 && bits / 64 + 1 < 4)
+        l[bits / 64 + 1] = d >> (64 - bits % 64);
+    return E(l[0], l[1], l[2], l[3]);
+}
+
+/* The window-w table from the window-1 one (row k = 2^k base): all its
+ * entries d * 2^(w k) * base in one batch, which crosses the comb's tile. */
+static uint8_t *table_for(const group *g, const uint8_t *pow2, unsigned w)
+{
+    size_t digits = ((size_t)1 << w) - 1, n = comb_entries(w);
+    elem *sc = malloc(n * sizeof *sc);
+    uint8_t *table = malloc(n * g->width);
+    for (size_t k = 0; k < comb_rows(w); k++)
+        for (size_t d = 1; d <= digits; d++)
+            sc[k * digits + d - 1] = shifted(d, (unsigned)(w * k));
+    check(comb_call(g, 1, pow2, sc, n, table) == 0, g->name, 100 + (long)w);
+    free(sc);
+    return table;
+}
+
+/* (2^256 - 1) mod r. */
+static elem ones_mod_r(void)
+{
+    return E(0xac96341c4ffffffaULL, 0x36fc76959f60cd29ULL,
+             0x666ea36f7879462eULL, 0x0e0a77c19a07df2fULL);
+}
+
+enum { B_ZERO, B_ONE, B_HALF, B_HALF_UP, B_R_1, B_R, B_R_5, B_ONES,
+       B_FIVE, B_ONES_MOD_R, B_COUNT };
+
+static void boundaries(elem *b)
+{
+    memset(b[B_ONES].b, 0xff, 32);
+    b[B_ZERO] = small(0);
+    b[B_ONE] = small(1);
+    b[B_HALF] = half_r_plus(0);
+    b[B_HALF_UP] = half_r_plus(1);
+    b[B_R_1] = r_plus(-1);
+    b[B_R] = r_plus(0);
+    b[B_R_5] = r_plus(5);
+    b[B_FIVE] = small(5);
+    b[B_ONES_MOD_R] = ones_mod_r();
+}
+
+static int is_zero_point(const uint8_t *p, size_t width)
+{
+    for (size_t i = 0; i < width; i++)
+        if (p[i])
+            return 0;
+    return 1;
+}
+
+/* What both groups share, at window w over the window-1 table pow2; the
+ * boundary scalars' points are left in out (B_COUNT * width bytes). */
+static void check_comb_group(const group *g, const uint8_t *pow2, unsigned w,
+                             uint8_t *out)
+{
+    size_t width = g->width;
+    uint8_t *table = table_for(g, pow2, w);
+    /* 2r < 2^256 is zero mod r too. */
+    elem b[B_COUNT], zeros[3] = {
+        small(0), r_plus(0),
+        E(0x87c3eb27e0000002ULL, 0x5067d090f372e122ULL,
+          0x70a08b6d0302b0baULL, 0x60c89ce5c2634053ULL),
+    };
+    boundaries(b);
+    uint8_t *batch = malloc(B_COUNT * width), *one = malloc(width),
+            *other = malloc(B_COUNT * width), *zero_out = malloc(3 * width);
+    check(comb_call(g, w, table, b, B_COUNT, batch) == 0, g->name, 1);
+    check(comb_call(g, 1, pow2, b, B_COUNT, other) == 0, g->name, 2);
+    check(memcmp(batch, other, B_COUNT * width) == 0,
+          "comb: the same points at two windows", (long)w);
+    for (size_t i = 0; i < B_COUNT; i++) {
+        check(comb_call(g, w, table, &b[i], 1, one) == 0, g->name, 3);
+        check(memcmp(one, batch + i * width, width) == 0,
+              "comb: n = 1 agrees with the batch", (long)i);
+    }
+    check(is_zero_point(batch + B_ZERO * width, width), "comb: 0 -> identity", 0);
+    check(is_zero_point(batch + B_R * width, width), "comb: r -> identity", 0);
+    check(!is_zero_point(batch + B_ONE * width, width), "comb: 1 is finite", 0);
+    check(memcmp(batch + B_R_5 * width, batch + B_FIVE * width, width) == 0,
+          "comb: r + 5 -> 5", 0);
+    check(memcmp(batch + B_ONES * width, batch + B_ONES_MOD_R * width, width) == 0,
+          "comb: 2^256 - 1 reduced mod r", 0);
+    check(comb_call(g, w, table, zeros, 3, zero_out) == 0, g->name, 4);
+    check(is_zero_point(zero_out, 3 * width), "comb: an all-zero batch", 0);
+    elem repeated[4] = {b[B_HALF], b[B_HALF], b[B_HALF], b[B_HALF]};
+    uint8_t *rep = malloc(4 * width);
+    check(comb_call(g, w, table, repeated, 4, rep) == 0, g->name, 5);
+    for (int i = 0; i < 4; i++)
+        check(memcmp(rep + i * width, batch + B_HALF * width, width) == 0,
+              "comb: repeated scalars", i);
+    check(comb_call(g, w, table, NULL, 0, NULL) == 0, "comb: n = 0", 0);
+    check(comb_call(g, 0, table, b, 1, one) == 2, "comb: window 0 refused", 0);
+    check(comb_call(g, 17, table, b, 1, one) == 2, "comb: window 17 refused", 0);
+    /* Across the tile: 300 random scalars, against the window-1 table. */
+    size_t n = 300;
+    elem *sc = malloc(n * sizeof *sc);
+    uint8_t *x = malloc(n * width), *y = malloc(n * width);
+    for (size_t i = 0; i < n; i++)
+        sc[i] = random_element();
+    check(comb_call(g, w, table, sc, n, x) == 0, g->name, 6);
+    check(comb_call(g, 1, pow2, sc, n, y) == 0, g->name, 7);
+    check(memcmp(x, y, n * width) == 0, "comb: a batch across the tile", (long)w);
+    memcpy(out, batch, B_COUNT * width);
+    free(table);
+    free(batch);
+    free(one);
+    free(other);
+    free(zero_out);
+    free(rep);
+    free(sc);
+    free(x);
+    free(y);
+}
+
+static void check_g1_comb(void)
+{
+    static const group g1 = {"g1 comb", zk_g1_comb, 64};
+    uint8_t g[64] = {0}, *pow2 = malloc(254 * 64), out[B_COUNT * 64], want[64];
+    g[0] = 1, g[32] = 2;
+    for (unsigned k = 0; k < 254; k++)
+        check(zk_g1_msm(1, g, shifted(1, k).b, pow2 + 64 * k) == 0, "g1 2^k", k);
+    check_comb_group(&g1, pow2, 4, out);
+    /* Every boundary against the MSM, the identity as zeros. */
+    elem b[B_COUNT];
+    boundaries(b);
+    for (int i = 0; i < B_COUNT; i++) {
+        if (zk_g1_msm(1, g, b[i].b, want) == 1)
+            memset(want, 0, 64);
+        check(memcmp(out + 64 * i, want, 64) == 0, "g1 comb against the MSM", i);
+    }
+    free(pow2);
+}
+
+/* -q for a G2 point's 128 bytes. */
+static void g2_negate(uint8_t *q)
+{
+    uint8_t minus_one[64];
+    fp2_bytes(minus_one, p_minus_1(), small(0));
+    zk_fp2_mul(q + 64, minus_one, q + 64);
+}
+
+/* 2q, through a window-1 table every row of which is q: comb(3) = q + q. */
+static void g2_double(const group *g, const uint8_t *q, uint8_t *out)
+{
+    uint8_t *flat = malloc(254 * 128);
+    for (int k = 0; k < 254; k++)
+        memcpy(flat + 128 * k, q, 128);
+    elem three = small(3);
+    check(comb_call(g, 1, flat, &three, 1, out) == 0, "g2 doubling", 0);
+    free(flat);
+}
+
+static void check_g2_comb(void)
+{
+    static const group g2 = {"g2 comb", zk_g2_comb, 128};
+    uint8_t h[128], *pow2 = malloc(254 * 128), out[B_COUNT * 128], t[128];
+    fp2_bytes(h, E(0x46debd5cd992f6edULL, 0x674322d4f75edaddULL,
+                   0x426a00665e5c4479ULL, 0x1800deef121f1e76ULL),
+              E(0x97e485b7aef312c2ULL, 0xf1aa493335a9e712ULL,
+                0x7260bfb731fb5d25ULL, 0x198e9393920d483aULL));
+    fp2_bytes(h + 64, E(0x4ce6cc0166fa7daaULL, 0xe3d1e7690c43d37bULL,
+                        0x4aab71808dcb408fULL, 0x12c85ea5db8c6debULL),
+              E(0x55acdadcd122975bULL, 0xbc4b313370b38ef3ULL,
+                0xec9e99ad690c3395ULL, 0x090689d0585ff075ULL));
+    memcpy(pow2, h, 128);
+    for (int k = 1; k < 254; k++)
+        g2_double(&g2, pow2 + 128 * (k - 1), pow2 + 128 * k);
+    check_comb_group(&g2, pow2, 3, out);
+    check(memcmp(out + 128 * B_ONE, h, 128) == 0, "g2 comb: 1 -> H", 0);
+    memcpy(t, h, 128);
+    g2_negate(t);
+    check(memcmp(out + 128 * B_R_1, t, 128) == 0, "g2 comb: r - 1 -> -H", 0);
+    memcpy(t, out + 128 * B_HALF_UP, 128);
+    g2_negate(t);
+    check(memcmp(out + 128 * B_HALF, t, 128) == 0,
+          "g2 comb: (r - 1) / 2 -> -((r + 1) / 2)", 0);
+    g2_double(&g2, out + 128 * B_HALF_UP, t);
+    check(memcmp(t, h, 128) == 0, "g2 comb: 2 ((r + 1) / 2) -> H", 0);
+    /* 5H off a window-1 table every row of which is H: five set bits. */
+    uint8_t *flat = malloc(254 * 128);
+    for (int k = 0; k < 254; k++)
+        memcpy(flat + 128 * k, h, 128);
+    elem popcount5 = small(31);
+    check(comb_call(&g2, 1, flat, &popcount5, 1, t) == 0, "g2 5H", 0);
+    check(memcmp(out + 128 * B_FIVE, t, 128) == 0, "g2 comb: 5 -> 5H", 0);
+    free(flat);
+    free(pow2);
+}
+
 /* -- Fr transforms ------------------------------------------------------------ */
 
 static elem fr_mul(elem a, elem b)
@@ -419,6 +716,9 @@ int main(void)
     uint8_t scratch[96] = {0};
     check_limbs();
     check_msm_cases();
+    check_fp2();
+    check_g1_comb();
+    check_g2_comb();
     check_round_trips();
     check_quotient(0, 1);
     check_quotient(4, 11);

@@ -370,9 +370,12 @@ class TestReportedPath:
     def test_serve_line(self, kernel, fresh_load, monkeypatch):
         from repro.cli import _kernels_line
 
-        assert _kernels_line() == "g1_msm native, compute_h native"
+        assert _kernels_line() == (
+            "g1_msm native, compute_h native, fixed_base native"
+        )
         monkeypatch.setattr(loader, "_STATE", None)
         monkeypatch.setattr(loader.shutil, "which", lambda name: None)
         assert _kernels_line() == (
-            "g1_msm python (no compiler), compute_h python (no compiler)"
+            "g1_msm python (no compiler), compute_h python (no compiler), "
+            "fixed_base python (no compiler)"
         )

@@ -269,24 +269,35 @@ class TestBlindingLimbs:
             assert msm_g2(bases, _limbs(s)) == pk.delta_g2 * s
 
 
+@pytest.mark.usefixtures("fixed_base_path")
 class TestGoldenKeys:
-    """Seeded keys are pinned byte for byte.
+    """Seeded keys are pinned byte for byte, on both fixed-base paths.
 
-    The digests were recorded on the commit BEFORE the lockstep
-    batch-affine fixed-base rewrite (per-scalar Jacobian comb); any
+    The cubic and chain digests were recorded on the commit BEFORE the
+    lockstep batch-affine fixed-base rewrite (per-scalar Jacobian comb);
+    the long chain's on the last commit before the compiled combs.  Any
     setup-kernel or field-backend change must reproduce them exactly.
-    Both circuits have variables absent from B (7 and 11 points at
-    infinity across their queries), so the identity encoding is pinned too.
+    The circuits have variables absent from B (7, 11 and 11 points at
+    infinity across their queries), so the identity encoding is pinned
+    too.  The long chain's 1,729 G1 scalars fill more than one
+    ``_COMB_TILE``.
     """
 
     GOLDEN = {
         "cubic": "f35b52c4d32ed9305c63dc6dc1b3c270922485755d3f1bf011050a263ae5041b",
         "chain": "669751b8ff4f2dc1239c1e8d68e5bc4518d293d2b01ba999493242f2d1151df2",
+        "long chain": "a107e039adc95b6ef6ff737fd2219fbbd8ac456562f90430a35a25880a72ac47",
     }
 
-    @pytest.mark.parametrize("name, seed", [("cubic", 42), ("chain", 7)])
+    @pytest.mark.parametrize(
+        "name, seed", [("cubic", 42), ("chain", 7), ("long chain", 11)]
+    )
     def test_seeded_setup_bytes_are_pinned(self, cubic_circuit, name, seed):
-        cs = cubic_circuit[0] if name == "cubic" else _chain_circuit()
+        cs = {
+            "cubic": lambda: cubic_circuit[0],
+            "chain": _chain_circuit,
+            "long chain": lambda: _chain_circuit(length=400),
+        }[name]()
         kp = setup(cs, seed=seed)
         pk = kp.proving_key
         assert any(p.is_infinity() for p in pk.b_g1_query)
